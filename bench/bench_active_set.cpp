@@ -6,17 +6,15 @@
 // cells per cycle while the scan engine dutifully walks all 4096 three
 // times a cycle. A dense SBM ingest rides along as the contrast case (a
 // saturated mesh leaves little for the active set to skip) — it is where
-// the dense/sparse hybrid has to prove the active engine never costs
-// meaningfully more than the scan it replaced as the default.
+// the bitmap engine has to prove it never costs meaningfully more than
+// the scan it replaced as the default.
 //
 // Every row doubles as a correctness gate: simulated cycles, the complete
 // ChipStats block, and energy must be bit-identical across engines; the
 // sparse 64x64 row must show at least a 5x reduction in cell visits per
-// cycle; the dense SBM row must keep hybrid visits within 1.1x of the scan
-// engine's; and after an idle settle the shrink policy must have decayed
-// the active-set capacity below its in-run peak. All of it is tracked in
-// BENCH_active.json (records carry "engine", "cell_visits", "dense_pct",
-// "cap_peak", and "cap_end" fields).
+// cycle; and the dense SBM row must keep active visits within 1.1x of the
+// scan engine's. All of it is tracked in BENCH_active.json (records carry
+// "engine" and "cell_visits" fields).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -76,11 +74,6 @@ struct Measurement {
   std::uint64_t threads = 1;
   std::string partition;
   sim::ChipStats stats;
-  // Hybrid metrics (active engine only; zero under scan).
-  std::uint32_t dense_pct = 0;
-  std::uint64_t dense_cycles = 0;
-  std::uint64_t cap_peak = 0;
-  std::uint64_t cap_end = 0;
 };
 
 Measurement run_once(const Scenario& sc, sim::EngineKind engine) {
@@ -103,19 +96,6 @@ Measurement run_once(const Scenario& sc, sim::EngineKind engine) {
   m.threads = e.chip->threads();
   m.partition = e.chip->partition_spec().to_string();
   m.stats = e.chip->stats();
-
-  if (engine == sim::EngineKind::kActive) {
-    m.dense_pct = e.chip->dense_threshold_pct();
-    m.dense_cycles = e.chip->hybrid_dense_cycles();
-    m.cap_peak = e.chip->active_set_capacity_peak();
-    // The shrink-policy proof: idle cycles after the burst (the comparison
-    // stats above are already captured, so the extra simulated cycles
-    // cannot skew the determinism gate) let sustained low occupancy decay
-    // the active-set vectors, and the end capacity must come back below
-    // the in-run peak whenever a meaningful peak built up.
-    for (int i = 0; i < 160; ++i) e.chip->step();
-    m.cap_end = e.chip->active_set_capacity();
-  }
   return m;
 }
 
@@ -193,61 +173,26 @@ int main() {
                    ratio, sc.label.c_str());
       ok = false;
     }
-    // The dense-regime gate that made the hybrid safe to promote to the
-    // default: on the saturated contrast dataset, the active engine must
-    // not do meaningfully more host work than the scan engine it replaced.
+    // The dense-regime gate: on the saturated contrast dataset, the active
+    // engine must not do meaningfully more host work than the scan engine
+    // it replaced as the default.
     if (!sc.sparse &&
         static_cast<double>(active.cell_visits) >
             1.1 * static_cast<double>(scan.cell_visits)) {
       std::fprintf(stderr,
-                   "DENSE GATE MISSED: hybrid visits %lu > 1.1x scan visits "
+                   "DENSE GATE MISSED: active visits %lu > 1.1x scan visits "
                    "%lu on %s\n",
                    static_cast<unsigned long>(active.cell_visits),
                    static_cast<unsigned long>(scan.cell_visits),
                    sc.label.c_str());
       ok = false;
     }
-    std::printf(
-        "%-16s hybrid: dense-pct %u, %lu dense partition-cycles, "
-        "active-set capacity peak %lu -> %lu entries after idle settle\n",
-        sc.label.c_str(), active.dense_pct,
-        static_cast<unsigned long>(active.dense_cycles),
-        static_cast<unsigned long>(active.cap_peak),
-        static_cast<unsigned long>(active.cap_end));
-    // The shrink-policy gate: whenever a run built up a real capacity peak,
-    // the idle settle must have decayed it (the active-set vectors never
-    // shrink on their own — this is what bounds memory after a dense
-    // burst). "Real" scales with the partition count: each partition may
-    // legitimately retain up to 2 vectors × 2 × the 64-entry shrink floor,
-    // below which nothing is shrink-eligible and cap_end == cap_peak is
-    // correct behaviour.
-    const std::uint64_t shrinkable_floor = active.threads * 2 * 2 * 64;
-    if (active.cap_peak > shrinkable_floor &&
-        active.cap_end >= active.cap_peak) {
-      std::fprintf(stderr,
-                   "SHRINK GATE MISSED: capacity %lu did not drop below its "
-                   "peak %lu on %s\n",
-                   static_cast<unsigned long>(active.cap_end),
-                   static_cast<unsigned long>(active.cap_peak),
-                   sc.label.c_str());
-      ok = false;
-    }
 
     reporter.record(sc.label, scan.cycles, scan.energy_uj, scan.threads,
                     scan.wall_ms, scan.partition, "scan", scan.cell_visits);
-    bench::BenchRecord rec;
-    rec.dataset = sc.label;
-    rec.cycles = active.cycles;
-    rec.energy_uj = active.energy_uj;
-    rec.threads = active.threads;
-    rec.wall_ms = active.wall_ms;
-    rec.partition = active.partition;
-    rec.engine = "active";
-    rec.cell_visits = active.cell_visits;
-    rec.dense_pct = active.dense_pct;
-    rec.cap_peak = active.cap_peak;
-    rec.cap_end = active.cap_end;
-    reporter.record(rec);
+    reporter.record(sc.label, active.cycles, active.energy_uj,
+                    active.threads, active.wall_ms, active.partition,
+                    "active", active.cell_visits);
   }
   return ok ? 0 : 1;
 }

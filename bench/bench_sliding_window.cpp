@@ -6,19 +6,16 @@
 // through wl::apply_sliding_window with drain enabled, so the graph grows
 // until the window fills, churns while arrivals and expirations overlap,
 // then *shrinks to empty* over the trailing delete-only increments. The
-// drain tail is the interesting regime for the hybrid engine — partitions
-// that went dense during ingest must collapse back to sparse tracking as
-// deletion repair waves thin out, and the shrink policy must hand the
-// active-set memory back afterwards.
+// drain tail is the interesting regime for the active engine: the mesh
+// swings from saturated ingest to thinning deletion-repair waves.
 //
 // Every row is also a correctness gate: simulated cycles, the complete
 // ChipStats block, and energy must be bit-identical across engines, and
-// the hybrid engine must keep its cell visits within 1.1x of the scan
+// the active engine must keep its cell visits within 1.1x of the scan
 // engine's across the whole grow/churn/shrink run (deletion repair is
 // host-seeded at O(settled vertices), so the mesh stays busy — there is
 // no sparse-frontier discount to hide behind). Records land in
-// BENCH_window.json with "cell_visits", "dense_pct", "cap_peak",
-// "cap_end", and "host_cores" fields.
+// BENCH_window.json with "cell_visits" and "host_cores" fields.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -40,8 +37,8 @@ struct Scenario {
 };
 
 /// An SBM arrival stream windowed to `window` increments, with the drain
-/// tail appended so the run ends on an empty graph (the dense -> sparse
-/// collapse the bench exists to stress).
+/// tail appended so the run ends on an empty graph (the saturated ->
+/// sparse collapse the bench exists to stress).
 Scenario make_windowed_sbm(std::uint64_t vertices, std::uint64_t edges,
                            std::uint64_t increments, std::uint32_t window) {
   Scenario s;
@@ -68,11 +65,6 @@ struct Measurement {
   std::string partition;
   sim::ChipStats stats;
   std::uint64_t edges_deleted = 0;
-  // Hybrid metrics (active engine only; zero under scan).
-  std::uint32_t dense_pct = 0;
-  std::uint64_t dense_cycles = 0;
-  std::uint64_t cap_peak = 0;
-  std::uint64_t cap_end = 0;
 };
 
 Measurement run_once(const Scenario& sc, bench::AppKind app,
@@ -94,18 +86,6 @@ Measurement run_once(const Scenario& sc, bench::AppKind app,
   m.partition = e.chip->partition_spec().to_string();
   m.stats = e.chip->stats();
   m.edges_deleted = e.proto->stats().edges_deleted;
-
-  if (engine == sim::EngineKind::kActive) {
-    m.dense_pct = e.chip->dense_threshold_pct();
-    m.dense_cycles = e.chip->hybrid_dense_cycles();
-    m.cap_peak = e.chip->active_set_capacity_peak();
-    // After the drain the graph is empty and the mesh idle: the shrink
-    // policy gets its settle window here (the comparison stats above are
-    // already captured, so these extra cycles cannot skew the gate), and
-    // the end capacity shows how much of the ingest-era peak it returned.
-    for (int i = 0; i < 160; ++i) e.chip->step();
-    m.cap_end = e.chip->active_set_capacity();
-  }
   return m;
 }
 
@@ -116,8 +96,8 @@ int main() {
   bench::JsonReporter reporter("sliding_window");
 
   // Deletion repair seeds every settled vertex per invalidating increment,
-  // so the workload sizes stay modest: the point is the mode transitions
-  // on the 32x32 mesh, not raw edge volume.
+  // so the workload sizes stay modest: the point is the grow/churn/drain
+  // swing on the 32x32 mesh, not raw edge volume.
   std::vector<Scenario> scenarios;
   switch (scale) {
     case bench::Scale::kTiny:
@@ -200,57 +180,26 @@ int main() {
         ok = false;
       }
 
-      // The shrinking-regime gate: across grow/churn/drain the hybrid engine
-      // must not do meaningfully more host work than the scan oracle. This
-      // is the deletion-path analogue of bench_active_set's dense gate — the
-      // repair waves keep occupancy high, so a hybrid that thrashed modes on
-      // the way down would show up here as excess visits.
+      // The shrinking-regime gate: across grow/churn/drain the active
+      // engine must not do meaningfully more host work than the scan
+      // oracle. This is the deletion-path analogue of bench_active_set's
+      // dense gate — the repair waves keep occupancy high.
       if (static_cast<double>(active.cell_visits) >
           1.1 * static_cast<double>(scan.cell_visits)) {
         std::fprintf(stderr,
-                     "SHRINK-REGIME GATE MISSED: hybrid visits %lu > 1.1x "
+                     "SHRINK-REGIME GATE MISSED: active visits %lu > 1.1x "
                      "scan visits %lu on %s\n",
                      static_cast<unsigned long>(active.cell_visits),
                      static_cast<unsigned long>(scan.cell_visits),
                      label.c_str());
         ok = false;
       }
-      std::printf(
-          "%-22s hybrid: dense-pct %u, %lu dense partition-cycles, "
-          "active-set capacity peak %lu -> %lu entries after drain+settle\n",
-          label.c_str(), active.dense_pct,
-          static_cast<unsigned long>(active.dense_cycles),
-          static_cast<unsigned long>(active.cap_peak),
-          static_cast<unsigned long>(active.cap_end));
-      // Same shrink-policy floor as bench_active_set: below it nothing is
-      // shrink-eligible and cap_end == cap_peak is correct behaviour.
-      const std::uint64_t shrinkable_floor = active.threads * 2 * 2 * 64;
-      if (active.cap_peak > shrinkable_floor &&
-          active.cap_end >= active.cap_peak) {
-        std::fprintf(stderr,
-                     "SHRINK GATE MISSED: capacity %lu did not drop below its "
-                     "peak %lu on %s\n",
-                     static_cast<unsigned long>(active.cap_end),
-                     static_cast<unsigned long>(active.cap_peak),
-                     label.c_str());
-        ok = false;
-      }
 
       reporter.record(label, scan.cycles, scan.energy_uj, scan.threads,
                       scan.wall_ms, scan.partition, "scan", scan.cell_visits);
-      bench::BenchRecord rec;
-      rec.dataset = label;
-      rec.cycles = active.cycles;
-      rec.energy_uj = active.energy_uj;
-      rec.threads = active.threads;
-      rec.wall_ms = active.wall_ms;
-      rec.partition = active.partition;
-      rec.engine = "active";
-      rec.cell_visits = active.cell_visits;
-      rec.dense_pct = active.dense_pct;
-      rec.cap_peak = active.cap_peak;
-      rec.cap_end = active.cap_end;
-      reporter.record(rec);
+      reporter.record(label, active.cycles, active.energy_uj,
+                      active.threads, active.wall_ms, active.partition,
+                      "active", active.cell_visits);
     }
   }
   return ok ? 0 : 1;

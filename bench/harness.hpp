@@ -209,32 +209,24 @@ inline const char* to_string(Scale scale) {
 
 /// One measurement record: `{"bench":...,"dataset":...,"cycles":N,
 /// "energy_uj":X,"scale":...,"threads":T,"partition":P,"engine":E
-/// [,"wall_ms":W][,"cell_visits":V][,"dense_pct":D][,"cap_peak":C]
-/// [,"cap_end":C]}`.
+/// [,"wall_ms":W][,"cell_visits":V][,"rss_kb":R][,"host_cores":H]}`.
 /// `threads`, `partition`, and `engine` identify the simulator backend the
 /// record was measured on (1 = serial; partition spec as in
 /// CCASTREAM_PARTITION, e.g. "rows" or "tiles+rebalance"; engine as in
 /// CCASTREAM_ENGINE, "scan" or "active"), making records comparable across
 /// backends in aggregated BENCH_*.json files. `wall_ms` is host wall-clock
-/// and `cell_visits` the per-cell phase-loop visit total — the only numbers
-/// that *should* differ across backends (simulated cycles are
-/// backend-invariant by the determinism guarantee); 0 means unmeasured and
-/// the field is omitted. Records measured on the hybrid active-set engine
-/// may additionally carry the mode configuration and memory metrics:
-/// `dense_pct` (the resolved dense-mode threshold,
-/// `Chip::dense_threshold_pct()`), `cap_peak`
-/// (`Chip::active_set_capacity_peak()` — the active-set memory high-water,
-/// in entries) and `cap_end` (`Chip::active_set_capacity()` at measurement
-/// end — below `cap_peak` when the shrink policy returned memory); all
-/// three omitted when 0. `rss_kb` is the process's peak resident set
-/// (`VmHWM` from /proc/self/status, in KiB) sampled right after the
-/// measurement — the memory-side currency for the mesh-scale benches,
-/// where per-cell state dominates the footprint; 0 means unmeasured
-/// (e.g. a non-Linux host) and the field is omitted. `host_cores`
-/// records the host machine's logical
-/// core count (`std::thread::hardware_concurrency()`), giving the wall_ms
-/// numbers in aggregated files the hardware context needed to compare
-/// them across machines; the reporter stamps it on every record it
+/// and `cell_visits` the phase-sweep visit total (`Chip::cell_visits()`) —
+/// the only numbers that *should* differ across backends (simulated
+/// cycles are backend-invariant by the determinism guarantee); 0 means
+/// unmeasured and the field is omitted. `rss_kb` is the process's peak
+/// resident set (`VmHWM` from /proc/self/status, in KiB) sampled right
+/// after the measurement — the memory-side currency for the mesh-scale
+/// benches, where per-cell state dominates the footprint; 0 means
+/// unmeasured (e.g. a non-Linux host) and the field is omitted.
+/// `host_cores` records the host machine's logical core count
+/// (`std::thread::hardware_concurrency()`), giving the wall_ms numbers in
+/// aggregated files the hardware context needed to compare them across
+/// machines; the reporter stamps it on every record it
 /// writes, and legacy records (which carried no hardware context at all)
 /// parse as the conservative 1 — the same as the field's default.
 struct BenchRecord {
@@ -248,9 +240,6 @@ struct BenchRecord {
   std::string partition = "rows";
   std::string engine = "scan";
   std::uint64_t cell_visits = 0;
-  std::uint32_t dense_pct = 0;
-  std::uint64_t cap_peak = 0;
-  std::uint64_t cap_end = 0;
   std::uint64_t rss_kb = 0;
   std::uint64_t host_cores = 1;
 
@@ -316,20 +305,6 @@ inline std::string format_record(const BenchRecord& r) {
     std::snprintf(num, sizeof num, "%llu",
                   static_cast<unsigned long long>(r.cell_visits));
     out += std::string(",\"cell_visits\":") + num;
-  }
-  if (r.dense_pct != 0) {
-    std::snprintf(num, sizeof num, "%u", r.dense_pct);
-    out += std::string(",\"dense_pct\":") + num;
-  }
-  if (r.cap_peak != 0) {
-    std::snprintf(num, sizeof num, "%llu",
-                  static_cast<unsigned long long>(r.cap_peak));
-    out += std::string(",\"cap_peak\":") + num;
-  }
-  if (r.cap_end != 0) {
-    std::snprintf(num, sizeof num, "%llu",
-                  static_cast<unsigned long long>(r.cap_end));
-    out += std::string(",\"cap_end\":") + num;
   }
   if (r.rss_kb != 0) {
     std::snprintf(num, sizeof num, "%llu",
@@ -441,12 +416,6 @@ inline std::optional<BenchRecord> parse_record(const std::string& line) {
   // on the full-scan engine, and cell visits were not counted.
   r.engine = detail::parse_string_field(line, "engine").value_or("scan");
   r.cell_visits = detail::parse_uint_field(line, "cell_visits").value_or(0);
-  // Absent before the dense/sparse hybrid existed: pre-hybrid active
-  // records were pure sparse mode and tracked no capacity.
-  r.dense_pct = static_cast<std::uint32_t>(
-      detail::parse_uint_field(line, "dense_pct").value_or(0));
-  r.cap_peak = detail::parse_uint_field(line, "cap_peak").value_or(0);
-  r.cap_end = detail::parse_uint_field(line, "cap_end").value_or(0);
   // Absent before the mesh-scale benches: earlier records measured time
   // and visits only, never the resident footprint.
   r.rss_kb = detail::parse_uint_field(line, "rss_kb").value_or(0);
@@ -490,9 +459,8 @@ class JsonReporter {
   /// env-resolved default. `wall_ms` and `cell_visits`, when nonzero,
   /// persist host wall-clock and the phase-loop visit total so backend
   /// speedup is trackable from the aggregated BENCH_*.json files.
-  /// Measurements carrying the hybrid metrics (dense_pct, cap_peak,
-  /// cap_end) should use the BenchRecord overload below and name the
-  /// fields.
+  /// Measurements carrying more fields (rss_kb) use the BenchRecord
+  /// overload below and name them.
   void record(const std::string& dataset, std::uint64_t cycles,
               double energy_uj, std::uint64_t threads = 0,
               double wall_ms = 0.0, const std::string& partition = {},
@@ -510,9 +478,9 @@ class JsonReporter {
     record(r);
   }
 
-  /// Struct form for measurements with many optional fields (the hybrid
-  /// metrics): callers name each field instead of threading a long
-  /// positional tail of same-typed integers. `bench` and `scale` are
+  /// Struct form for measurements with many optional fields: callers
+  /// name each field instead of threading a long positional tail of
+  /// same-typed integers. `bench` and `scale` are
   /// overwritten by the reporter; threads/partition/engine fall back to
   /// the env-resolved defaults when left 0/empty.
   void record(BenchRecord r) const {

@@ -8,6 +8,7 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   const std::size_t n = cell_count;
   const std::size_t lanes = n * kLanes;
   const std::size_t words = (n + 63) / 64;
+  const std::size_t summary_words = (words + 63) / 64;
 
   // One reservation for the whole layout; the slab is calloc-backed, so
   // the worst-case message storage below is address space until traffic
@@ -18,6 +19,7 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(n * kMeshDirections);
   bytes += rt::SlabArena::span_bytes<std::uint8_t>(n);                // arb_next_
   bytes += rt::SlabArena::span_bytes<std::uint64_t>(words);           // active_
+  bytes += rt::SlabArena::span_bytes<std::uint64_t>(summary_words);   // summary_
   bytes += rt::SlabArena::span_bytes<Message>(lanes * fifo_depth);    // lanes_
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(lanes);           // lane_head_
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(lanes);           // lane_size_
@@ -28,6 +30,7 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   snapshot_ = slab_.allocate<std::uint32_t>(n * kMeshDirections);
   arb_next_ = slab_.allocate<std::uint8_t>(n);
   active_ = slab_.allocate<std::uint64_t>(words);
+  summary_ = slab_.allocate<std::uint64_t>(summary_words);
   lanes_ = slab_.allocate<Message>(lanes * fifo_depth);
   lane_head_ = slab_.allocate<std::uint32_t>(lanes);
   lane_size_ = slab_.allocate<std::uint32_t>(lanes);

@@ -2,10 +2,10 @@
 //
 // ComputeCell used to be an array-of-structs object dragging six Fifo
 // containers, three deques, an ObjectArena, and an RNG through every cache
-// line the engines touch; at 512x512-1024x1024 meshes the dense-mode
-// rectangle walks and per-cycle idle sweeps were memory-bound on state
-// they never read. CellSoA splits the *hot* per-cell state into parallel
-// arrays carved out of one rt::SlabArena:
+// line the engines touch; at 512x512-1024x1024 meshes the phase walks
+// and per-cycle idle sweeps were memory-bound on state they never read.
+// CellSoA splits the *hot* per-cell state into parallel arrays carved out
+// of one rt::SlabArena:
 //
 //   hot_       one packed word per cell: busy cycles in the high half,
 //              total queued work items (FIFO messages + staged + task +
@@ -18,23 +18,31 @@
 //              neighbour room/occupancy decisions read.
 //   arb_next_  the round-robin arbitration pointer per cell.
 //   active_    the activity-flag BITMAP of the event-driven engine: bit i
-//              is cell i's in_active_set flag. Dense-mode phase walks
-//              sweep these words directly (64 cells per load +
+//              is cell i's flag, set while the cell has work. Every phase
+//              sweep walks these words directly (64 cells per load +
 //              countr_zero) instead of testing a bool per cell object.
+//   summary_   the bitmap's second level: at every phase boundary, bit w
+//              is set if active_ word w is non-zero (it may also be set,
+//              stale, for a word that has since emptied). Sweeps skip a
+//              clear summary bit's 64 cells without loading them, so an
+//              idle 4096-cell block costs one load.
 //   lanes_ / lane_head_ / lane_size_
 //              the six per-cell message FIFOs (4 router ports, the IO
 //              port, the local outport) as slab storage indexed by
 //              (cell, lane), mutated only through FifoView — per-object
 //              heap ring buffers are gone entirely.
 //
-// Concurrency: every array except `active_` is single-writer — only the
-// partition that owns a cell writes its words, and cross-phase visibility
-// comes from the engine's barriers, exactly as with the old per-cell
-// members. The activity bitmap alone is written bit-per-owner but
+// Concurrency: every array except the two bitmap levels is single-writer
+// — only the partition that owns a cell writes its words, and cross-phase
+// visibility comes from the engine's barriers, exactly as with the old
+// per-cell members. The activity bitmap is written bit-per-owner but
 // word-across-partitions (a 64-cell word can straddle a partition
 // boundary), so all flag access goes through relaxed std::atomic_ref
 // read-modify-writes; each *bit* still has a single writer, which is what
-// keeps the engine deterministic.
+// keeps the engine deterministic. The summary level is shared outright (a
+// summary bit covers a word any two partitions may own cells of) and
+// follows a set/prune protocol that keeps it race-free without ordering
+// (see "The activity bitmap" below and docs/ARCHITECTURE.md).
 //
 // All-zero is the idle state of every array, so the slab's calloc zero
 // pages ARE the initial state: a fresh million-cell mesh reserves its
@@ -151,21 +159,42 @@ class CellSoA {
     arb_next_[cc] = static_cast<std::uint8_t>((arb_next_[cc] + 1) % kLanes);
   }
 
-  // --- The activity-flag bitmap (active-set engine) ------------------------
-  // Bit cc of word cc/64. Each bit has a single writer (the owning
-  // partition's worker) but a word can straddle a partition boundary, so
-  // the read-modify-writes are relaxed atomics — deterministic because no
-  // two workers ever race on the same *bit*.
+  // --- The activity bitmap (active-set engine) -----------------------------
+  // Level 0: bit cc of active_ word cc/64 is cell cc's flag. Each bit has a
+  // single writer (the owning partition's worker, or the host between
+  // cycles) but a word can straddle a partition boundary, so the
+  // read-modify-writes are relaxed atomics — deterministic because no two
+  // workers ever race on the same *bit*.
+  //
+  // Level 1: bit w of summary_ word w/64 covers active_ word w. Invariant
+  // at every phase boundary: a non-zero word has its summary bit set. The
+  // protocol that keeps it without any ordering:
+  //   * set   — set_active sets the cell bit, then the summary bit if it
+  //             reads clear. Always checked, not only on the word's 0→1
+  //             transition: a neighbour may own bits of the same word, and
+  //             this partition's own later sweep must not depend on the
+  //             neighbour's summary write being visible yet.
+  //   * clear — clear_active touches the cell bit only. A partition that
+  //             empties a shared word may not clear its summary bit while
+  //             a neighbour could be setting a bit in it.
+  //   * prune — only for_each_active_pruning, run by the snapshot phase,
+  //             clears summary bits: it is the one phase in which no
+  //             partition writes the bitmap (sets happen in route, apply,
+  //             io and host injection; clears in compute), so a word seen
+  //             all-zero there stays zero until the phase ends.
 
   [[nodiscard]] bool is_active(std::uint32_t cc) const noexcept {
-    const std::uint64_t word = std::atomic_ref<const std::uint64_t>(
-                                   active_[cc >> 6])
-                                   .load(std::memory_order_relaxed);
-    return (word >> (cc & 63)) & 1u;
+    return (load(active_[cc >> 6]) >> (cc & 63)) & 1u;
   }
   void set_active(std::uint32_t cc) noexcept {
-    std::atomic_ref<std::uint64_t>(active_[cc >> 6])
+    const std::uint32_t w = cc >> 6;
+    std::atomic_ref<std::uint64_t>(active_[w])
         .fetch_or(1ull << (cc & 63), std::memory_order_relaxed);
+    const std::uint64_t sbit = 1ull << (w & 63);
+    if ((load(summary_[w >> 6]) & sbit) == 0) {
+      std::atomic_ref<std::uint64_t>(summary_[w >> 6])
+          .fetch_or(sbit, std::memory_order_relaxed);
+    }
   }
   void clear_active(std::uint32_t cc) noexcept {
     std::atomic_ref<std::uint64_t>(active_[cc >> 6])
@@ -173,37 +202,51 @@ class CellSoA {
   }
 
   /// Sweeps the set bits of the half-open cell-index span [begin, end) in
-  /// ascending order — the vectorizable core of every dense-mode phase
-  /// walk (a partition rectangle is one such span per row). Loads each
-  /// 64-cell word once; `f` receives the cell index. Bits set *by f
-  /// itself* after the containing word was loaded are not revisited, which
-  /// matches the engines' phase semantics (a cell activated mid-phase is
-  /// first visited next cycle; its visit this cycle would be a no-op).
+  /// ascending order, calling `f(cell index)` — the core of every phase of
+  /// the active engine (a partition rectangle is one or more such spans).
+  /// Words whose summary bit is clear are skipped unread, so a sweep costs
+  /// O(live words + span / 4096). Each word is loaded once, before any of
+  /// its bits is visited. A bit that `f` sets in the current word or an
+  /// earlier one is not visited by this sweep; a bit it sets in a later
+  /// word is. So the cells a partition visits depend only on its own
+  /// program order, never on a neighbour's timing, which keeps
+  /// Chip::cell_visits() deterministic.
   template <typename F>
   void for_each_active(std::uint32_t begin, std::uint32_t end, F&& f) const {
-    if (begin >= end) return;
-    std::uint32_t w = begin >> 6;
-    const std::uint32_t w_last = (end - 1) >> 6;
-    for (; w <= w_last; ++w) {
-      std::uint64_t word =
-          std::atomic_ref<const std::uint64_t>(active_[w])
-              .load(std::memory_order_relaxed);
-      if (w == begin >> 6) word &= ~0ull << (begin & 63);
-      if (w == w_last && (end & 63) != 0) word &= ~0ull >> (64 - (end & 63));
-      while (word != 0) {
-        const int bit = std::countr_zero(word);
-        word &= word - 1;
-        f((w << 6) | static_cast<std::uint32_t>(bit));
-      }
-    }
+    sweep</*kPrune=*/false>(begin, end, f);
   }
 
-  /// Set bits in [begin, end) — the dense-mode live count over a span.
+  /// for_each_active that also clears the summary bit of every word it
+  /// loads all-zero (unmasked, so bits outside the span count too). Only
+  /// legal while no thread writes the bitmap — the snapshot phase.
+  template <typename F>
+  void for_each_active_pruning(std::uint32_t begin, std::uint32_t end,
+                               F&& f) {
+    sweep</*kPrune=*/true>(begin, end, f);
+  }
+
+  /// Set bits in [begin, end).
   [[nodiscard]] std::uint64_t count_active(std::uint32_t begin,
                                            std::uint32_t end) const noexcept {
     std::uint64_t n = 0;
     for_each_active(begin, end, [&n](std::uint32_t) { ++n; });
     return n;
+  }
+
+  /// Whether the summary marks cell cc's 64-cell word as possibly live.
+  [[nodiscard]] bool summary_bit(std::uint32_t cc) const noexcept {
+    const std::uint32_t w = cc >> 6;
+    return (load(summary_[w >> 6]) >> (w & 63)) & 1u;
+  }
+
+  /// The summary invariant: every non-zero bitmap word has its summary
+  /// bit set. O(mesh / 64); the checked build's barrier sweep asserts it.
+  [[nodiscard]] bool summary_covers_live_words() const noexcept {
+    for (std::uint32_t w = 0; w < (cells_ + 63) / 64; ++w) {
+      const bool summarised = (load(summary_[w >> 6]) >> (w & 63)) & 1u;
+      if (load(active_[w]) != 0 && !summarised) return false;
+    }
+    return true;
   }
 
   // --- The FIFO lane slab --------------------------------------------------
@@ -253,12 +296,64 @@ class CellSoA {
       clear_active(cc);
     }
   }
+  /// Forces the summary bit of cell cc's word, bypassing the set/prune
+  /// protocol — deliberately corrupting, test-only.
+  void corrupt_summary_flag(std::uint32_t cc, bool on) noexcept {
+    const std::uint32_t w = cc >> 6;
+    std::atomic_ref<std::uint64_t> s(summary_[w >> 6]);
+    if (on) {
+      s.fetch_or(1ull << (w & 63), std::memory_order_relaxed);
+    } else {
+      s.fetch_and(~(1ull << (w & 63)), std::memory_order_relaxed);
+    }
+  }
 
   [[nodiscard]] std::size_t slab_bytes() const noexcept {
     return slab_.bytes_capacity();
   }
 
  private:
+  static std::uint64_t load(const std::uint64_t& word) noexcept {
+    return std::atomic_ref<const std::uint64_t>(word).load(
+        std::memory_order_relaxed);
+  }
+
+  template <bool kPrune, typename F>
+  void sweep(std::uint32_t begin, std::uint32_t end, F& f) const {
+    if (begin >= end) return;
+    const std::uint32_t w_first = begin >> 6;
+    const std::uint32_t w_last = (end - 1) >> 6;
+    for (std::uint32_t s = w_first >> 6; s <= w_last >> 6; ++s) {
+      // The words of summary block s that lie inside the span.
+      std::uint64_t in_span = ~0ull;
+      if (s == w_first >> 6) in_span &= ~0ull << (w_first & 63);
+      if (s == w_last >> 6) in_span &= ~0ull >> (63 - (w_last & 63));
+      std::uint64_t pending = load(summary_[s]) & in_span;
+      while (pending != 0) {
+        const int b = std::countr_zero(pending);
+        const std::uint32_t w = (s << 6) | static_cast<std::uint32_t>(b);
+        std::uint64_t word = load(active_[w]);
+        if constexpr (kPrune) {
+          if (word == 0) {
+            std::atomic_ref<std::uint64_t>(summary_[s]).fetch_and(
+                ~(1ull << b), std::memory_order_relaxed);
+          }
+        }
+        if (w == w_first) word &= ~0ull << (begin & 63);
+        if (w == w_last && (end & 63) != 0) word &= ~0ull >> (64 - (end & 63));
+        while (word != 0) {
+          const int bit = std::countr_zero(word);
+          word &= word - 1;
+          f((w << 6) | static_cast<std::uint32_t>(bit));
+        }
+        // Re-read rather than keep the block's first load: `f` may have
+        // activated a cell in a later word of this block, and the summary
+        // bit it set must be seen here (see for_each_active).
+        pending = load(summary_[s]) & in_span & (~0ull << b << 1);
+      }
+    }
+  }
+
   rt::SlabArena slab_;
   std::uint32_t cells_ = 0;
   std::uint32_t depth_ = 0;
@@ -267,6 +362,7 @@ class CellSoA {
   std::uint32_t* snapshot_ = nullptr;
   std::uint8_t* arb_next_ = nullptr;
   std::uint64_t* active_ = nullptr;
+  std::uint64_t* summary_ = nullptr;
   Message* lanes_ = nullptr;
   std::uint32_t* lane_head_ = nullptr;
   std::uint32_t* lane_size_ = nullptr;

@@ -32,30 +32,6 @@ rt::Action make_allocate_action(std::uint32_t target_cc, rt::ObjectKind kind,
 /// results are identical either way.
 constexpr std::uint64_t kSparseSerialThreshold = 32;
 
-/// Shrink policy of the hybrid's sparse mode: after this many consecutive
-/// cycles with the active-set vectors sitting far below their capacity, the
-/// capacity decays towards what is actually in use — so a mesh that peaked
-/// dense once does not pin its high-water memory for the rest of the run.
-constexpr std::uint32_t kShrinkAfterCycles = 64;
-/// Capacity (entries) the shrink policy never decays below; keeps steady
-/// sparse traffic from churning reallocations.
-constexpr std::size_t kShrinkFloorEntries = 64;
-
-/// std::vector never releases capacity on its own: reallocate down to
-/// `cap` entries, keeping the contents.
-void shrink_vector(std::vector<std::uint32_t>& v, std::size_t cap) {
-  if (v.capacity() <= cap) return;
-  std::vector<std::uint32_t> tmp;
-  tmp.reserve(std::max(cap, v.size()));
-  tmp.assign(v.begin(), v.end());
-  v.swap(tmp);
-}
-
-/// Frees a vector's storage outright (swap with an empty temporary).
-void release_vector(std::vector<std::uint32_t>& v) {
-  std::vector<std::uint32_t>().swap(v);
-}
-
 }  // namespace
 
 std::string_view to_string(EngineKind engine) noexcept {
@@ -87,33 +63,10 @@ EngineKind resolve_engine(const std::optional<EngineKind>& requested) {
                    env);
     }
   }
-  // The event-driven hybrid is the default since it became safe at that
-  // station (dense mode bounds its cost by the scan engine's, the shrink
-  // policy bounds its memory); the scan oracle stays selectable.
+  // The event-driven engine is the default: on a saturated mesh its
+  // bitmap sweeps cost what the scan walk does, on a sparse one far less.
+  // The scan oracle stays selectable.
   return EngineKind::kActive;
-}
-
-std::uint32_t resolve_dense_threshold(std::uint32_t requested) noexcept {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("CCASTREAM_DENSE_PCT")) {
-    // strtol so negatives are rejected instead of wrapping; the endptr
-    // check rejects trailing garbage ("5O" must warn, not parse as 5);
-    // the 1000 cap only keeps the arithmetic far from overflow (anything
-    // above 100 already means "never dense").
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 1000) {
-      return static_cast<std::uint32_t>(v);
-    }
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "ccastream: ignoring out-of-range CCASTREAM_DENSE_PCT "
-                   "'%s' (using %u)\n",
-                   env, kDefaultDenseThresholdPct);
-    }
-  }
-  return kDefaultDenseThresholdPct;
 }
 
 std::uint32_t resolve_threads(std::uint32_t requested) noexcept {
@@ -231,7 +184,6 @@ Chip::Chip(ChipConfig cfg)
 
   engine_ = resolve_engine(cfg_.engine);
   engine_active_ = engine_ == EngineKind::kActive;
-  dense_threshold_ = resolve_dense_threshold(cfg_.dense_threshold_pct);
 
   // Mesh partition: one worker per partition. The layout starts uniform;
   // rebalancing (when enabled) moves the boundaries between increments.
@@ -261,43 +213,17 @@ void Chip::apply_layout() {
   for (std::size_t i = 0; i < io_.cell_count(); ++i) {
     parts_[layout_.owner(io_.cell(i).attached_cc)].io_cells.push_back(i);
   }
-  rebuild_active_sets();
+  recount_active_cells();
 }
 
-void Chip::rebuild_active_sets() {
+void Chip::recount_active_cells() {
   if (!engine_active_) return;
   for (PartitionState& st : parts_) {
-    assert(st.incoming.empty());  // layout moves only between cycles
-    st.active.clear();
     st.active_count = 0;
-    // Row-major over the rectangle == ascending cell index: the iteration
-    // order every phase relies on. A partition keeps its current hybrid
-    // mode across the relayout (update_hybrid_mode corrects it at the next
-    // compute if the new rectangle changed the occupancy picture).
-    for (std::uint32_t y = st.rect.y0; y < st.rect.y1; ++y) {
-      const auto span = st.rect.row_span(y, cfg_.width);
-      if (st.dense) {
-        st.active_count += soa_.count_active(span.begin, span.end);
-      } else {
-        soa_.for_each_active(span.begin, span.end, [&st](std::uint32_t idx) {
-          st.active.push_back(idx);
-        });
-      }
-    }
+    st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
+      st.active_count += soa_.count_active(span.begin, span.end);
+    });
   }
-}
-
-void Chip::activate_cell(std::uint32_t idx) {
-  if (!engine_active_) return;
-  if (soa_.is_active(idx)) return;
-  soa_.set_active(idx);
-  PartitionState& st = parts_[layout_.owner(idx)];
-  if (st.dense) {
-    ++st.active_count;
-    return;
-  }
-  std::vector<std::uint32_t>& active = st.active;
-  active.insert(std::upper_bound(active.begin(), active.end(), idx), idx);
 }
 
 void Chip::rebalance_partitions() {
@@ -377,15 +303,10 @@ void Chip::inject_via(std::uint32_t at_cc, const rt::Action& action) {
 bool Chip::quiescent() const {
   if (outstanding_ != 0) return false;
   if (engine_active_) {
-    // The active sets are exactly the cells with work (the post-cycle
-    // invariant), so quiescence is O(partitions) instead of O(mesh) —
-    // dense partitions carry the count in active_count instead of a
-    // vector.
+    // The flags are exactly the cells with work (the post-cycle
+    // invariant), so quiescence is O(partitions) instead of O(mesh).
     for (const PartitionState& st : parts_) {
-      if (st.dense ? st.active_count != 0
-                   : !st.active.empty() || !st.incoming.empty()) {
-        return false;
-      }
+      if (st.active_count != 0) return false;
     }
     return true;
   }
@@ -400,29 +321,13 @@ bool Chip::quiescent() const {
 std::uint64_t Chip::active_cells() const noexcept {
   std::uint64_t n = 0;
   if (engine_active_) {
-    for (const PartitionState& st : parts_) {
-      n += st.dense ? st.active_count : st.active.size() + st.incoming.size();
-    }
+    for (const PartitionState& st : parts_) n += st.active_count;
     return n;
   }
   for (std::uint32_t i = 0; i < cells_.size(); ++i) {
     if (soa_.hot_word(i) != 0) ++n;
   }
   return n;
-}
-
-std::uint32_t Chip::dense_partitions() const noexcept {
-  std::uint32_t n = 0;
-  for (const PartitionState& st : parts_) n += st.dense ? 1u : 0u;
-  return n;
-}
-
-std::uint64_t Chip::active_set_capacity() const noexcept {
-  std::uint64_t cap = 0;
-  for (const PartitionState& st : parts_) {
-    cap += st.active.capacity() + st.incoming.capacity();
-  }
-  return cap;
 }
 
 bool Chip::partitions_quiescent() const noexcept {
@@ -520,36 +425,40 @@ void Chip::serial_cycle() {
   merge_partitions();
 }
 
-void Chip::cycle_snapshot(PartitionState& st) {
-  if (engine_active_) {
-    if (st.dense) {
-      // Dense mode: membership is the activity bitmap, so the phase is a
-      // word sweep over the rectangle's rows — the same cells in the same
-      // ascending order as sparse mode, testing 64 flags per load (cost
-      // still billed as the full rectangle: the sweep IS the scan-shaped
-      // walk, it just skips dead cells 64 at a time).
-      st.cell_visits += st.rect.cells();
-      for (std::uint32_t y = st.rect.y0; y < st.rect.y1; ++y) {
-        const auto span = st.rect.row_span(y, cfg_.width);
-        soa_.for_each_active(span.begin, span.end, [this](std::uint32_t idx) {
-          soa_.latch_snapshot(idx);
-        });
-      }
-      return;
+template <typename F>
+void Chip::sweep_all(PartitionState& st, F&& f) {
+  st.cell_visits += st.rect.cells();
+  st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
+    for (std::uint32_t idx = span.begin; idx < span.end; ++idx) f(idx);
+  });
+}
+
+template <bool kPrune, typename F>
+void Chip::sweep_active(PartitionState& st, F&& f) {
+  const auto visit = [&](std::uint32_t idx) {
+    ++st.cell_visits;
+    f(idx);
+  };
+  st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
+    if constexpr (kPrune) {
+      soa_.for_each_active_pruning(span.begin, span.end, visit);
+    } else {
+      soa_.for_each_active(span.begin, span.end, visit);
     }
-    st.cell_visits += st.active.size();
-    for (const std::uint32_t idx : st.active) soa_.latch_snapshot(idx);
+  });
+}
+
+void Chip::cycle_snapshot(PartitionState& st) {
+  const auto latch = [this](std::uint32_t idx) { soa_.latch_snapshot(idx); };
+  if (engine_active_) {
     // Inactive cells need no latch: leaving the set zeroed their snapshot
     // (cycle_compute), and an idle cell's live sizes are all zero, so the
-    // stored values already equal what a full scan would latch.
-    return;
-  }
-  st.cell_visits += st.rect.cells();
-  for (std::uint32_t y = st.rect.y0; y < st.rect.y1; ++y) {
-    const auto span = st.rect.row_span(y, cfg_.width);
-    for (std::uint32_t idx = span.begin; idx < span.end; ++idx) {
-      soa_.latch_snapshot(idx);
-    }
+    // stored values already equal what a full scan would latch. No
+    // partition writes the bitmap in this phase, which makes it the one
+    // where the sweep may prune stale summary bits (see CellSoA).
+    sweep_active</*kPrune=*/true>(st, latch);
+  } else {
+    sweep_all(st, latch);
   }
 }
 
@@ -563,41 +472,18 @@ void Chip::cycle_route(PartitionState& st) {
   const bool adaptive = cfg_.routing == RoutingPolicyKind::kWestFirst ||
                         cfg_.routing == RoutingPolicyKind::kOddEven;
 
+  const auto route = [&](std::uint32_t idx) { route_cell(st, idx, adaptive); };
   if (engine_active_) {
-    if (st.dense) {
-      st.cell_visits += st.rect.cells();
-      // A flagged-but-empty-router cell is handled by route_cell's
-      // occupancy early-return, identical to the scan engine's visit.
-      // Cells another partition's push flags mid-sweep may or may not land
-      // in an already-loaded word; either is correct — a cell activated
-      // this phase has zero snapshot latches and empty io/local_out, so
-      // its route visit is the same early-return no-op (and does not
-      // advance its arbitration pointer).
-      for (std::uint32_t y = st.rect.y0; y < st.rect.y1; ++y) {
-        const auto span = st.rect.row_span(y, cfg_.width);
-        soa_.for_each_active(span.begin, span.end,
-                             [this, &st, adaptive](std::uint32_t idx) {
-                               route_cell(st, idx, adaptive);
-                             });
-      }
-      return;
-    }
-    st.cell_visits += st.active.size();
-    // Iterating the phase-start set only is exact: a cell outside it has
-    // zero phase-start router occupancy, which is precisely the cells the
-    // scan loop skips (without advancing their arbitration pointer). Cells
-    // activated mid-phase by a neighbour's push join via st.incoming and
-    // are not visited until next cycle — again matching the scan engine,
-    // where their `last_move_cycle` guard makes the visit a no-op.
-    for (const std::uint32_t idx : st.active) route_cell(st, idx, adaptive);
-    return;
-  }
-  st.cell_visits += st.rect.cells();
-  for (std::uint32_t cy = st.rect.y0; cy < st.rect.y1; ++cy) {
-    const auto span = st.rect.row_span(cy, cfg_.width);
-    for (std::uint32_t idx = span.begin; idx < span.end; ++idx) {
-      route_cell(st, idx, adaptive);
-    }
+    // Sweeping the flags is exact: a cell inactive at phase start has zero
+    // phase-start router occupancy, which is precisely the cells the scan
+    // loop skips (without advancing their arbitration pointer). A cell
+    // this partition's own push flags mid-sweep is visited iff its word
+    // comes later in the sweep, and that visit is the same early-return
+    // no-op: a cell activated this phase has zero snapshot latches and
+    // empty io/local_out lanes.
+    sweep_active</*kPrune=*/false>(st, route);
+  } else {
+    sweep_all(st, route);
   }
 }
 
@@ -748,54 +634,16 @@ void Chip::cycle_compute(PartitionState& st) {
   const bool tracing = trace_.enabled();
 
   if (engine_active_) {
-    if (st.dense) {
-      // Dense mode's counting merge: cells activated since the route phase
-      // began already carry their bitmap flag (mark_active), so one word
-      // sweep over the rectangle's rows visits exactly the cells the
-      // sparse merge would have produced — in the same ascending order —
-      // without any sort/inplace_merge. The compute phase never activates
-      // a cell other than the one executing (propagate/schedule_local
-      // target the executing cell), so no flag is set ahead of the sweep
-      // mid-phase and the loaded word copies are exact.
-      st.cell_visits += st.rect.cells();
-      std::uint64_t live = 0;
-      for (std::uint32_t y = st.rect.y0; y < st.rect.y1; ++y) {
-        const auto span = st.rect.row_span(y, cfg_.width);
-        soa_.for_each_active(
-            span.begin, span.end, [&](std::uint32_t idx) {
-              if (compute_one(st, idx, tracing)) {
-                ++live;
-              } else {
-                soa_.clear_active(idx);
-                // Same invariant as the sparse path: an inactive cell must
-                // hold all-zero snapshot latches for its neighbours' reads.
-                soa_.zero_snapshot(idx);
-              }
-            });
-      }
-      st.active_count = live;
-      st.idle = live == 0;
-      update_hybrid_mode(st);
-      return;
-    }
-    // Fold in the cells activated since the route phase began (same-
-    // partition router pushes, inbound applies, IO injections): the
-    // compute phase is exactly when the scan engine first observes them
-    // as live, so they must be visited — and counted — this cycle.
-    if (!st.incoming.empty()) {
-      std::sort(st.incoming.begin(), st.incoming.end());
-      const auto mid = static_cast<std::ptrdiff_t>(st.active.size());
-      st.active.insert(st.active.end(), st.incoming.begin(), st.incoming.end());
-      std::inplace_merge(st.active.begin(), st.active.begin() + mid,
-                         st.active.end());
-      st.incoming.clear();
-    }
-    st.cell_visits += st.active.size();
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < st.active.size(); ++i) {
-      const std::uint32_t idx = st.active[i];
+    // Cells activated since the route phase began (same-partition router
+    // pushes, inbound applies, IO injections) already carry their flag, so
+    // one sweep visits exactly the cells the scan engine finds live, in
+    // the same ascending order. The compute phase never activates a cell
+    // other than the one executing (propagate/schedule_local target the
+    // executing cell), so no flag appears ahead of the sweep.
+    std::uint64_t live = 0;
+    sweep_active</*kPrune=*/false>(st, [&](std::uint32_t idx) {
       if (compute_one(st, idx, tracing)) {
-        st.active[keep++] = idx;
+        ++live;
       } else {
         soa_.clear_active(idx);
         // Leaving the set re-establishes the inactive-cell invariant: a
@@ -803,73 +651,16 @@ void Chip::cycle_compute(PartitionState& st) {
         // the zeros a fresh latch of its (now empty) FIFOs would produce.
         soa_.zero_snapshot(idx);
       }
-    }
-    st.active.resize(keep);
-    st.idle = st.active.empty();
-    update_hybrid_mode(st);
+    });
+    st.active_count = live;
+    st.idle = live == 0;
     return;
   }
 
   st.idle = true;
-  st.cell_visits += st.rect.cells();
-  for (std::uint32_t cy = st.rect.y0; cy < st.rect.y1; ++cy) {
-    const auto span = st.rect.row_span(cy, cfg_.width);
-    for (std::uint32_t idx = span.begin; idx < span.end; ++idx) {
-      if (compute_one(st, idx, tracing)) st.idle = false;
-    }
-  }
-}
-
-void Chip::update_hybrid_mode(PartitionState& st) {
-  const std::uint64_t cells = st.rect.cells();
-  if (!st.dense) {
-    const std::uint64_t occ = st.active.size();
-    if (occ * 100 >= cells * dense_threshold_) {
-      // Sparse → dense: membership moves to the per-cell flags (which are
-      // already correct — sparse mode maintains them too), and the vectors
-      // are released outright. A mesh that saturates therefore *frees* its
-      // active-set memory instead of growing it.
-      st.dense = true;
-      st.active_count = occ;
-      release_vector(st.active);
-      release_vector(st.incoming);
-      st.low_occupancy_cycles = 0;
-      ++st.dense_switches;
-      return;
-    }
-    // Shrink policy: capacity decays after kShrinkAfterCycles consecutive
-    // cycles of sitting far above what the frontier needs (2× headroom on
-    // the current occupancy, never below the floor). One burst that never
-    // reached the dense threshold stops pinning high-water memory.
-    const std::size_t want =
-        std::max<std::size_t>(kShrinkFloorEntries, 2 * st.active.size());
-    if (st.active.capacity() > 2 * want || st.incoming.capacity() > 2 * want) {
-      if (++st.low_occupancy_cycles >= kShrinkAfterCycles) {
-        shrink_vector(st.active, want);
-        shrink_vector(st.incoming, want);
-        st.low_occupancy_cycles = 0;
-      }
-    } else {
-      st.low_occupancy_cycles = 0;
-    }
-    return;
-  }
-  // Dense → sparse, with hysteresis at *half* the entry threshold: a
-  // frontier hovering around the boundary keeps its current mode instead
-  // of flapping (and paying the rebuild) every few cycles.
-  if (st.active_count * 200 < cells * dense_threshold_) {
-    st.dense = false;
-    st.active.reserve(st.active_count);
-    for (std::uint32_t y = st.rect.y0; y < st.rect.y1; ++y) {
-      const auto span = st.rect.row_span(y, cfg_.width);
-      soa_.for_each_active(span.begin, span.end, [&st](std::uint32_t idx) {
-        st.active.push_back(idx);
-      });
-    }
-    st.active_count = 0;
-    st.low_occupancy_cycles = 0;
-    ++st.dense_switches;
-  }
+  sweep_all(st, [&](std::uint32_t idx) {
+    if (compute_one(st, idx, tracing)) st.idle = false;
+  });
 }
 
 bool Chip::compute_one(PartitionState& st, std::uint32_t idx, bool tracing) {
@@ -935,8 +726,6 @@ void Chip::merge_partitions() {
     st.trace_active = st.trace_live = 0;
     cell_visits_ += st.cell_visits;
     st.cell_visits = 0;
-    dense_switches_ += st.dense_switches;
-    st.dense_switches = 0;
     if (cfg_.profile_handlers && !st.profile.empty()) {
       if (handler_profile_.size() < st.profile.size()) {
         handler_profile_.resize(st.profile.size());
@@ -947,15 +736,6 @@ void Chip::merge_partitions() {
         st.profile[h] = HandlerProfile{};
       }
     }
-  }
-  if (engine_active_) {
-    // Hybrid telemetry: partitions that ended this cycle dense, and the
-    // active-set capacity high-water the shrink policy is measured
-    // against. O(partitions), behind the barrier like the rest of the
-    // merge.
-    dense_cycles_ += dense_partitions();
-    const std::uint64_t cap = active_set_capacity();
-    if (cap > active_cap_peak_) active_cap_peak_ = cap;
   }
   assert(static_cast<std::int64_t>(outstanding_) + outstanding_delta >= 0);
   outstanding_ =
@@ -985,8 +765,11 @@ void Chip::verify_cycle_invariants() const {
                             c.action_count());
     if (engine_active_) CCA_CHECK(full, soa_.is_active(i) == c.has_work());
   }
+  // 2. The summary level covers every live word — what lets a sweep skip
+  //    a clear summary bit's 64 cells unread. Stale set bits are legal.
+  if (engine_active_) CCA_CHECK(full, soa_.summary_covers_live_words());
   for (const PartitionState& st : parts_) {
-    // 2. Cross-partition plumbing drained: no outbox holds a push and no
+    // 3. Cross-partition plumbing drained: no outbox holds a push and no
     //    producer registration survived the apply phase.
     for (const PartitionState::Outbox& box : st.outbox) {
       CCA_CHECK(full, box.pushes.empty());
@@ -994,34 +777,14 @@ void Chip::verify_cycle_invariants() const {
     CCA_CHECK(full,
               st.inbox_count.v.load(std::memory_order_relaxed) == 0);
     if (!engine_active_) continue;
-    // 3. Membership structures mirror the per-cell flags: dense partitions
-    //    carry the exact popcount (and no stale vectors), sparse ones a
-    //    sorted vector of exactly the flagged cells, with the mid-cycle
-    //    queue folded in.
-    CCA_CHECK(full, st.incoming.empty());
+    // 4. The partition's live count is the flag popcount of its rectangle.
     std::uint64_t flagged = 0;
-    std::size_t pos = 0;
-    bool sparse_mirrors_flags = true;
-    for (std::uint32_t y = st.rect.y0; y < st.rect.y1; ++y) {
-      const auto span = st.rect.row_span(y, cfg_.width);
-      soa_.for_each_active(span.begin, span.end, [&](std::uint32_t idx) {
-        ++flagged;
-        if (!st.dense) {
-          if (pos >= st.active.size() || st.active[pos] != idx) {
-            sparse_mirrors_flags = false;
-          }
-          ++pos;
-        }
-      });
-    }
-    if (st.dense) {
-      CCA_CHECK(full, st.active.empty());
-      CCA_CHECK(full, st.active_count == flagged);
-    } else {
-      CCA_CHECK(full, sparse_mirrors_flags && pos == st.active.size());
-    }
+    st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
+      flagged += soa_.count_active(span.begin, span.end);
+    });
+    CCA_CHECK(full, st.active_count == flagged);
   }
-  // 4. The decomposition itself: disjoint rectangles covering every cell,
+  // 5. The decomposition itself: disjoint rectangles covering every cell,
   //    owner table in agreement.
   CCA_CHECK(full, layout_.exact_cover());
 }

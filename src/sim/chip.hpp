@@ -54,23 +54,17 @@ namespace ccastream::sim {
 ///               cycle regardless of how much of the mesh is doing
 ///               anything. Kept as the in-tree oracle the active engine is
 ///               pinned against (CCASTREAM_ENGINE=scan).
-///   * kActive — the event-driven engine, and the default: each partition
-///               maintains a deterministic active-cell set (a cell is a
-///               member iff it has work — see ComputeCell::has_work),
-///               updated at every point work is created, and all phases
-///               iterate only active cells in ascending cell-index order.
-///               Per-cycle cost is O(active cells) — the win on sparse
-///               frontiers (see bench_active_set and the `cell_visits`
-///               metric). Each partition runs a dense/sparse *hybrid*: when
-///               its live-cell occupancy crosses
-///               ChipConfig::dense_threshold_pct, membership switches from
-///               the sorted vector to the per-cell flag bitmap and the
-///               compute-phase sort/merge to a counting merge (a plain
-///               rectangle walk over the flags), so a saturated mesh never
-///               pays more than the scan engine would; it switches back —
-///               with hysteresis, at half the threshold — when the
-///               frontier thins. The hybrid is invisible to simulated
-///               results; only host cost and Chip::cell_visits() move.
+///   * kActive — the event-driven engine, and the default: a cell is
+///               active iff it has work (see ComputeCell::has_work), kept
+///               as one bit per cell in the CellSoA activity bitmap and
+///               set at every point work is created. Every phase sweeps
+///               the set bits of its partition rectangle in ascending
+///               cell-index order, skipping idle 64-cell words through the
+///               bitmap's one-bit-per-word summary level, so a cycle costs
+///               O(live words + rectangle / 4096) instead of O(mesh) —
+///               the win on sparse frontiers (see bench_active_set and the
+///               `cell_visits` metric) — while a saturated mesh costs one
+///               word sweep of the same cells the scan engine walks.
 enum class EngineKind : std::uint8_t { kScan, kActive };
 
 [[nodiscard]] std::string_view to_string(EngineKind engine) noexcept;
@@ -84,18 +78,6 @@ enum class EngineKind : std::uint8_t { kScan, kActive };
 /// full-scan oracle stays one env var away: CCASTREAM_ENGINE=scan.
 [[nodiscard]] EngineKind resolve_engine(
     const std::optional<EngineKind>& requested);
-
-/// Default dense-mode threshold of the hybrid active-set engine, in percent
-/// of a partition's cells (see ChipConfig::dense_threshold_pct).
-inline constexpr std::uint32_t kDefaultDenseThresholdPct = 50;
-
-/// Resolves the hybrid's dense threshold: a nonzero request wins, otherwise
-/// the CCASTREAM_DENSE_PCT environment variable (values 1..1000; anything
-/// else ignored), otherwise kDefaultDenseThresholdPct. Values above 100 can
-/// never be reached by an occupancy percentage, so they pin the engine
-/// sparse (the pre-hybrid behaviour).
-[[nodiscard]] std::uint32_t resolve_dense_threshold(
-    std::uint32_t requested) noexcept;
 
 /// Static configuration of a chip instance.
 struct ChipConfig {
@@ -140,18 +122,6 @@ struct ChipConfig {
   /// CCASTREAM_ENGINE=scan). A performance knob only: both engines are
   /// cycle-for-cycle identical.
   std::optional<EngineKind> engine;
-  /// Dense-mode threshold of the hybrid active-set engine, in percent of a
-  /// partition's cells: when a partition's live-cell occupancy reaches this
-  /// percentage it switches its membership structure to the per-cell flag
-  /// bitmap (rectangle walks, counting merge — scan-equivalent host cost);
-  /// it drops back to the sorted-vector sparse mode when occupancy falls
-  /// below *half* this percentage (hysteresis, so an oscillating frontier
-  /// does not flap between modes every cycle). 0 resolves from the
-  /// CCASTREAM_DENSE_PCT environment variable (default
-  /// kDefaultDenseThresholdPct = 50); values above 100 pin the engine
-  /// sparse. Yet another performance knob: the mode schedule never changes
-  /// results, only host cost and cell_visits().
-  std::uint32_t dense_threshold_pct = 0;
   /// Rebalance hysteresis: a load-adaptive re-split is adopted only when it
   /// improves the hottest band's (decayed) load by at least this many
   /// percent, so oscillating workloads stop ping-ponging boundaries. 0
@@ -298,7 +268,7 @@ class Chip {
   }
 
   /// The resolved cycle engine of this chip instance (config, else
-  /// CCASTREAM_ENGINE, else scan).
+  /// CCASTREAM_ENGINE, else active).
   [[nodiscard]] EngineKind engine() const noexcept { return engine_; }
 
   /// The resolved check level of this chip instance (config, else
@@ -307,62 +277,23 @@ class Chip {
     return check_level_;
   }
 
-  /// Cells visited by the per-cell phase loops (snapshot + route +
-  /// compute) over the whole run — the cost metric the engines differ in.
-  /// The scan engine visits 3 × width × height cells per cycle; the
-  /// active-set engine visits 3 × |active set| while a partition is in
-  /// sparse mode and 3 × the partition rectangle while it is in dense
-  /// (bitmap) mode — so the hybrid is bounded above by the scan cost on
-  /// saturated meshes and collapses to the live set on sparse ones.
-  /// Simulated results are engine-invariant; this counter is deliberately
-  /// *outside* ChipStats so stats comparisons stay engine-agnostic.
+  /// Cells visited by the three per-cell phase sweeps (snapshot, route,
+  /// compute) over the whole run — the host-cost metric the engines differ
+  /// in. The scan engine visits every cell of the mesh in each sweep, 3 ×
+  /// width × height per cycle. The active engine visits the set bits of
+  /// the activity bitmap: each cell active at a sweep's start, plus any a
+  /// route push flags in a word the sweep has not reached yet (see
+  /// CellSoA::for_each_active). The count is deterministic for a given
+  /// configuration. Simulated results are engine-invariant; this counter
+  /// is deliberately *outside* ChipStats so stats comparisons stay
+  /// engine-agnostic.
   [[nodiscard]] std::uint64_t cell_visits() const noexcept {
     return cell_visits_;
   }
 
-  /// The resolved dense-mode threshold of this chip instance (config, else
-  /// CCASTREAM_DENSE_PCT, else kDefaultDenseThresholdPct). Meaningful only
-  /// under the active-set engine.
-  [[nodiscard]] std::uint32_t dense_threshold_pct() const noexcept {
-    return dense_threshold_;
-  }
-
-  /// Sparse↔dense hybrid transitions performed so far, both directions,
-  /// summed over partitions. 0 under the scan engine and on runs that never
-  /// crossed the threshold.
-  [[nodiscard]] std::uint64_t hybrid_dense_switches() const noexcept {
-    return dense_switches_;
-  }
-
-  /// Partition-cycles spent in dense (bitmap) mode so far: each cycle
-  /// merge adds the number of partitions dense at that cycle's end.
-  /// Together with hybrid_dense_switches() this makes the hybrid's mode
-  /// schedule observable without affecting it.
-  [[nodiscard]] std::uint64_t hybrid_dense_cycles() const noexcept {
-    return dense_cycles_;
-  }
-
-  /// Partitions currently in dense (bitmap) mode.
-  [[nodiscard]] std::uint32_t dense_partitions() const noexcept;
-
-  /// Current total capacity, in entries, of every partition's active-set
-  /// vectors (`active` + `incoming`). The memory the shrink policy bounds:
-  /// sustained low occupancy decays it back towards the per-partition
-  /// floor, and a sparse→dense switch releases it outright (dense
-  /// membership lives in the per-cell flags).
-  [[nodiscard]] std::uint64_t active_set_capacity() const noexcept;
-
-  /// High-water mark of active_set_capacity(), sampled at every cycle
-  /// merge. `active_set_capacity() < active_set_capacity_peak()` after a
-  /// burst demonstrates the shrink policy actually returned memory
-  /// (bench_active_set records both).
-  [[nodiscard]] std::uint64_t active_set_capacity_peak() const noexcept {
-    return active_cap_peak_;
-  }
-
   /// Live cells across all partitions right now (scan engine: recomputed
-  /// with a full mesh walk; active engine: the summed active-set sizes —
-  /// sparse vectors or dense flag counts, both O(partitions)).
+  /// with a full mesh walk; active engine: the summed per-partition
+  /// counts, O(partitions)).
   [[nodiscard]] std::uint64_t active_cells() const noexcept;
 
   /// Barrier arrivals performed by the worker pool so far (0 on
@@ -489,45 +420,14 @@ class Chip {
     std::vector<Outbox> outbox;
 
     // --- Active-set engine state (EngineKind::kActive only) ---------------
-    /// The partition's live cells, ascending cell index — the *sparse-mode*
-    /// membership structure. Invariant between cycles while sparse: exactly
-    /// the owned cells for which ComputeCell::has_work() holds (each
-    /// flagged in the CellSoA activity bitmap). All four phases iterate
-    /// this instead of the rectangle. Emptied (capacity released) while the
-    /// partition is in dense mode, where the bitmap alone carries
-    /// membership.
-    std::vector<std::uint32_t> active;
-    /// Cells of this partition activated mid-cycle (router pushes, inbound
-    /// cross-partition traffic, IO injection); merged — sorted — into
-    /// `active` at the start of the compute phase, which is exactly when
-    /// the scan engine would first observe them as live. Unused in dense
-    /// mode: the compute-phase rectangle walk discovers newly flagged cells
-    /// by itself (the counting merge).
-    std::vector<std::uint32_t> incoming;
-    /// Dense (bitmap) mode of the hybrid: membership is the CellSoA
-    /// activity bitmap plus `active_count`, and every phase sweeps the
-    /// rectangle's bitmap words (64 cells per load) — the counting merge
-    /// that replaces sparse mode's sort/inplace_merge when most cells are
-    /// live.
-    /// Entered when live occupancy reaches Chip::dense_threshold_ percent
-    /// of the rectangle, left (with hysteresis) below half that. Purely a
-    /// host-cost mode: both modes visit exactly the cells whose visit is
-    /// not a provable no-op, in the same ascending order.
-    bool dense = false;
-    /// Dense mode's live-cell count (== flagged cells in the rectangle);
-    /// maintained at the same activation/deactivation points the sparse
-    /// vector is. Meaningless (0) in sparse mode.
+    /// Flagged cells of the rectangle (membership itself is the CellSoA
+    /// activity bitmap). Invariant between cycles: exactly the owned cells
+    /// for which ComputeCell::has_work() holds. Bumped at every activation,
+    /// recounted by the compute sweep; read by quiescent(), active_cells()
+    /// and the sparse serial fast path, so none of them sweeps the mesh.
     std::uint64_t active_count = 0;
-    /// Consecutive cycles the active-set vectors sat far below their
-    /// capacity; drives the shrink policy (see Chip::update_hybrid_mode).
-    std::uint32_t low_occupancy_cycles = 0;
-    /// Sparse↔dense transitions this cycle; merged into
-    /// Chip::dense_switches_.
-    std::uint64_t dense_switches = 0;
-    /// Cells visited by the per-cell phase loops this cycle (snapshot +
-    /// route + compute); merged into Chip::cell_visits_. The perf currency
-    /// of the engine comparison: scan visits 3 × width × height per cycle,
-    /// active visits 3 × |active set| sparse / 3 × rect dense.
+    /// Cells visited by the per-cell phase sweeps this cycle (snapshot +
+    /// route + compute); merged into Chip::cell_visits_.
     std::uint64_t cell_visits = 0;
 
     // --- Cross-partition traffic registration (both engines) --------------
@@ -567,12 +467,20 @@ class Chip {
   void apply_layout();
 
   // Per-partition cycle phases (worker-thread side). Each dispatches on
-  // the engine: the scan paths walk the partition rectangle, the active
-  // paths walk the active set — over the *same* shared per-cell bodies
-  // (snapshot_cell/route_cell/compute_one), which is what makes the two
-  // engines trivially cycle-identical.
+  // the engine: the scan paths walk every cell of the partition
+  // rectangle, the active paths sweep its set bitmap bits — over the
+  // *same* shared per-cell bodies (latch_snapshot/route_cell/compute_one),
+  // which is what makes the two engines trivially cycle-identical.
   void cycle_snapshot(PartitionState& st);
   void cycle_route(PartitionState& st);
+  /// The two phase loops. Scan: calls `f(idx)` for every cell of `st`'s
+  /// rectangle. Active: for every set bitmap bit of it, pruning stale
+  /// summary bits when kPrune (the snapshot phase only; see CellSoA).
+  /// Both visit in ascending cell index and bill cell_visits.
+  template <typename F>
+  void sweep_all(PartitionState& st, F&& f);
+  template <bool kPrune, typename F>
+  void sweep_active(PartitionState& st, F&& f);
   void cycle_apply(PartitionState& st);
   void cycle_io(PartitionState& st);
   void cycle_compute(PartitionState& st);
@@ -581,9 +489,9 @@ class Chip {
   /// Full-level barrier-point sweep (CCASTREAM_CHECK=full), run at the end
   /// of every merge while the worker pool is parked at the cycle barrier:
   /// verifies the invariants the lint cannot see statically — every cell's
-  /// cached fifo_msgs equals its real FIFO occupancy, active-set/dense
-  /// membership exactly equals has_work(), dense counts equal the flag
-  /// popcount, sparse vectors mirror the flags in ascending order, all
+  /// cached fifo_msgs equals its real FIFO occupancy, bitmap membership
+  /// exactly equals has_work(), every non-zero bitmap word has its summary
+  /// bit set, the per-partition counts equal the flag popcount, all
   /// cross-partition outboxes are drained, and the partition rectangles
   /// exactly cover the mesh. O(mesh) per cycle by design; a failure
   /// aborts via CCA_CHECK.
@@ -604,12 +512,9 @@ class Chip {
   void serial_cycle();
 
   // --- Active-set maintenance (engine_active_ only) ------------------------
-  /// In-cycle activation: flags `idx` (owned by `st`) and queues it on
-  /// `st.incoming` for the pre-compute merge — or, in dense mode, just
-  /// bumps the flag count (the compute-phase rectangle walk will find the
-  /// flag; no queue, no sort). Called at every point work is created:
-  /// same-partition router pushes, inbound cross-partition applies, IO
-  /// injection.
+  /// Flags `idx` (owned by `st`) and counts it; the compute sweep will find
+  /// the flag. Called at every point work is created: same-partition
+  /// router pushes, inbound cross-partition applies, IO injection.
   void mark_active(PartitionState& st, std::uint32_t idx) {
     // Only the owning partition's worker marks a cell (route pushes stay
     // same-partition, inbound applies run on the destination, IO cells
@@ -618,28 +523,16 @@ class Chip {
     // *words* straddling a partition boundary.
     if (!soa_.is_active(idx)) {
       soa_.set_active(idx);
-      if (st.dense) {
-        ++st.active_count;
-      } else {
-        st.incoming.push_back(idx);
-      }
+      ++st.active_count;
     }
   }
-  /// Host-side activation (between cycles): inserts straight into the
-  /// owning partition's sorted active list (sparse) or bumps its flag
-  /// count (dense). Used by the injection APIs.
-  void activate_cell(std::uint32_t idx);
-  /// Rebuilds every partition's active list / flag count from the per-cell
-  /// flags after a layout change (construction, rebalancing). Between
-  /// cycles only.
-  void rebuild_active_sets();
-  /// End-of-compute hybrid maintenance for one partition: applies the
-  /// dense↔sparse mode switch (threshold up, half-threshold down) and, in
-  /// sparse mode, the capacity shrink policy (sustained low occupancy
-  /// decays the vectors back towards the floor). Reads only simulated
-  /// state, so the schedule is deterministic — and it only ever moves host
-  /// cost, never results.
-  void update_hybrid_mode(PartitionState& st);
+  /// Host-side activation (between cycles), used by the injection APIs.
+  void activate_cell(std::uint32_t idx) {
+    if (engine_active_) mark_active(parts_[layout_.owner(idx)], idx);
+  }
+  /// Recounts every partition's active_count from the bitmap after a
+  /// layout change (construction, rebalancing). Between cycles only.
+  void recount_active_cells();
 
   void execute_action(PartitionState& st, ComputeCell& cell, const rt::Action& action);
   void deliver(PartitionState& st, ComputeCell& cell, const Message& msg);
@@ -668,16 +561,9 @@ class Chip {
   EngineKind engine_ = EngineKind::kScan;
   /// engine_ == kActive, hoisted: checked on several per-cell hot paths.
   bool engine_active_ = false;
-  /// Resolved hybrid dense threshold percent (see resolve_dense_threshold).
-  std::uint32_t dense_threshold_ = kDefaultDenseThresholdPct;
   /// Resolved runtime-verification level (see resolve_check_level); read
   /// by the CCA_CHECK macro via cca_check_level() below.
   rt::CheckLevel check_level_ = rt::CheckLevel::off;
-  /// Hybrid telemetry, merged once per cycle: total sparse↔dense switches,
-  /// partition-cycles run dense, and the active-set capacity high-water.
-  std::uint64_t dense_switches_ = 0;
-  std::uint64_t dense_cycles_ = 0;
-  std::uint64_t active_cap_peak_ = 0;
   /// Rebalance hysteresis state: cell_load_ snapshot at the last rebalance
   /// call, and the exponentially decayed per-cell load window fed to the
   /// quantile splitter (old increments lose half their weight per call, so

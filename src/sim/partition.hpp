@@ -21,8 +21,8 @@
 // Partitioning is a performance knob only: the engine's snapshot protocol
 // makes every run cycle-for-cycle identical to serial for every shape,
 // worker count, and rebalance schedule. It composes freely with the other
-// backend knobs — cycle engine (CCASTREAM_ENGINE) and dense threshold
-// (CCASTREAM_DENSE_PCT) — every combination is pinned against the serial
+// backend knobs — thread count (CCASTREAM_THREADS) and cycle engine
+// (CCASTREAM_ENGINE) — every combination is pinned against the serial
 // scan oracle; see docs/ARCHITECTURE.md for the execution model and
 // docs/TUNING.md for when to pick which shape.
 #pragma once
@@ -63,8 +63,7 @@ struct PartitionSpec {
 /// Resolves a chip's partition request: an explicit config wins, otherwise
 /// the CCASTREAM_PARTITION environment variable (ignored when unparsable),
 /// otherwise the default row stripes. Same resolution order as every
-/// backend knob (engine, threads, dense threshold): config > env >
-/// default.
+/// backend knob (engine, threads): config > env > default.
 [[nodiscard]] PartitionSpec resolve_partition(
     const std::optional<PartitionSpec>& requested);
 
@@ -81,18 +80,29 @@ struct PartRect {
     return x >= x0 && x < x1 && y >= y0 && y < y1;
   }
 
-  /// One row of the rectangle as a half-open cell-index span on a
-  /// `width`-column mesh: [y*width + x0, y*width + x1). A rectangle is
-  /// contiguous in cell-index space row by row, which is the unit the
-  /// engine's dense-mode bitmap sweeps consume (see
-  /// CellSoA::for_each_active) — iterating rows in order yields every
-  /// owned cell in ascending cell index, the order every phase relies on.
+  /// A half-open cell-index span [begin, end).
   struct CellSpan {
     std::uint32_t begin = 0, end = 0;
   };
+  /// One row of the rectangle as a cell-index span on a `width`-column
+  /// mesh: [y*width + x0, y*width + x1).
   [[nodiscard]] CellSpan row_span(std::uint32_t y,
                                   std::uint32_t width) const noexcept {
     return {y * width + x0, y * width + x1};
+  }
+  /// Calls `f(CellSpan)` over the rectangle on a `width`-column mesh, in
+  /// ascending cell index — the order every engine phase relies on. A
+  /// rectangle is contiguous in cell-index space row by row, so that is
+  /// one span per row; a full-width rectangle is contiguous outright and
+  /// comes as a single span. Spans are the unit the active engine's
+  /// bitmap sweeps consume (see CellSoA::for_each_active).
+  template <typename F>
+  void for_each_span(std::uint32_t width, F&& f) const {
+    if (x0 == 0 && x1 == width) {
+      f(CellSpan{y0 * width, y1 * width});
+      return;
+    }
+    for (std::uint32_t y = y0; y < y1; ++y) f(row_span(y, width));
   }
 
   friend bool operator==(const PartRect&, const PartRect&) = default;

@@ -76,7 +76,7 @@ std::uint32_t resolve_window(std::uint32_t requested) noexcept {
   if (requested != 0) return requested;
   if (const char* env = std::getenv("CCASTREAM_WINDOW")) {
     // strtol so negatives are rejected instead of wrapping; the endptr
-    // check rejects trailing garbage (mirrors CCASTREAM_DENSE_PCT).
+    // check rejects trailing garbage ("5O" must warn, not parse as 5).
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && v >= 1 && v <= 1'000'000) {

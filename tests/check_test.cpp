@@ -8,13 +8,13 @@
 //     cycle-for-cycle and counter-for-counter identical to an unchecked
 //     run, on both engines (the checks observe, never steer);
 //   * teeth — corrupting the invariants the sweeps guard (the fifo_msgs
-//     cached counter, the activity-bitmap membership flag — both in the
-//     chip's SoA block, reached via Chip::cell_state()) turns the next
-//     cycle into a diagnosed abort instead of silent divergence.
+//     cached counter, the activity-bitmap membership flag and its summary
+//     bit — all in the chip's SoA block, reached via Chip::cell_state())
+//     turns the next cycle into a diagnosed abort instead of silent
+//     divergence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 
 #include "test_util.hpp"
 
@@ -42,7 +42,7 @@ TEST(CheckLevelResolution, RoundTripsToString) {
             CheckLevel::full);
 }
 
-// Same ladder as resolve_engine / resolve_dense_threshold: explicit config
+// Same ladder as resolve_engine / resolve_threads: explicit config
 // beats the environment, the environment beats the default, garbage in the
 // environment degrades to the default (off) rather than erroring.
 TEST(CheckLevelResolution, ConfigBeatsEnvBeatsDefault) {
@@ -87,32 +87,12 @@ TEST(CheckLevelResolution, ChipResolvesAtConstruction) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload plumbing shared by the behavioural tests: the self-spinning
-// handler from the engine suites, which holds cells live for a chosen
-// number of rounds and exercises routing, IO, staging, and the active set.
+// The behavioural tests drive the self-spinning handler (test_util.hpp),
+// which holds cells live for a chosen number of rounds and exercises
+// routing, IO, staging, and the active set.
 
-class Blob final : public rt::ArenaObject {
- public:
-  [[nodiscard]] std::size_t logical_bytes() const noexcept override { return 16; }
-};
-
-rt::HandlerId install_spin(sim::Chip& chip) {
-  return chip.handlers().register_handler(
-      "spin", [](rt::Context& ctx, const rt::Action& a) {
-        ctx.charge(3);
-        if (a.args[0] > 0) {
-          ctx.propagate(rt::make_action(
-              a.handler, rt::GlobalAddress::unpack(a.args[1]), a.args[0] - 1,
-              a.args[1]));
-        }
-      });
-}
-
-void seed_spinner(sim::Chip& chip, rt::HandlerId spin, std::uint32_t cc,
-                  rt::Word rounds) {
-  const auto tgt = *chip.host_allocate(cc, std::make_unique<Blob>());
-  chip.inject_local(rt::make_action(spin, tgt, rounds, tgt.pack()));
-}
+using test::install_spin;
+using test::seed_spinner;
 
 /// Runs the reference workload at `level` on `engine` and returns the final
 /// counters. The workload lights a diagonal of cells with staggered
@@ -186,16 +166,37 @@ TEST(CheckDeathTest, CorruptedFifoCounterDiesInMutationHelper) {
   EXPECT_DEATH(chip.run_until_quiescent(), "CCA_CHECK failed");
 }
 
-// Membership corruption: a bitmap flag claiming an idle cell is live
+// Membership corruption: a cleared flag on a cell that still holds work
 // breaks is_active == has_work(), the invariant every phase sweep of the
-// active engine trusts when it skips cells.
+// active engine trusts when it skips cells. (A flag set on an idle cell
+// would not do: the next compute sweep visits it and clears it — the
+// engine heals that one by itself.)
 TEST(CheckDeathTest, CorruptedActiveFlagDiesAtBarrier) {
   auto cfg = checked_serial_config(CheckLevel::full);
   cfg.engine = sim::EngineKind::kActive;
   sim::Chip chip(cfg);
+  const auto spin = install_spin(chip);
+  seed_spinner(chip, spin, 7, 50);
   chip.step();
-  chip.cell_state().corrupt_active_flag(7, true);
-  EXPECT_DEATH(chip.step(), "CCA_CHECK failed");
+  ASSERT_TRUE(chip.cell_state().is_active(7));
+  chip.cell_state().corrupt_active_flag(7, false);
+  EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.is_active");
+}
+
+// Summary corruption: a clear summary bit over a live word makes every
+// sweep skip that word's cells unread — the live cell above would simply
+// stop running. The barrier sweep's summary audit catches it.
+TEST(CheckDeathTest, ClearedSummaryBitDiesAtBarrier) {
+  auto cfg = checked_serial_config(CheckLevel::full);
+  cfg.engine = sim::EngineKind::kActive;
+  sim::Chip chip(cfg);
+  const auto spin = install_spin(chip);
+  seed_spinner(chip, spin, 7, 50);
+  chip.step();
+  ASSERT_TRUE(chip.cell_state().summary_bit(7));
+  chip.cell_state().corrupt_summary_flag(7, false);
+  EXPECT_DEATH(chip.step(),
+               "CCA_CHECK failed: soa_.summary_covers_live_words");
 }
 
 // Level off must not die: the same corruptions are (deliberately) ignored,

@@ -304,8 +304,7 @@ TEST(Determinism, ExplicitTileGridIsCycleIdenticalToSerial) {
 // the hop counters here first).
 TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
   auto run = [](std::uint32_t threads,
-                sim::EngineKind engine = sim::EngineKind::kScan,
-                std::uint32_t dense_pct = 0) {
+                sim::EngineKind engine = sim::EngineKind::kScan) {
     sim::ChipConfig cfg;
     cfg.width = 8;
     cfg.height = 8;
@@ -313,7 +312,6 @@ TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
     cfg.ejections_per_cycle = 1;
     cfg.threads = threads;
     cfg.engine = engine;
-    cfg.dense_threshold_pct = dense_pct;
     cfg.seed = 77;
     sim::Chip chip(cfg);
     graph::GraphProtocol proto(chip);
@@ -339,15 +337,6 @@ TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
   for (const std::uint32_t threads : {1u, 2u, 4u, 7u}) {
     SCOPED_TRACE("engine = active, threads = " + std::to_string(threads));
     EXPECT_EQ(run(threads, sim::EngineKind::kActive), serial);
-  }
-  // The hybrid's dense mode under the same congestion: a threshold of 1
-  // keeps the bitmap walk (counting merge) engaged for essentially the
-  // whole run, 1000 pins the sorted-vector sparse mode — neither may move
-  // a single counter.
-  for (const std::uint32_t dense_pct : {1u, 1000u}) {
-    SCOPED_TRACE("engine = active, threads = 4, dense_pct = " +
-                 std::to_string(dense_pct));
-    EXPECT_EQ(run(4, sim::EngineKind::kActive, dense_pct), serial);
   }
 }
 

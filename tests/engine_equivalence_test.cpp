@@ -5,13 +5,17 @@
 // thread count × io_sides matrix, while visiting strictly fewer cells per
 // cycle whenever the mesh is not saturated. Shallow FIFOs and a single
 // ejection per cycle keep the mesh congested, where a set-maintenance bug
-// (a cell activated late, a stale snapshot latch) would surface as a
-// divergent counter.
+// (a cell activated late, a stale snapshot latch, a summary bit pruned
+// under a live word) would surface as a divergent counter. Also here: a
+// workload that swings between a saturated and a nearly idle mesh, a
+// rebalancing-tile run, and the engine's resolution order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
@@ -51,8 +55,7 @@ void expect_equivalent(const EngineResult& active, const EngineResult& scan) {
 }
 
 EngineResult run_bfs(EngineKind engine, const char* partition,
-                     std::uint32_t threads, std::uint8_t io_sides,
-                     std::uint32_t dense_pct = 0) {
+                     std::uint32_t threads, std::uint8_t io_sides) {
   sim::ChipConfig cfg;
   cfg.width = 12;
   cfg.height = 12;
@@ -62,7 +65,6 @@ EngineResult run_bfs(EngineKind engine, const char* partition,
   cfg.threads = threads;
   cfg.partition = *sim::PartitionSpec::parse(partition);
   cfg.engine = engine;
-  cfg.dense_threshold_pct = dense_pct;
   cfg.record_activation = true;
   cfg.seed = 99;
   sim::Chip chip(cfg);
@@ -127,48 +129,40 @@ TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
   }
 }
 
-// The hybrid's threshold dimension: whatever dense threshold the chip runs
-// under — 1 (dense from the first live cell), the default band, or 1000
-// (pinned sparse, the pre-hybrid engine) — the run stays cycle-identical
-// to the scan oracle, and never visits more cells than it. The dense mode
-// rides the same congested workload as the matrix above, on both the
-// serial and the most complex threaded decomposition.
-TEST(EngineEquivalence, HybridThresholdSweepMatchesOracle) {
-  const auto io_sides = static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth);
-  const EngineResult oracle = run_bfs(EngineKind::kScan, "rows", 1, io_sides);
-  ASSERT_GT(oracle.cycles, 0u);
-  for (const std::uint32_t pct : {1u, 40u, 1000u}) {
-    for (const auto& [partition, threads] :
-         {std::pair{"rows", 1u}, std::pair{"tiles+rebalance", 4u}}) {
-      SCOPED_TRACE(std::string("dense_pct = ") + std::to_string(pct) +
-                   ", partition = " + partition +
-                   ", threads = " + std::to_string(threads));
-      const EngineResult r =
-          run_bfs(EngineKind::kActive, partition, threads, io_sides, pct);
-      expect_equivalent(r, oracle);
-      // Even fully dense partitions walk only their rectangles, so the
-      // hybrid can never exceed the scan engine's visit bill.
-      EXPECT_LE(r.cell_visits, oracle.cell_visits);
-    }
+// cell_visits is the host-cost currency, so it must not depend on thread
+// timing: which cells a sweep visits follows only the sweeping
+// partition's own program order (see CellSoA::for_each_active). Repeated
+// threaded runs on shapes whose bitmap words straddle partition
+// boundaries must bill the same visits.
+TEST(EngineEquivalence, ActiveVisitCountIsDeterministic) {
+  const auto io_sides =
+      static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth);
+  for (const char* partition : {"cols", "tiles+rebalance"}) {
+    SCOPED_TRACE(std::string("partition = ") + partition);
+    const auto visits = [&] {
+      return run_bfs(EngineKind::kActive, partition, 4, io_sides).cell_visits;
+    };
+    const std::uint64_t first = visits();
+    for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(visits(), first);
   }
 }
 
-// The large-mesh leg: the SoA layout's dense-mode walks are 64-cell bitmap
-// word sweeps over per-row spans, so meshes whose partition rectangles
-// start and end mid-word are where a masking bug would live — unreachable
-// on the 12x12 matrix above. 128x128 (256 bitmap words, threaded tile
-// rectangles with word-unaligned row spans) runs in the default suite;
-// CCASTREAM_STRESS=1 upgrades the leg to the full 512x512 acceptance mesh.
+// The large-mesh leg: the active engine's phases are 64-cell bitmap word
+// sweeps over spans gated by a 4096-cell summary level, so meshes whose
+// partition rectangles start and end mid-word — and span several summary
+// words — are where a masking or pruning bug would live, unreachable on
+// the 12x12 matrix above. 128x128 (256 bitmap words, 4 summary words;
+// threaded tile rectangles with word-unaligned row spans) runs in the
+// default suite; CCASTREAM_STRESS=1 upgrades the leg to the full 512x512
+// acceptance mesh.
 EngineResult run_large_bfs(EngineKind engine, std::uint32_t dim,
-                           const char* partition, std::uint32_t threads,
-                           std::uint32_t dense_pct) {
+                           const char* partition, std::uint32_t threads) {
   sim::ChipConfig cfg;
   cfg.width = dim;
   cfg.height = dim;
   cfg.threads = threads;
   cfg.partition = *sim::PartitionSpec::parse(partition);
   cfg.engine = engine;
-  cfg.dense_threshold_pct = dense_pct;
   cfg.record_activation = true;
   cfg.seed = 7 + dim;
   sim::Chip chip(cfg);
@@ -203,27 +197,100 @@ TEST(EngineEquivalence, LargeMeshMatchesScanOracle) {
   const std::uint32_t dim =
       (stress != nullptr && *stress != '\0' && *stress != '0') ? 512u : 128u;
   SCOPED_TRACE("mesh = " + std::to_string(dim) + "x" + std::to_string(dim));
-  const EngineResult oracle = run_large_bfs(EngineKind::kScan, dim, "rows", 1, 0);
+  const EngineResult oracle = run_large_bfs(EngineKind::kScan, dim, "rows", 1);
   ASSERT_GT(oracle.cycles, 0u);
 
-  struct Leg {
-    const char* partition;
-    std::uint32_t threads;
-    std::uint32_t dense_pct;
-  };
-  // Sparse serial, sparse threaded tiles (word-unaligned rectangle spans),
-  // and pinned-dense threaded tiles (every phase a full bitmap word sweep).
-  for (const Leg leg : {Leg{"rows", 1, 0}, Leg{"tiles+rebalance", 4, 0},
-                        Leg{"tiles+rebalance", 4, 1}}) {
-    SCOPED_TRACE(std::string("partition = ") + leg.partition +
-                 ", threads = " + std::to_string(leg.threads) +
-                 ", dense_pct = " + std::to_string(leg.dense_pct));
-    const EngineResult r = run_large_bfs(EngineKind::kActive, dim,
-                                         leg.partition, leg.threads,
-                                         leg.dense_pct);
+  // Serial full-width rows (one contiguous span per sweep) and threaded
+  // tiles (word-unaligned row spans).
+  for (const auto& [partition, threads] :
+       {std::pair{"rows", 1u}, std::pair{"tiles+rebalance", 4u}}) {
+    SCOPED_TRACE(std::string("partition = ") + partition +
+                 ", threads = " + std::to_string(threads));
+    const EngineResult r =
+        run_large_bfs(EngineKind::kActive, dim, partition, threads);
     expect_equivalent(r, oracle);
-    EXPECT_LE(r.cell_visits, oracle.cell_visits);
+    EXPECT_LT(r.cell_visits, oracle.cell_visits);
   }
+}
+
+struct OscResult {
+  sim::ChipStats stats;
+  double energy_pj = 0.0;
+
+  friend bool operator==(const OscResult&, const OscResult&) = default;
+};
+
+/// Alternates full-mesh bursts (every cell live, so whole summary words
+/// fill) with three-cell trickles reached through the network (nearly
+/// every word empties, and its summary bit must be pruned without ever
+/// dropping a live one).
+OscResult run_oscillation(EngineKind engine, std::uint32_t threads) {
+  sim::ChipConfig cfg;
+  cfg.width = 12;
+  cfg.height = 12;
+  cfg.fifo_depth = 2;
+  cfg.ejections_per_cycle = 1;
+  cfg.threads = threads;
+  cfg.engine = engine;
+  cfg.seed = 4242;
+  sim::Chip chip(cfg);
+  const rt::HandlerId spin = test::install_spin(chip);
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint32_t cc = 0; cc < 144; ++cc) {
+      test::seed_spinner(chip, spin, cc, 12);
+    }
+    chip.run_until_quiescent();
+    for (std::uint32_t cc : {5u, 77u, 140u}) {
+      test::seed_spinner_via(chip, spin, /*entry_cc=*/0, cc, 30);
+    }
+    chip.run_until_quiescent();
+  }
+  return {chip.stats(), chip.energy_pj()};
+}
+
+// Saturated ↔ nearly idle, serial and threaded: cycle-identical to the
+// scan oracle however the frontier swings.
+TEST(EngineEquivalence, OscillationIsCycleIdenticalToScanOracle) {
+  const OscResult oracle = run_oscillation(EngineKind::kScan, 1);
+  ASSERT_GT(oracle.stats.cycles, 0u);
+  ASSERT_GT(oracle.stats.hops, 0u);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    EXPECT_EQ(run_oscillation(EngineKind::kActive, threads), oracle);
+  }
+}
+
+// Rebalancing moves cells between partitions between runs; the
+// per-partition live counts are recounted from the bitmap at every
+// relayout, and results — and the rebalance schedule — stay identical.
+TEST(EngineEquivalence, SurvivesRebalancingLayoutsUnchanged) {
+  auto run = [](EngineKind engine) {
+    sim::ChipConfig cfg;
+    cfg.width = 12;
+    cfg.height = 12;
+    cfg.threads = 4;
+    cfg.partition = *sim::PartitionSpec::parse("tiles+rebalance");
+    cfg.engine = engine;
+    cfg.seed = 11;
+    sim::Chip chip(cfg);
+    const rt::HandlerId spin = test::install_spin(chip);
+    for (int round = 0; round < 4; ++round) {
+      // Skewed bursts (top-left corner) so rebalancing actually moves
+      // boundaries between the run calls.
+      for (std::uint32_t y = 0; y < 6; ++y) {
+        for (std::uint32_t x = 0; x < 6; ++x) {
+          test::seed_spinner(chip, spin, y * 12 + x, 10);
+        }
+      }
+      chip.run_until_quiescent();
+    }
+    return std::pair{chip.stats(), chip.partition_rebalances()};
+  };
+  const auto [scan_stats, scan_moves] = run(EngineKind::kScan);
+  const auto [active_stats, active_moves] = run(EngineKind::kActive);
+  EXPECT_GT(scan_moves, 0u) << "workload failed to move a boundary";
+  EXPECT_EQ(active_stats, scan_stats);
+  EXPECT_EQ(active_moves, scan_moves);
 }
 
 // Host-side injection paths (inject_local seeding, inject_via network
@@ -274,6 +341,20 @@ TEST(EngineEquivalence, EngineSpecParsesAndResolves) {
   EXPECT_EQ(sim::to_string(EngineKind::kActive), "active");
   EXPECT_EQ(sim::resolve_engine(EngineKind::kActive), EngineKind::kActive);
   EXPECT_EQ(sim::resolve_engine(EngineKind::kScan), EngineKind::kScan);
+}
+
+// `active` is the default engine; the scan oracle stays one env var away,
+// and an explicit config always wins over the environment.
+TEST(EngineEquivalence, DefaultEngineResolvesToActive) {
+  {
+    const test::ScopedEnv env("CCASTREAM_ENGINE", nullptr);
+    EXPECT_EQ(sim::resolve_engine({}), EngineKind::kActive);
+  }
+  {
+    const test::ScopedEnv env("CCASTREAM_ENGINE", "scan");
+    EXPECT_EQ(sim::resolve_engine({}), EngineKind::kScan);
+    EXPECT_EQ(sim::resolve_engine(EngineKind::kActive), EngineKind::kActive);
+  }
 }
 
 }  // namespace

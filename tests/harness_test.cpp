@@ -216,6 +216,23 @@ TEST(JsonRecord, LegacyRecordWithoutThreadsDefaultsToSerial) {
   EXPECT_EQ(parsed->partition, "rows");
 }
 
+TEST(JsonRecord, RecordsWithRetiredFieldsStillParse) {
+  // Committed BENCH_*.json files from the dense/sparse hybrid engine carry
+  // dense_pct/cap_peak/cap_end; the parser skips fields it does not know.
+  const std::string line =
+      "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":5,"
+      "\"energy_uj\":1.0,\"scale\":\"tiny\",\"threads\":4,"
+      "\"partition\":\"rows\",\"engine\":\"active\",\"cell_visits\":9,"
+      "\"dense_pct\":50,\"cap_peak\":638,\"cap_end\":128,"
+      "\"host_cores\":4}";
+  const auto parsed = bench::parse_record(line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->cell_visits, 9u);
+  EXPECT_EQ(parsed->host_cores, 4u);
+  EXPECT_EQ(bench::format_record(*parsed).find("dense_pct"),
+            std::string::npos);
+}
+
 TEST(JsonRecord, ParseRejectsNegativeCycles) {
   const std::string line =
       "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":-1,"

@@ -29,7 +29,6 @@ struct Instance {
   int app = 0;  // 0 = bfs, 1 = sssp, 2 = components
   sim::PartitionSpec partition;
   sim::EngineKind engine = sim::EngineKind::kScan;
-  std::uint32_t dense_pct = 0;  // hybrid threshold (0 = resolved default)
   std::uint32_t window = 0;     // sliding window (0 = insert-only stream)
 
   [[nodiscard]] std::string describe() const {
@@ -45,7 +44,6 @@ struct Instance {
            " app=" + (app == 0 ? "bfs" : app == 1 ? "sssp" : "components") +
            " partition=" + partition.to_string() +
            " engine=" + std::string(sim::to_string(engine)) +
-           " dense_pct=" + std::to_string(dense_pct) +
            " window=" + std::to_string(window);
   }
 };
@@ -75,12 +73,10 @@ Instance make_instance(std::uint64_t seed) {
   // set-maintenance divergence shows up against base:: references too.
   in.engine = rng.bernoulli(0.5) ? sim::EngineKind::kActive
                                  : sim::EngineKind::kScan;
-  // Hybrid threshold draw (appended last, same rule): the resolved
-  // default, near-always-dense, a mid band, and pinned sparse — so the
-  // fuzzer crosses the dense switch and its hysteresis on random
-  // workloads.
-  constexpr std::uint32_t kDensePcts[] = {0, 1, 35, 1000};
-  in.dense_pct = kDensePcts[rng.below(4)];
+  // Retired draw: this slot chose a threshold for an engine mode that no
+  // longer exists. It is still consumed, so every replay seed printed
+  // before keeps its window draw below.
+  static_cast<void>(rng.below(4));
   // Sliding-window draw (appended last, same rule): half the instances
   // re-run their schedule through wl::apply_sliding_window with drain, so
   // the fuzzer covers randomized insert/delete interleavings and the
@@ -138,7 +134,6 @@ void run_instance(const Instance& in) {
   cfg.threads = in.threads;
   cfg.partition = in.partition;
   cfg.engine = in.engine;
-  cfg.dense_threshold_pct = in.dense_pct;
   cfg.seed = in.seed;
   sim::Chip chip(cfg);
   graph::RpvoConfig rc;

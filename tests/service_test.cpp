@@ -417,8 +417,12 @@ TEST(StreamService, FlushPolicyQuiescesTheQueueBeforeEnqueueing) {
     EXPECT_TRUE(s.submit(incs[2]));  // full -> quiesce first
     third_accepted.store(true, std::memory_order_release);
   });
-  for (int i = 0; i < 50 && !third_accepted.load(std::memory_order_acquire);
-       ++i) {
+  // Wait until the producer is parked in its flush wait (submit bumps the
+  // counter under the lock just before blocking), so resume() cannot race
+  // ahead of the submit it is meant to release. A submit that returns
+  // without waiting ends the loop too, and fails the check below.
+  while (s.stats().flush_waits == 0 &&
+         !third_accepted.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
   EXPECT_FALSE(third_accepted.load(std::memory_order_acquire));

@@ -9,8 +9,10 @@
 //     including a randomized interleaving of all of them;
 //   * the activity bitmap's span sweep (for_each_active) visits exactly
 //     the set bits of a half-open span in ascending order, with correct
-//     masking at every 64-bit word boundary — the core of the dense-mode
-//     phase walks;
+//     masking at every 64-bit word boundary — the core of every phase of
+//     the active engine — and its summary level (one bit per 64-cell
+//     word) never hides a live word, across set/clear/sweep/prune
+//     sequences checked against a std::set reference;
 //   * lane geometry: arbitration order, per-lane isolation in the slab,
 //     the owns_lane ownership guard, and the snapshot latches.
 //
@@ -19,7 +21,10 @@
 // the engines use them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
@@ -213,6 +218,109 @@ TEST(CellSoABitmap, SweepSkipsClearedWords) {
   EXPECT_EQ(soa.count_active(0, 300), 0u);
   EXPECT_EQ(soa.count_active(301, 512), 0u);
   EXPECT_EQ(soa.count_active(300, 301), 1u);
+}
+
+// The summary level against a std::set reference: random sets, clears,
+// sweeps, and pruning sweeps over a 12 345-cell bitmap (193 words, so four
+// summary words and a ragged tail). Spans start and end mid-word and cross
+// the 4096-cell summary boundaries; every sweep must return exactly the
+// reference's cells in the span, ascending, and no prune may ever leave a
+// word with a set bit unsummarised.
+TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
+  constexpr std::uint32_t kCells = 12'345;
+  CellSoA soa;
+  soa.init(kCells, 1);
+  std::set<std::uint32_t> ref;
+  rt::Xoshiro256 rng(0x5EED5);
+
+  const auto expected = [&ref](std::uint32_t begin, std::uint32_t end) {
+    if (begin >= end) return std::vector<std::uint32_t>{};
+    return std::vector<std::uint32_t>(ref.lower_bound(begin),
+                                      ref.lower_bound(end));
+  };
+  const auto pruning_sweep = [&soa](std::uint32_t begin, std::uint32_t end) {
+    std::vector<std::uint32_t> out;
+    soa.for_each_active_pruning(
+        begin, end, [&out](std::uint32_t cc) { out.push_back(cc); });
+    return out;
+  };
+  // Fixed spans first (summary-boundary straddles, single-cell and
+  // word-edge spans), then random ones.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> fixed = {
+      {4'090, 4'100}, {4'000, 8'200},   {63, 8'257},      {8'191, 8'193},
+      {1, kCells - 1}, {4'095, 4'097}, {12'287, 12'289}, {0, kCells}};
+  // Clustered cells, so whole words fill and empty and their summary bits
+  // go stale and get pruned.
+  const auto random_cell = [&rng]() -> std::uint32_t {
+    const auto hub = static_cast<std::uint32_t>(rng.below(6)) * 2'300;
+    const auto off = static_cast<std::uint32_t>(rng.below(300));
+    return std::min<std::uint32_t>(kCells - 1, hub + off);
+  };
+
+  for (int step = 0; step < 20'000; ++step) {
+    const std::uint64_t op = rng.below(10);
+    if (op < 4) {
+      const std::uint32_t cc = random_cell();
+      soa.set_active(cc);
+      ref.insert(cc);
+    } else if (op < 8) {
+      const std::uint32_t cc = random_cell();
+      soa.clear_active(cc);
+      ref.erase(cc);
+    } else {
+      std::uint32_t begin = 0, end = 0;
+      if (step % 7 == 0) {
+        const auto& span = fixed[static_cast<std::size_t>(step / 7) %
+                                 fixed.size()];
+        begin = span.first;
+        end = span.second;
+      } else {
+        begin = static_cast<std::uint32_t>(rng.below(kCells));
+        end = std::min<std::uint32_t>(
+            kCells, begin + static_cast<std::uint32_t>(rng.below(9'000)));
+      }
+      const auto want = expected(begin, end);
+      if (op == 8) {
+        ASSERT_EQ(sweep(soa, begin, end), want) << begin << ".." << end;
+      } else {
+        ASSERT_EQ(pruning_sweep(begin, end), want) << begin << ".." << end;
+        ASSERT_TRUE(soa.summary_covers_live_words())
+            << "prune dropped a live word";
+      }
+      ASSERT_EQ(soa.count_active(begin, end), want.size());
+    }
+    const std::uint32_t probe = random_cell();
+    ASSERT_EQ(soa.is_active(probe), ref.count(probe) == 1) << probe;
+  }
+  for (const std::uint32_t cc : ref) ASSERT_TRUE(soa.summary_bit(cc)) << cc;
+
+  // Emptied words really are pruned: clear everything, one pruning sweep
+  // over the whole bitmap, and no summary bit survives.
+  for (const std::uint32_t cc : ref) soa.clear_active(cc);
+  EXPECT_TRUE(pruning_sweep(0, kCells).empty());
+  for (std::uint32_t cc = 0; cc < kCells; cc += 64) {
+    EXPECT_FALSE(soa.summary_bit(cc)) << cc;
+  }
+}
+
+// A sweep's view of bits set while it runs follows the sweeping code's own
+// program order: a bit `f` sets in a later word — even one whose summary
+// bit was clear when the sweep began — is visited; a bit set in the word
+// being visited is not.
+TEST(CellSoABitmap, BitsSetMidSweepFollowProgramOrder) {
+  CellSoA soa;
+  soa.init(4'096, 1);
+  soa.set_active(10);
+  std::vector<std::uint32_t> seen;
+  soa.for_each_active(0, 4'096, [&](std::uint32_t cc) {
+    seen.push_back(cc);
+    if (cc == 10) {
+      soa.set_active(20);     // same word as 10: already loaded, not visited
+      soa.set_active(3'000);  // later word, summary bit clear until now
+    }
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{10, 3'000}));
+  EXPECT_TRUE(soa.is_active(20));
 }
 
 // ---------------------------------------------------------------------------

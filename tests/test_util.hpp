@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,7 +14,7 @@ namespace ccastream::test {
 
 /// Pins one environment variable for a test's lifetime, restoring the
 /// previous value on destruction. Pass `nullptr` to unset. Used by every
-/// knob-resolution test (engine, dense threshold, check level).
+/// knob-resolution test (engine, check level).
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -87,6 +88,48 @@ class MockContext final : public rt::Context {
   rt::Xoshiro256 rng_;
   std::uint32_t cc_;
 };
+
+/// Minimal arena object a spinner runs against.
+class SpinBlob final : public rt::ArenaObject {
+ public:
+  [[nodiscard]] std::size_t logical_bytes() const noexcept override {
+    return 16;
+  }
+};
+
+/// Registers the self-spinning handler: each execution burns instruction
+/// cycles and, while its countdown lasts, re-propagates to its own cell —
+/// so an injected cell stays continuously live for a duration proportional
+/// to the countdown, letting tests hold mesh occupancy at a chosen level.
+inline rt::HandlerId install_spin(sim::Chip& chip) {
+  return chip.handlers().register_handler(
+      "spin", [](rt::Context& ctx, const rt::Action& a) {
+        ctx.charge(3);
+        if (a.args[0] > 0) {
+          ctx.propagate(rt::make_action(
+              a.handler, rt::GlobalAddress::unpack(a.args[1]), a.args[0] - 1,
+              a.args[1]));
+        }
+      });
+}
+
+/// Allocates a SpinBlob on cell `cc` and injects a spinner with `rounds`
+/// self-propagations straight into it.
+inline void seed_spinner(sim::Chip& chip, rt::HandlerId spin,
+                         std::uint32_t cc, rt::Word rounds) {
+  const auto tgt = *chip.host_allocate(cc, std::make_unique<SpinBlob>());
+  chip.inject_local(rt::make_action(spin, tgt, rounds, tgt.pack()));
+}
+
+/// Like seed_spinner, but the action enters the mesh at `entry_cc` and
+/// traverses the network to `cc` — so the run pays real hops (and, with
+/// multiple partitions, cross-partition traffic) on its way.
+inline void seed_spinner_via(sim::Chip& chip, rt::HandlerId spin,
+                             std::uint32_t entry_cc, std::uint32_t cc,
+                             rt::Word rounds) {
+  const auto tgt = *chip.host_allocate(cc, std::make_unique<SpinBlob>());
+  chip.inject_via(entry_cc, rt::make_action(spin, tgt, rounds, tgt.pack()));
+}
 
 /// A small chip configuration that keeps unit tests fast.
 inline sim::ChipConfig small_chip_config(std::uint32_t dim = 8) {

@@ -41,7 +41,6 @@ struct Options {
   std::uint32_t threads = 0;  // 0 = CCASTREAM_THREADS env, else serial
   std::optional<sim::PartitionSpec> partition;  // unset = env, else rows
   std::optional<sim::EngineKind> engine;        // unset = env, else active
-  std::uint32_t dense_pct = 0;  // 0 = CCASTREAM_DENSE_PCT env, else 50
   std::optional<rt::CheckLevel> check;  // unset = CCASTREAM_CHECK env, else off
   sim::RoutingPolicyKind routing = sim::RoutingPolicyKind::kYX;
   rt::AllocPolicyKind alloc = rt::AllocPolicyKind::kVicinity;
@@ -101,15 +100,10 @@ void usage() {
       "                                (default: CCASTREAM_PARTITION or rows;\n"
       "                                results are identical for every SPEC)\n"
       "  --engine scan|active          cycle engine: the event-driven\n"
-      "                                active-set hybrid (default:\n"
+      "                                active-set bitmap engine (default:\n"
       "                                CCASTREAM_ENGINE or active) or the\n"
       "                                full-mesh scan oracle; results are\n"
       "                                identical either way\n"
-      "  --dense-pct N                 hybrid dense-mode threshold, percent\n"
-      "                                of a partition's cells (default:\n"
-      "                                CCASTREAM_DENSE_PCT or 50; >100 pins\n"
-      "                                the engine sparse; results are\n"
-      "                                identical for every N)\n"
       "  --check off|cheap|full        runtime invariant checking (default:\n"
       "                                CCASTREAM_CHECK or off; full adds an\n"
       "                                O(mesh) sweep per cycle)\n"
@@ -195,18 +189,6 @@ bool parse(int argc, char** argv, Options& o) {
         std::fprintf(stderr, "invalid --engine '%s'\n", v);
         return false;
       }
-    } else if (a == "--dense-pct") {
-      // Same validation as resolve_dense_threshold applies to the env var:
-      // reject instead of silently falling back (0 would mean "use the
-      // env/default", masking the typo).
-      const char* v = need(i);
-      char* end = nullptr;
-      const long pct = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || pct < 1 || pct > 1000) {
-        std::fprintf(stderr, "invalid --dense-pct '%s' (want 1..1000)\n", v);
-        return false;
-      }
-      o.dense_pct = static_cast<std::uint32_t>(pct);
     } else if (a == "--check") {
       const char* v = need(i);
       o.check = rt::parse_check_level(v);
@@ -374,7 +356,6 @@ int main(int argc, char** argv) {
   cfg.threads = o.threads;
   cfg.partition = o.partition;
   cfg.engine = o.engine;
-  cfg.dense_threshold_pct = o.dense_pct;
   cfg.check_level = o.check;
   cfg.record_activation = !o.activation_path.empty();
   sim::Chip chip(cfg);
@@ -473,15 +454,11 @@ int main(int argc, char** argv) {
   // --- Stream ------------------------------------------------------------------
   std::printf(
       "chip %ux%u  routing %s  alloc %s  rhizomes %u  app %s  threads %u  "
-      "partition %s  engine %s",
+      "partition %s  engine %s\n",
       o.width, o.height, std::string(sim::to_string(o.routing)).c_str(),
       std::string(rt::to_string(o.alloc)).c_str(), o.rhizomes, o.app.c_str(),
       chip.threads(), chip.partition_spec().to_string().c_str(),
       std::string(sim::to_string(chip.engine())).c_str());
-  if (chip.engine() == sim::EngineKind::kActive) {
-    std::printf("  dense-pct %u", chip.dense_threshold_pct());
-  }
-  std::printf("\n");
   std::printf("%lu vertices, %lu ops, %s sampling, %zu increments, source %lu",
               o.vertices, sched.total_edges(),
               std::string(wl::to_string(sched.kind)).c_str(),

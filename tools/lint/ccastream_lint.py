@@ -275,7 +275,7 @@ SELF_TEST_SEEDS: dict[str, tuple[str, str, str]] = {
     ),
     "soa-backdoor": (
         "src/sim/bad_backdoor.cpp",
-        "void f(CellSoA& s) { s.fifo_msgs_ref(3) += 1; }\n",
+        "void f(CellSoA& s) { s.corrupt_summary_flag(3, false); }\n",
         "corruption backdoor",
     ),
     "thread-primitives": (

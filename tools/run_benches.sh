@@ -11,7 +11,7 @@
 # (default 1 = serial engine), CCASTREAM_PARTITION its mesh partition
 # (rows|cols|tiles[:GXxGY][+rebalance], default rows), and CCASTREAM_ENGINE
 # its cycle engine (scan|active, default active — the simulator's default
-# hybrid engine); every emitted record carries
+# bitmap engine); every emitted record carries
 # matching "threads", "partition", and "engine" fields, so sweeps from
 # different backends can be aggregated and compared side by side, e.g.:
 #   tools/run_benches.sh build BENCH_seed.json
