@@ -180,27 +180,6 @@ std::uint64_t StreamingGraph::run(std::uint64_t max_cycles) {
   return chip_.run_until_quiescent(max_cycles);
 }
 
-std::vector<rt::GlobalAddress> StreamingGraph::fragments_of(std::uint64_t vid) const {
-  std::vector<rt::GlobalAddress> chain;
-  std::vector<rt::GlobalAddress> frontier;
-  for (const auto addr : rhizome_roots(vid)) frontier.push_back(addr);
-  // Ghost fan-out > 1 makes the RPVO a small tree; walk it breadth-first.
-  while (!frontier.empty()) {
-    std::vector<rt::GlobalAddress> next;
-    for (const auto addr : frontier) {
-      const auto* frag =
-          const_cast<sim::Chip&>(chip_).as<VertexFragment>(addr);
-      if (frag == nullptr) continue;
-      chain.push_back(addr);
-      for (const auto& g : frag->ghosts) {
-        if (g.is_ready() && !g.value().is_null()) next.push_back(g.value());
-      }
-    }
-    frontier = std::move(next);
-  }
-  return chain;
-}
-
 std::uint64_t StreamingGraph::stored_degree(std::uint64_t vid) const {
   std::uint64_t n = 0;
   for (const auto addr : fragments_of(vid)) {

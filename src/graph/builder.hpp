@@ -69,12 +69,13 @@ struct IncrementReport {
   sim::ChipStats stats_delta;  ///< Full counter delta for deep analysis.
 };
 
-/// Host-readable digest of a saved snapshot: the logical graph (per-vertex
+/// Host-readable digest of a quiescent graph: the logical graph (per-vertex
 /// out-arcs as vertex ids) plus each vertex's primary-root application
-/// words, recovered from the save_snapshot text format WITHOUT restoring
-/// onto a chip. This is what the streaming service layer's query
-/// front-end latches between increments (svc/stream_service.hpp): queries
-/// read the digest while the chip executes the next increment.
+/// words, built by StreamingGraph::digest() from the live fragments or by
+/// parse_snapshot_digest from a save_snapshot text, without a chip. The
+/// streaming service's query front-end latches one between increments
+/// (svc/stream_service.hpp): queries read it while the chip executes the
+/// next increment.
 struct SnapshotDigest {
   struct Arc {
     std::uint64_t dst = 0;
@@ -85,16 +86,17 @@ struct SnapshotDigest {
   std::uint32_t rhizomes = 1;
   std::uint64_t num_edges = 0;  ///< Stored records summed over all chains.
   /// vid-major adjacency, merged across every fragment of the chain in
-  /// chain order (root first, then ghosts in snapshot order).
+  /// chain order — the order StreamingGraph::neighbors() reports.
   std::vector<std::vector<Arc>> adjacency;
   /// Primary-root app words per vertex (where monotone apps keep results).
   std::vector<AppState> app_words;
+  friend bool operator==(const SnapshotDigest&, const SnapshotDigest&) = default;
 };
 
-/// Parses a save_snapshot stream (v2 or legacy v1) into a SnapshotDigest.
-/// Throws std::runtime_error on malformed input, exactly like
-/// load_snapshot — the two readers share the format definitions in
-/// graph/snapshot.cpp.
+/// Parses a save_snapshot stream (v2 or legacy v1) into the saved graph's
+/// SnapshotDigest. Shares its text readers with load_snapshot, and also
+/// rejects edges to non-roots and broken chain links. Throws
+/// std::runtime_error on malformed input.
 [[nodiscard]] SnapshotDigest parse_snapshot_digest(std::istream& in);
 
 class StreamingGraph {
@@ -191,6 +193,11 @@ class StreamingGraph {
   /// chip must be quiescent — pending futures cannot be checkpointed.
   /// Throws std::logic_error if it is not.
   void save_snapshot(std::ostream& out) const;
+
+  /// The digest of the live fragments: parse_snapshot_digest of a
+  /// save_snapshot text, without the text. Throws std::logic_error unless
+  /// the chip is quiescent, like save_snapshot.
+  [[nodiscard]] SnapshotDigest digest() const;
 
   /// Reconstructs a graph from a snapshot onto a *fresh* chip (same
   /// geometry and RPVO configuration as at save time; validated). The

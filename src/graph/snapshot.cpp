@@ -1,19 +1,24 @@
-// Checkpoint/restore of the streaming graph (StreamingGraph::save_snapshot /
-// load_snapshot). The snapshot captures the *physical* state of every
-// vertex fragment — scratchpad placement, edge records (as global
-// addresses), ghost link values, rhizome links, and application words — so
-// a restored chip is bit-identical as far as the graph protocol and the
-// applications are concerned, and streaming can continue seamlessly.
+// Whole-graph reads of the streaming graph: checkpoint/restore
+// (StreamingGraph::save_snapshot / load_snapshot) and the digest
+// (StreamingGraph::digest / parse_snapshot_digest). The snapshot captures
+// the *physical* state of every vertex fragment — scratchpad placement,
+// edge records (as global addresses), ghost link values, rhizome links, and
+// application words — so a restored chip is bit-identical as far as the
+// graph protocol and the applications are concerned, and streaming can
+// continue seamlessly. Both text readers share one header reader and one
+// fragment-block reader; both digests come from one builder over the one
+// RPVO chain walk (which fragments_of uses too).
 //
-// Only quiescent chips can be checkpointed: a pending ghost future has an
-// allocation continuation in flight, which has no meaningful serialised
-// form.
+// Only quiescent chips can be checkpointed or digested: a pending ghost
+// future has an allocation continuation in flight, which has no meaningful
+// serialised form.
 //
 // Text format (one fragment block per arena slot, cells in index order):
 //   ccastream-snapshot v2
 //   chip <width> <height>
 //   rpvo <edge_capacity> <ghost_fanout>
 //   graph <num_vertices> <rhizomes> <src_rr> <dst_rr>
+//   roots <n> [<addr>]...
 //   frag <cc> <slot> <vid> <is_root> <root> <rhizome_next> <inserts_seen> <deletes_seen>
 //   app <w0> <w1> <w2> <w3>
 //   edges <n> [<dst> <weight>]...
@@ -24,9 +29,11 @@
 // counter restores as 0.
 #include <istream>
 #include <memory>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <span>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "graph/builder.hpp"
 
@@ -49,14 +56,181 @@ void expect_tag(std::istream& in, std::string_view tag) {
   }
 }
 
-}  // namespace
-
-void StreamingGraph::save_snapshot(std::ostream& out) const {
-  sim::Chip& chip = const_cast<sim::Chip&>(chip_);
+void require_quiescent(const sim::Chip& chip) {
   if (!chip.quiescent()) {
     throw std::logic_error(
         "graph snapshot: chip must be quiescent (run to termination first)");
   }
+}
+
+/// Everything before the first fragment block.
+struct Header {
+  bool legacy_v1 = false;
+  std::uint32_t width = 0, height = 0, edge_capacity = 0, ghost_fanout = 0;
+  std::uint64_t num_vertices = 0;
+  std::uint32_t rhizomes = 0;
+  std::uint64_t src_rr = 0, dst_rr = 0;
+  std::vector<rt::GlobalAddress> roots;  ///< vid-major, as StreamingGraph's.
+  std::unordered_map<rt::GlobalAddress, std::uint64_t> root_to_vid;
+};
+
+Header read_header(std::istream& in) {
+  expect_tag(in, kMagic);
+  std::string version;
+  if (!(in >> version) || (version != kVersion && version != kVersionLegacy)) {
+    fail("unsupported snapshot version '" + version + "'");
+  }
+  Header h;
+  h.legacy_v1 = version == kVersionLegacy;
+  expect_tag(in, "chip");
+  in >> h.width >> h.height;
+  expect_tag(in, "rpvo");
+  in >> h.edge_capacity >> h.ghost_fanout;
+  expect_tag(in, "graph");
+  in >> h.num_vertices >> h.rhizomes >> h.src_rr >> h.dst_rr;
+  if (!in) fail("truncated header");
+  if (h.rhizomes == 0) fail("zero rhizome count");
+
+  expect_tag(in, "roots");
+  std::uint64_t nroots = 0;
+  if (!(in >> nroots)) fail("truncated roots table");
+  // Divided rather than multiplied, so a huge vertex count cannot wrap.
+  if (nroots % h.rhizomes != 0 || nroots / h.rhizomes != h.num_vertices) {
+    fail("roots table size mismatch");
+  }
+  for (std::uint64_t i = 0; i < nroots; ++i) {  // no reserve: nroots is untrusted
+    rt::Word w = 0;
+    if (!(in >> w)) fail("truncated roots table");
+    h.roots.push_back(rt::GlobalAddress::unpack(w));
+    h.root_to_vid.emplace(h.roots.back(), i / h.rhizomes);
+  }
+  return h;
+}
+
+/// One `frag ... end` record, holding only what the stream carried (a
+/// VertexFragment would reserve the header's edge capacity up front).
+struct FragmentBlock {
+  std::uint32_t cc = 0, slot = 0;
+  std::uint64_t vid = 0;
+  bool is_root = false;
+  rt::GlobalAddress root, rhizome_next;
+  std::uint64_t inserts_seen = 0, deletes_seen = 0;
+  AppState app{};
+  std::vector<EdgeRecord> edges;
+  std::vector<rt::FutureAddr> ghosts;
+};
+
+/// The next fragment block, or std::nullopt at the end of the stream.
+std::optional<FragmentBlock> read_block(std::istream& in, const Header& h) {
+  std::string tag;
+  if (!(in >> tag)) return std::nullopt;
+  if (tag != "frag") fail("expected 'frag', got '" + tag + "'");
+  FragmentBlock b;
+  int is_root = 0;
+  rt::Word root_w = 0, rhz_w = 0;
+  in >> b.cc >> b.slot >> b.vid >> is_root >> root_w >> rhz_w >> b.inserts_seen;
+  if (!h.legacy_v1) in >> b.deletes_seen;
+  b.is_root = is_root != 0;
+  b.root = rt::GlobalAddress::unpack(root_w);
+  b.rhizome_next = rt::GlobalAddress::unpack(rhz_w);
+
+  expect_tag(in, "app");
+  for (auto& w : b.app) in >> w;
+
+  expect_tag(in, "edges");
+  std::uint64_t nedges = 0;
+  in >> nedges;
+  if (nedges > h.edge_capacity) fail("fragment overflows edge capacity");
+  for (std::uint64_t i = 0; i < nedges; ++i) {
+    rt::Word dst_w = 0;
+    std::uint32_t weight = 0;
+    if (!(in >> dst_w >> weight)) fail("truncated fragment record");
+    b.edges.push_back({rt::GlobalAddress::unpack(dst_w), weight});
+  }
+
+  expect_tag(in, "ghosts");
+  std::uint64_t nghosts = 0;
+  in >> nghosts;
+  if (nghosts != h.ghost_fanout) fail("ghost fan-out mismatch");
+  for (std::uint64_t i = 0; i < nghosts; ++i) {
+    std::string state;
+    in >> state;
+    if (state == "R") {
+      rt::Word addr_w = 0;
+      in >> addr_w;
+      b.ghosts.push_back(rt::FutureAddr::ready(rt::GlobalAddress::unpack(addr_w)));
+    } else if (state == "E") {
+      b.ghosts.emplace_back();
+    } else {
+      fail("bad ghost state '" + state + "'");
+    }
+  }
+  expect_tag(in, "end");
+  if (!in) fail("truncated fragment record");
+  return b;
+}
+
+/// The one RPVO chain walk. Visits a vertex's fragments breadth-first: its
+/// rhizome roots in table order, then every ready, non-null ghost link,
+/// level by level (ghost fan-out > 1 makes the RPVO a small tree).
+/// `at(addr)` returns the VertexFragment or FragmentBlock at `addr`, or
+/// nullptr to skip it; `visit(addr, frag)` sees every fragment reached.
+template <typename At, typename Visit>
+void walk_chain(std::span<const rt::GlobalAddress> roots, At&& at, Visit&& visit) {
+  std::vector<rt::GlobalAddress> frontier(roots.begin(), roots.end());
+  while (!frontier.empty()) {
+    std::vector<rt::GlobalAddress> next;
+    for (const auto addr : frontier) {
+      const auto* frag = at(addr);
+      if (frag == nullptr) continue;
+      visit(addr, *frag);
+      for (const auto& g : frag->ghosts) {
+        if (g.is_ready() && !g.value().is_null()) next.push_back(g.value());
+      }
+    }
+    frontier = std::move(next);
+  }
+}
+
+/// The one digest builder; adjacency follows walk_chain's order, which is
+/// neighbors()'s.
+template <typename At>
+SnapshotDigest build_digest(
+    std::uint64_t num_vertices, std::uint32_t rhizomes,
+    std::span<const rt::GlobalAddress> roots,
+    const std::unordered_map<rt::GlobalAddress, std::uint64_t>& root_to_vid,
+    At&& at) {
+  SnapshotDigest d;
+  d.num_vertices = num_vertices;
+  d.rhizomes = rhizomes;
+  d.adjacency.resize(num_vertices);
+  d.app_words.resize(num_vertices);
+  for (std::uint64_t vid = 0; vid < num_vertices; ++vid) {
+    auto& arcs = d.adjacency[vid];
+    bool first = true;
+    walk_chain(roots.subspan(vid * rhizomes, rhizomes), at,
+               [&](rt::GlobalAddress, const auto& f) {
+                 if (f.vid != vid) fail("chain link crosses vertices");
+                 if (first) {
+                   if (!f.is_root) fail("roots table points at a non-root");
+                   d.app_words[vid] = f.app;  // primary root carries the result words
+                   first = false;
+                 }
+                 for (const EdgeRecord& e : f.edges) {
+                   const auto it = root_to_vid.find(e.dst);
+                   if (it != root_to_vid.end()) arcs.push_back({it->second, e.weight});
+                 }
+               });
+    d.num_edges += arcs.size();
+  }
+  return d;
+}
+
+}  // namespace
+
+void StreamingGraph::save_snapshot(std::ostream& out) const {
+  require_quiescent(chip_);
+  sim::Chip& chip = const_cast<sim::Chip&>(chip_);
   const auto& mesh = chip.geometry();
   const auto& rpvo = proto_.rpvo_config();
 
@@ -106,6 +280,22 @@ void StreamingGraph::save_snapshot(std::ostream& out) const {
   }
 }
 
+std::vector<rt::GlobalAddress> StreamingGraph::fragments_of(std::uint64_t vid) const {
+  sim::Chip& chip = const_cast<sim::Chip&>(chip_);
+  std::vector<rt::GlobalAddress> chain;
+  walk_chain(
+      rhizome_roots(vid), [&](rt::GlobalAddress a) { return chip.as<VertexFragment>(a); },
+      [&](rt::GlobalAddress a, const VertexFragment&) { chain.push_back(a); });
+  return chain;
+}
+
+SnapshotDigest StreamingGraph::digest() const {
+  require_quiescent(chip_);
+  sim::Chip& chip = const_cast<sim::Chip&>(chip_);
+  return build_digest(cfg_.num_vertices, rhizomes_, roots_, root_to_vid_,
+                      [&](rt::GlobalAddress a) { return chip.as<VertexFragment>(a); });
+}
+
 StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg,
                                RestoreTag)
     : proto_(protocol),
@@ -116,135 +306,41 @@ StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg,
 std::unique_ptr<StreamingGraph> StreamingGraph::load_snapshot(
     GraphProtocol& protocol, std::istream& in) {
   sim::Chip& chip = protocol.chip();
+  const RpvoConfig& rpvo = protocol.rpvo_config();
 
-  expect_tag(in, kMagic);
-  std::string version;
-  if (!(in >> version) || (version != kVersion && version != kVersionLegacy)) {
-    fail("unsupported snapshot version '" + version + "'");
+  Header h = read_header(in);
+  if (h.width != chip.geometry().width() || h.height != chip.geometry().height()) {
+    fail("chip geometry mismatch: snapshot is " + std::to_string(h.width) + "x" +
+         std::to_string(h.height));
   }
-  const bool legacy_v1 = version == kVersionLegacy;
-  expect_tag(in, "chip");
-  std::uint32_t width = 0, height = 0;
-  in >> width >> height;
-  if (width != chip.geometry().width() || height != chip.geometry().height()) {
-    fail("chip geometry mismatch: snapshot is " + std::to_string(width) + "x" +
-         std::to_string(height));
-  }
-  expect_tag(in, "rpvo");
-  std::uint32_t edge_capacity = 0, ghost_fanout = 0;
-  in >> edge_capacity >> ghost_fanout;
-  if (edge_capacity != protocol.rpvo_config().edge_capacity ||
-      ghost_fanout != protocol.rpvo_config().ghost_fanout) {
+  if (h.edge_capacity != rpvo.edge_capacity || h.ghost_fanout != rpvo.ghost_fanout) {
     fail("RPVO configuration mismatch");
   }
-  expect_tag(in, "graph");
-  GraphConfig gc;
-  std::uint64_t src_rr = 0, dst_rr = 0;
-  in >> gc.num_vertices >> gc.rhizomes >> src_rr >> dst_rr;
-  if (!in) fail("truncated header");
 
-  auto g = std::unique_ptr<StreamingGraph>(
-      new StreamingGraph(protocol, gc, RestoreTag{}));
-  g->src_rr_ = src_rr;
-  g->dst_rr_ = dst_rr;
+  auto g = std::unique_ptr<StreamingGraph>(new StreamingGraph(
+      protocol, {.num_vertices = h.num_vertices, .rhizomes = h.rhizomes}, RestoreTag{}));
+  g->src_rr_ = h.src_rr;
+  g->dst_rr_ = h.dst_rr;
+  g->roots_ = std::move(h.roots);
+  g->root_to_vid_ = std::move(h.root_to_vid);
 
-  expect_tag(in, "roots");
-  std::size_t nroots = 0;
-  in >> nroots;
-  if (nroots != gc.num_vertices * g->rhizomes_) fail("roots table size mismatch");
-  g->roots_.reserve(nroots);
-  for (std::size_t i = 0; i < nroots; ++i) {
-    rt::Word w = 0;
-    in >> w;
-    g->roots_.push_back(rt::GlobalAddress::unpack(w));
-    g->root_to_vid_.emplace(g->roots_.back(), i / g->rhizomes_);
-  }
-  if (!in) fail("truncated roots table");
+  while (auto b = read_block(in, h)) {
+    auto frag = std::make_unique<VertexFragment>(b->vid, b->is_root, rpvo, b->app);
+    frag->root = b->root;
+    frag->rhizome_next = b->rhizome_next;
+    frag->inserts_seen = b->inserts_seen;
+    frag->deletes_seen = b->deletes_seen;
+    frag->edges.assign(b->edges.begin(), b->edges.end());  // keeps the reserve
+    frag->ghosts = std::move(b->ghosts);
 
-  const RpvoConfig& rpvo = protocol.rpvo_config();
-  std::string tag;
-  while (in >> tag) {
-    if (tag != "frag") fail("expected 'frag', got '" + tag + "'");
-    std::uint32_t cc = 0, slot = 0;
-    std::uint64_t vid = 0;
-    int is_root = 0;
-    rt::Word root_w = 0, rhz_w = 0;
-    std::uint64_t inserts_seen = 0;
-    std::uint64_t deletes_seen = 0;
-    in >> cc >> slot >> vid >> is_root >> root_w >> rhz_w >> inserts_seen;
-    if (!legacy_v1) in >> deletes_seen;
-
-    AppState app{};
-    expect_tag(in, "app");
-    for (auto& w : app) in >> w;
-
-    auto frag = std::make_unique<VertexFragment>(vid, is_root != 0, rpvo, app);
-    frag->root = rt::GlobalAddress::unpack(root_w);
-    frag->rhizome_next = rt::GlobalAddress::unpack(rhz_w);
-    frag->inserts_seen = inserts_seen;
-    frag->deletes_seen = deletes_seen;
-
-    expect_tag(in, "edges");
-    std::size_t nedges = 0;
-    in >> nedges;
-    if (nedges > rpvo.edge_capacity) fail("fragment overflows edge capacity");
-    for (std::size_t i = 0; i < nedges; ++i) {
-      rt::Word dst_w = 0;
-      std::uint32_t weight = 0;
-      in >> dst_w >> weight;
-      frag->edges.push_back({rt::GlobalAddress::unpack(dst_w), weight});
-    }
-
-    expect_tag(in, "ghosts");
-    std::size_t nghosts = 0;
-    in >> nghosts;
-    if (nghosts != frag->ghosts.size()) fail("ghost fan-out mismatch");
-    for (std::size_t i = 0; i < nghosts; ++i) {
-      std::string state;
-      in >> state;
-      if (state == "R") {
-        rt::Word addr_w = 0;
-        in >> addr_w;
-        frag->ghosts[i].set_pending();
-        // Restore to ready without scheduling anything: drain into a void.
-        struct NullCtx final : rt::Context {
-          explicit NullCtx(const rt::MeshGeometry& m) : mesh(m) {}
-          [[nodiscard]] std::uint32_t cc() const override { return 0; }
-          [[nodiscard]] const rt::MeshGeometry& geometry() const override {
-            return mesh;
-          }
-          void propagate(const rt::Action&) override {}
-          void schedule_local(const rt::Action&) override {}
-          void charge(std::uint32_t) override {}
-          [[nodiscard]] rt::ArenaObject* deref(rt::GlobalAddress) override {
-            return nullptr;
-          }
-          std::optional<rt::GlobalAddress> allocate_local(rt::ObjectKind) override {
-            return std::nullopt;
-          }
-          void call_cc_allocate(rt::ObjectKind, rt::GlobalAddress, rt::HandlerId,
-                                rt::Word) override {}
-          [[nodiscard]] rt::Xoshiro256& rng() override { return rng_; }
-          const rt::MeshGeometry& mesh;
-          rt::Xoshiro256 rng_{0};
-        } null_ctx(chip.geometry());
-        frag->ghosts[i].fulfil(rt::GlobalAddress::unpack(addr_w), null_ctx);
-      } else if (state != "E") {
-        fail("bad ghost state '" + state + "'");
-      }
-    }
-    expect_tag(in, "end");
-    if (!in) fail("truncated fragment record");
-
-    const bool root_flag = is_root != 0;
-    const auto addr = chip.host_allocate(cc, std::move(frag));
-    if (!addr || addr->slot != slot) {
-      fail("fragment placement diverged (cell " + std::to_string(cc) +
+    const auto addr = chip.host_allocate(b->cc, std::move(frag));
+    if (!addr || addr->slot != b->slot) {
+      fail("fragment placement diverged (cell " + std::to_string(b->cc) +
            "): restore requires a fresh chip");
     }
-    if (root_flag) {
+    if (b->is_root) {
       const auto it = g->root_to_vid_.find(*addr);
-      if (it == g->root_to_vid_.end() || it->second != vid) {
+      if (it == g->root_to_vid_.end() || it->second != b->vid) {
         fail("root fragment not present in the roots table");
       }
     }
@@ -258,130 +354,24 @@ std::unique_ptr<StreamingGraph> StreamingGraph::load_snapshot(
 }
 
 SnapshotDigest parse_snapshot_digest(std::istream& in) {
-  expect_tag(in, kMagic);
-  std::string version;
-  if (!(in >> version) || (version != kVersion && version != kVersionLegacy)) {
-    fail("unsupported snapshot version '" + version + "'");
-  }
-  const bool legacy_v1 = version == kVersionLegacy;
-  expect_tag(in, "chip");
-  std::uint32_t width = 0, height = 0;
-  in >> width >> height;
-  expect_tag(in, "rpvo");
-  std::uint32_t edge_capacity = 0, ghost_fanout = 0;
-  in >> edge_capacity >> ghost_fanout;
-  expect_tag(in, "graph");
-  SnapshotDigest d;
-  std::uint64_t src_rr = 0, dst_rr = 0;
-  in >> d.num_vertices >> d.rhizomes >> src_rr >> dst_rr;
-  if (!in) fail("truncated header");
-  if (d.rhizomes == 0) fail("zero rhizome count");
-
-  expect_tag(in, "roots");
-  std::size_t nroots = 0;
-  in >> nroots;
-  if (nroots != d.num_vertices * d.rhizomes) fail("roots table size mismatch");
-  std::vector<rt::GlobalAddress> roots;
-  roots.reserve(nroots);
-  std::unordered_map<rt::GlobalAddress, std::uint64_t> root_to_vid;
-  for (std::size_t i = 0; i < nroots; ++i) {
-    rt::Word w = 0;
-    in >> w;
-    roots.push_back(rt::GlobalAddress::unpack(w));
-    root_to_vid.emplace(roots.back(), i / d.rhizomes);
-  }
-  if (!in) fail("truncated roots table");
-
-  // Pass 1: every fragment block, keyed by its chip address so the chain
-  // walk below can follow ghost links without a chip to dereference.
-  struct DigestFrag {
-    std::vector<SnapshotDigest::Arc> arcs;
-    std::vector<rt::GlobalAddress> ghost_links;
-    AppState app{};
-    std::uint64_t vid = 0;
-    bool is_root = false;
-  };
-  std::unordered_map<rt::GlobalAddress, DigestFrag> frags;
-  std::string tag;
-  while (in >> tag) {
-    if (tag != "frag") fail("expected 'frag', got '" + tag + "'");
-    std::uint32_t cc = 0, slot = 0;
-    int is_root = 0;
-    rt::Word root_w = 0, rhz_w = 0;
-    std::uint64_t inserts_seen = 0, deletes_seen = 0;
-    DigestFrag f;
-    in >> cc >> slot >> f.vid >> is_root >> root_w >> rhz_w >> inserts_seen;
-    if (!legacy_v1) in >> deletes_seen;
-    f.is_root = is_root != 0;
-
-    expect_tag(in, "app");
-    for (auto& w : f.app) in >> w;
-
-    expect_tag(in, "edges");
-    std::size_t nedges = 0;
-    in >> nedges;
-    if (nedges > edge_capacity) fail("fragment overflows edge capacity");
-    for (std::size_t i = 0; i < nedges; ++i) {
-      rt::Word dst_w = 0;
-      std::uint32_t weight = 0;
-      in >> dst_w >> weight;
-      const auto it = root_to_vid.find(rt::GlobalAddress::unpack(dst_w));
-      if (it == root_to_vid.end()) fail("edge record targets a non-root");
-      f.arcs.push_back({it->second, weight});
+  const Header h = read_header(in);
+  std::unordered_map<rt::GlobalAddress, FragmentBlock> blocks;
+  while (auto b = read_block(in, h)) {
+    for (const EdgeRecord& e : b->edges) {
+      if (!h.root_to_vid.contains(e.dst)) fail("edge record targets a non-root");
     }
-
-    expect_tag(in, "ghosts");
-    std::size_t nghosts = 0;
-    in >> nghosts;
-    if (nghosts != ghost_fanout) fail("ghost fan-out mismatch");
-    for (std::size_t i = 0; i < nghosts; ++i) {
-      std::string state;
-      in >> state;
-      if (state == "R") {
-        rt::Word addr_w = 0;
-        in >> addr_w;
-        const auto link = rt::GlobalAddress::unpack(addr_w);
-        if (!link.is_null()) f.ghost_links.push_back(link);
-      } else if (state != "E") {
-        fail("bad ghost state '" + state + "'");
-      }
-    }
-    expect_tag(in, "end");
-    if (!in) fail("truncated fragment record");
-    frags.emplace(rt::GlobalAddress{cc, slot}, std::move(f));
+    const rt::GlobalAddress addr{b->cc, b->slot};
+    blocks.emplace(addr, std::move(*b));
   }
-
-  // Pass 2: per vertex, the same breadth-first rhizome/ghost chain walk as
-  // StreamingGraph::fragments_of, so digest adjacency order matches
-  // neighbors() exactly.
-  d.adjacency.resize(d.num_vertices);
-  d.app_words.resize(d.num_vertices);
-  for (std::uint64_t vid = 0; vid < d.num_vertices; ++vid) {
-    std::vector<rt::GlobalAddress> frontier(
-        roots.begin() + static_cast<std::ptrdiff_t>(vid * d.rhizomes),
-        roots.begin() + static_cast<std::ptrdiff_t>((vid + 1) * d.rhizomes));
-    bool first = true;
-    while (!frontier.empty()) {
-      std::vector<rt::GlobalAddress> next;
-      for (const auto addr : frontier) {
-        const auto it = frags.find(addr);
-        if (it == frags.end()) fail("chain link points at a missing fragment");
-        const DigestFrag& f = it->second;
-        if (f.vid != vid) fail("chain link crosses vertices");
-        if (first) {
-          if (!f.is_root) fail("roots table points at a non-root");
-          d.app_words[vid] = f.app;  // primary root carries the result words
-          first = false;
-        }
-        d.adjacency[vid].insert(d.adjacency[vid].end(), f.arcs.begin(),
-                                f.arcs.end());
-        d.num_edges += f.arcs.size();
-        next.insert(next.end(), f.ghost_links.begin(), f.ghost_links.end());
-      }
-      frontier = std::move(next);
-    }
-  }
-  return d;
+  // Every fragment is on exactly one chain, so a second visit is a corrupt
+  // link (and, unchecked, a cycle the walk would never leave).
+  std::unordered_set<rt::GlobalAddress> seen;
+  return build_digest(h.num_vertices, h.rhizomes, h.roots, h.root_to_vid, [&](auto a) {
+    const auto it = blocks.find(a);
+    if (it == blocks.end()) fail("chain link to a missing fragment");
+    if (!seen.insert(a).second) fail("chain link revisits a fragment");
+    return &it->second;
+  });
 }
 
 }  // namespace ccastream::graph

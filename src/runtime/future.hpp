@@ -57,6 +57,14 @@ class FutureAddr {
   /// ready (double fulfilment is a protocol fault the caller can surface).
   int fulfil(GlobalAddress value, Context& ctx);
 
+  /// A ready future holding `value`, as a checkpoint restores it.
+  [[nodiscard]] static FutureAddr ready(GlobalAddress value) noexcept {
+    FutureAddr f;
+    f.state_ = State::kReady;
+    f.value_ = value;
+    return f;
+  }
+
   /// Number of tasks currently waiting on the value.
   [[nodiscard]] std::size_t pending_tasks() const noexcept { return waiters_.size(); }
 

@@ -5,13 +5,13 @@
 //     with the service mutex RELEASED, so producers and readers never wait
 //     on simulated work.
 //   - One mutex guards the batch queue, the published SnapshotView
-//     pointer, the stats/report blocks, and the pause/stop/failure flags.
-//     Everything under it is O(1) bookkeeping.
+//     pointer, the stats/report blocks, the lifecycle state and the
+//     failure. Everything under it is O(1) bookkeeping.
 //   - Readers copy the shared_ptr under the mutex and compute on their own
 //     thread against the immutable view.
 //
 // An exception escaping the engine (DeletionRhizomeError, out-of-range
-// endpoint ids, snapshot failures) is captured as the service's terminal
+// endpoint ids, digest failures) is captured as the service's terminal
 // failure: the engine parks, and every subsequent submit()/flush()
 // rethrows it on the caller's thread.
 #include "svc/stream_service.hpp"
@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <deque>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -91,6 +90,11 @@ base::RefGraph SnapshotView::ref_graph() const {
 }
 
 struct StreamService::State {
+  /// running <-> paused by pause()/resume(); stop() moves either to
+  /// stopping (the engine drains the queue), then to stopped once joined.
+  /// A pause() after stop() began is a no-op: it cannot park the engine.
+  enum class Lifecycle : std::uint8_t { kRunning, kPaused, kStopping, kStopped };
+
   mutable std::mutex m;
   std::condition_variable cv_engine;  ///< Wakes the engine: work / stop.
   std::condition_variable cv_client;  ///< Wakes producers/flushers.
@@ -98,15 +102,16 @@ struct StreamService::State {
   std::shared_ptr<const SnapshotView> view;
   ServiceStats stats;
   std::vector<BatchReport> reports;
-  std::exception_ptr failure;
-  bool engine_busy = false;
-  bool paused = false;
-  bool stop_requested = false;
-  bool stopped = false;
+  Lifecycle lifecycle = Lifecycle::kRunning;
+  std::exception_ptr failure;  ///< Terminal engine failure; parks the engine.
   std::thread engine;
 
   void rethrow_failure_locked() const {
     if (failure) std::rethrow_exception(failure);
+  }
+  /// Every accepted batch has executed and latched (or the engine failed).
+  [[nodiscard]] bool drained_locked() const {
+    return failure || stats.batches_executed == stats.batches_submitted;
   }
 };
 
@@ -127,11 +132,7 @@ StreamService::~StreamService() { stop(); }
 void StreamService::latch_snapshot_locked(std::uint64_t seq) {
   // Caller guarantees exclusive graph access (constructor, or the engine
   // thread between increments). Only the publish itself needs the mutex.
-  std::ostringstream text;
-  graph_.save_snapshot(text);
-  std::istringstream parse(text.str());
-  auto view = std::make_shared<const SnapshotView>(
-      graph::parse_snapshot_digest(parse), seq);
+  auto view = std::make_shared<const SnapshotView>(graph_.digest(), seq);
   const std::lock_guard<std::mutex> lock(st_->m);
   st_->view = std::move(view);
 }
@@ -142,15 +143,16 @@ void StreamService::engine_loop() {
     std::uint64_t seq = 0;
     {
       std::unique_lock<std::mutex> lock(st_->m);
+      // Running pops queued work; stopping drains what is left, then exits.
+      // Paused, or failed, pops nothing.
       st_->cv_engine.wait(lock, [&] {
-        return st_->stop_requested ||
-               (!st_->queue.empty() && !st_->paused && !st_->failure);
+        return st_->lifecycle == State::Lifecycle::kStopping ||
+               (st_->lifecycle == State::Lifecycle::kRunning &&
+                !st_->queue.empty() && !st_->failure);
       });
-      if (st_->stop_requested && (st_->queue.empty() || st_->failure)) return;
-      if (st_->queue.empty() || st_->paused || st_->failure) continue;
+      if (st_->queue.empty() || st_->failure) return;  // stopping: drained or failed
       batch = std::move(st_->queue.front());
       st_->queue.pop_front();
-      st_->engine_busy = true;
       seq = st_->stats.batches_executed + 1;
     }
 
@@ -164,11 +166,9 @@ void StreamService::engine_loop() {
       ++st_->stats.snapshots_latched;
       st_->reports.push_back({seq, rep.edges, rep.deletes, rep.cycles,
                               rep.energy_uj});
-      st_->engine_busy = false;
     } catch (...) {
       const std::lock_guard<std::mutex> lock(st_->m);
       st_->failure = std::current_exception();
-      st_->engine_busy = false;
     }
     st_->cv_client.notify_all();
   }
@@ -176,7 +176,8 @@ void StreamService::engine_loop() {
 
 bool StreamService::submit(std::vector<StreamEdge> batch) {
   std::unique_lock<std::mutex> lock(st_->m);
-  if (st_->stopped || st_->stop_requested) {
+  if (st_->lifecycle == State::Lifecycle::kStopping ||
+      st_->lifecycle == State::Lifecycle::kStopped) {
     throw std::logic_error("StreamService: submit after stop");
   }
   st_->rethrow_failure_locked();
@@ -196,9 +197,7 @@ bool StreamService::submit(std::vector<StreamEdge> batch) {
     case QueuePolicy::kFlush:
       if (st_->queue.size() >= cfg_.queue.capacity) {
         ++st_->stats.flush_waits;
-        st_->cv_client.wait(lock, [&] {
-          return st_->failure || (st_->queue.empty() && !st_->engine_busy);
-        });
+        st_->cv_client.wait(lock, [&] { return st_->drained_locked(); });
         st_->rethrow_failure_locked();
       }
       break;
@@ -211,36 +210,36 @@ bool StreamService::submit(std::vector<StreamEdge> batch) {
 
 void StreamService::flush() {
   std::unique_lock<std::mutex> lock(st_->m);
-  st_->cv_client.wait(lock, [&] {
-    return st_->failure || (st_->queue.empty() && !st_->engine_busy);
-  });
+  st_->cv_client.wait(lock, [&] { return st_->drained_locked(); });
   st_->rethrow_failure_locked();
 }
 
 void StreamService::stop() {
   {
     std::unique_lock<std::mutex> lock(st_->m);
-    if (st_->stopped) return;
+    if (st_->lifecycle == State::Lifecycle::kStopped) return;
     // Let the engine drain what was accepted (unless it already failed —
     // then the leftover queue is abandoned).
-    st_->paused = false;
-    st_->stop_requested = true;
+    st_->lifecycle = State::Lifecycle::kStopping;
     st_->cv_engine.notify_all();
   }
   if (st_->engine.joinable()) st_->engine.join();
   const std::lock_guard<std::mutex> lock(st_->m);
-  st_->stopped = true;
+  st_->lifecycle = State::Lifecycle::kStopped;
   st_->cv_client.notify_all();
 }
 
 void StreamService::pause() {
   const std::lock_guard<std::mutex> lock(st_->m);
-  st_->paused = true;
+  if (st_->lifecycle == State::Lifecycle::kRunning) {
+    st_->lifecycle = State::Lifecycle::kPaused;
+  }
 }
 
 void StreamService::resume() {
   const std::lock_guard<std::mutex> lock(st_->m);
-  st_->paused = false;
+  if (st_->lifecycle != State::Lifecycle::kPaused) return;
+  st_->lifecycle = State::Lifecycle::kRunning;
   st_->cv_engine.notify_all();
 }
 
@@ -280,6 +279,9 @@ QueryResult StreamService::query(const QueryRequest& req) const {
       break;
     }
     case QueryKind::kAppWord: {
+      if (req.app_word >= graph::kAppWords) {
+        throw std::out_of_range("query app_word out of range");
+      }
       res.values.reserve(n);
       for (std::uint64_t v = 0; v < n; ++v) {
         res.values.push_back(view->app_word(v, req.app_word));

@@ -9,8 +9,8 @@
 //                           block / drop / flush        │ StreamingGraph::
 //                           backpressure policy         │ stream_increment
 //                                                       ▼
-//   readers  ◄──query()──── latched SnapshotView ◄── latch (save_snapshot
-//                           (immutable, shared_ptr)     → SnapshotDigest)
+//   readers  ◄──query()──── latched SnapshotView ◄── latch (StreamingGraph::
+//                           (immutable, shared_ptr)     digest())
 //
 // The engine thread is the ONLY thread that ever touches the
 // StreamingGraph/chip after start; everything the query front-end reads is
@@ -103,10 +103,11 @@ struct BatchReport {
 };
 
 /// An immutable graph view latched between increments: the logical
-/// adjacency plus the installed app's result words, parsed from the
-/// snapshot layer (graph/snapshot.cpp text format) at a quiescent point.
-/// seq() says how many batches the view reflects. Thread-safe by
-/// construction — nothing mutates after the constructor.
+/// adjacency plus the installed app's result words, as the
+/// graph::SnapshotDigest that StreamingGraph::digest() builds from the
+/// fragments at a quiescent point. seq() says how many batches the view
+/// reflects. Thread-safe by construction — nothing mutates after the
+/// constructor.
 class SnapshotView {
  public:
   SnapshotView(graph::SnapshotDigest digest, std::uint64_t seq)
@@ -199,6 +200,8 @@ class StreamService {
   /// Maintenance valve, also the deterministic handle the backpressure
   /// tests use: the engine finishes its current batch and parks; the
   /// queue keeps accepting per its policy. resume() restarts draining.
+  /// Both only move between running and paused: once stop() has begun
+  /// they are no-ops, and stop() drains a paused queue.
   void pause();
   void resume();
 
@@ -209,7 +212,9 @@ class StreamService {
 
   /// Answers a read query from the newest latched view ON THE CALLER'S
   /// THREAD — the engine is never involved, so queries run concurrently
-  /// with the next increment's execution.
+  /// with the next increment's execution. Throws std::out_of_range for a
+  /// kBfs/kSssp `source` outside the graph or a kAppWord `app_word` >=
+  /// graph::kAppWords.
   [[nodiscard]] QueryResult query(const QueryRequest& req) const;
 
   // --- Introspection -------------------------------------------------------

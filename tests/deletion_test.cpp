@@ -192,26 +192,13 @@ TEST(Deletion, LegacyV1SnapshotLoadsWithZeroDeletesSeen) {
 
   std::stringstream snap;
   f.g->save_snapshot(snap);
-  // Re-create the pre-deletion format: v1 header, no deletes_seen column
-  // on the frag lines (it is the last field in v2).
-  std::istringstream v2(snap.str());
-  std::ostringstream v1;
-  std::string line;
-  while (std::getline(v2, line)) {
-    if (line.rfind("ccastream-snapshot", 0) == 0) {
-      line = "ccastream-snapshot v1";
-    } else if (line.rfind("frag ", 0) == 0) {
-      line = line.substr(0, line.rfind(' '));
-    }
-    v1 << line << '\n';
-  }
 
   Fixture fresh(4, 8, cfg);
   fresh.chip = std::make_unique<sim::Chip>(cfg);
   RpvoConfig rc;
   rc.edge_capacity = 4;
   fresh.proto = std::make_unique<GraphProtocol>(*fresh.chip, rc);
-  std::istringstream in(v1.str());
+  std::istringstream in(test::to_v1_snapshot(snap.str()));
   auto restored = StreamingGraph::load_snapshot(*fresh.proto, in);
   EXPECT_EQ(restored->stored_degree(0), 1u);
   const auto* root = fresh.chip->as<VertexFragment>(restored->root_of(0));

@@ -5,45 +5,19 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "harness.hpp"
+#include "test_util.hpp"
 
 namespace bench = ccastream::bench;
 
 namespace {
 
-// RAII environment override so a failing assertion can't leak state into
-// the other tests in this binary.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_value_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
+using ccastream::test::ScopedEnv;
 
 TEST(ScaleFromEnv, DefaultsToPaperWhenUnset) {
   const ScopedEnv env("CCASTREAM_SCALE", nullptr);

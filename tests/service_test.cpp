@@ -1,7 +1,7 @@
 // Service-level pinning of svc::StreamService — the ISSUE's streaming
 // service mode. Covered here:
 //   - ingest/drain lifecycle (initial latch, per-batch reports, stop
-//     semantics, misuse after stop)
+//     semantics incl. a pause() racing stop(), misuse after stop)
 //   - service-batched increments land on the exact one-shot results
 //     (cycles, counters, energy, per-vertex fixed points)
 //   - queries answer from the latched snapshot: never a torn mid-increment
@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -190,6 +192,32 @@ TEST(StreamService, StopDrainsAcceptedBatchesWithoutFlush) {
   EXPECT_EQ(got, oracle_after(incs, incs.size()));
 }
 
+TEST(StreamService, PauseWhileStopDrainsCannotParkTheEngine) {
+  // stop() drains every accepted batch; a pause() that lands while it
+  // drains must not park the engine stop() is waiting to join. The
+  // scenario runs in a child process under a watchdog, so a hang fails in
+  // bounded time instead of stalling the suite.
+  const auto incs = make_increments(40);
+  EXPECT_EXIT(
+      {
+        std::thread watchdog([] {
+          std::this_thread::sleep_for(std::chrono::seconds(30));
+          std::_Exit(2);
+        });
+        Rig rig;
+        StreamService s(*rig.g, {QueueSpec{QueuePolicy::kBlock, incs.size()}});
+        s.pause();  // queue every batch before the engine runs one
+        for (const auto& inc : incs) s.submit(inc);
+        std::thread stopper([&] { s.stop(); });
+        while (s.stats().batches_executed == 0) std::this_thread::yield();
+        s.pause();  // stop() has begun draining: this must be a no-op
+        stopper.join();
+        // _Exit skips every destructor, the joinable watchdog's included.
+        std::_Exit(s.stats().batches_executed == incs.size() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
 TEST(StreamService, RejectsZeroCapacity) {
   Rig rig;
   EXPECT_THROW(StreamService(*rig.g, {QueueSpec{QueuePolicy::kBlock, 0}}),
@@ -277,7 +305,11 @@ TEST(StreamService, AlgorithmicQueriesMatchOracles) {
   req.source = kVertices;  // out of range
   EXPECT_THROW((void)s.query(req), std::out_of_range);
 
-  EXPECT_EQ(s.stats().queries_answered, 4u);  // the throwing one answered nothing
+  req.kind = svc::QueryKind::kAppWord;
+  req.app_word = graph::kAppWords;  // out of range
+  EXPECT_THROW((void)s.query(req), std::out_of_range);
+
+  EXPECT_EQ(s.stats().queries_answered, 4u);  // the throwing ones answered nothing
   s.stop();
 }
 

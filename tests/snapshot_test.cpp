@@ -1,9 +1,14 @@
 // Checkpoint/restore: a restored graph is observationally identical and
-// continues streaming exactly like the uninterrupted original.
+// continues streaming exactly like the uninterrupted original. The digest:
+// StreamingGraph::digest() of the live fragments equals
+// parse_snapshot_digest of the saved text, and both text readers reject
+// malformed input.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
@@ -15,10 +20,11 @@ using test::small_chip_config;
 
 struct Rig {  // NOLINT(readability-identifier-naming)
   explicit Rig(std::uint64_t nverts, std::uint32_t rhizomes = 1,
-                 std::uint32_t edge_capacity = 3) {
+                 std::uint32_t edge_capacity = 3, std::uint32_t ghost_fanout = 1) {
     chip = std::make_unique<sim::Chip>(small_chip_config());
     RpvoConfig rc;
     rc.edge_capacity = edge_capacity;
+    rc.ghost_fanout = ghost_fanout;
     proto = std::make_unique<GraphProtocol>(*chip, rc);
     bfs = std::make_unique<apps::StreamingBfs>(*proto);
     bfs->install();
@@ -127,6 +133,7 @@ TEST(Snapshot, RefusesNonQuiescentChip) {
   a.g->enqueue_edge({0, 1, 1});  // work queued, not run
   std::stringstream snap;
   EXPECT_THROW(a.g->save_snapshot(snap), std::logic_error);
+  EXPECT_THROW((void)a.g->digest(), std::logic_error);
 }
 
 TEST(Snapshot, RejectsGeometryMismatch) {
@@ -171,6 +178,141 @@ TEST(Snapshot, RestoreIntoUsedChipFails) {
   b.g->stream_increment(random_edges(8, 10, 17));
   EXPECT_THROW(StreamingGraph::load_snapshot(*b.proto, snap),
                std::runtime_error);
+}
+
+// --- The digest: one builder, one text reader ---------------------------------
+
+std::string save(const StreamingGraph& g) {
+  std::ostringstream out;
+  g.save_snapshot(out);
+  return out.str();
+}
+
+SnapshotDigest parse(const std::string& text) {
+  std::istringstream in(text);
+  return parse_snapshot_digest(in);
+}
+
+TEST(SnapshotDigest, LiveDigestEqualsParsedTextAfterEveryIncrement) {
+  const std::uint64_t n = 40;
+  for (const std::uint32_t rhizomes : {1u, 3u}) {
+    for (const std::uint32_t fanout : {1u, 2u}) {
+      SCOPED_TRACE("rhizomes " + std::to_string(rhizomes) + ", ghost fan-out " +
+                   std::to_string(fanout));
+      auto sched = wl::make_graphchallenge_like(n, 400, wl::SamplingKind::kEdge,
+                                                /*increments=*/6, /*seed=*/21);
+      // Deletes need rhizomes == 1, so only those legs slide a window.
+      if (rhizomes == 1) sched = wl::apply_sliding_window(sched, 2, /*drain=*/true);
+      Rig a(n, rhizomes, /*edge_capacity=*/2, fanout);
+      a.bfs->set_source(*a.g, 0);
+
+      std::uint64_t deletes = 0;
+      for (std::size_t k = 0; k <= sched.increments.size(); ++k) {
+        if (k > 0) deletes += a.g->stream_increment(sched.increments[k - 1]).deletes;
+        const std::string text = save(*a.g);
+        const SnapshotDigest live = a.g->digest();
+        EXPECT_EQ(live, parse(text)) << "after increment " << k;
+        EXPECT_EQ(live, parse(test::to_v1_snapshot(text))) << "after increment " << k;
+        for (std::uint64_t v = 0; v < n; ++v) {
+          std::vector<std::pair<std::uint64_t, std::uint32_t>> arcs;
+          for (const auto& arc : live.adjacency[v]) {
+            arcs.emplace_back(arc.dst, arc.weight);
+          }
+          EXPECT_EQ(arcs, a.g->neighbors(v)) << "vertex " << v;
+        }
+      }
+      EXPECT_EQ(deletes > 0, rhizomes == 1);
+    }
+  }
+}
+
+/// A 16-vertex graph at edge capacity 2, so most vertices have ghosts.
+struct MalformedRig {
+  MalformedRig() : a(16, /*rhizomes=*/1, /*edge_capacity=*/2) {
+    a.bfs->set_source(*a.g, 0);
+    a.g->stream_increment(random_edges(16, 80, 18));
+    text = save(*a.g);
+  }
+  /// A vertex's root and first ghost, where the ghost's block comes later
+  /// in the text than the root's.
+  [[nodiscard]] std::pair<rt::GlobalAddress, rt::GlobalAddress> root_then_ghost() const {
+    for (std::uint64_t v = 0; v < 16; ++v) {
+      const auto chain = a.g->fragments_of(v);
+      if (chain.size() >= 2 && block_at(chain[0]) < block_at(chain[1])) {
+        return {chain[0], chain[1]};
+      }
+    }
+    ADD_FAILURE() << "no vertex has a ghost stored after its root";
+    return {};
+  }
+  /// Offset of the fragment block of `addr` in the text.
+  [[nodiscard]] std::size_t block_at(rt::GlobalAddress addr) const {
+    const auto pos = text.find("\nfrag " + std::to_string(addr.cc) + ' ' +
+                               std::to_string(addr.slot) + ' ');
+    EXPECT_NE(pos, std::string::npos);
+    return pos + 1;
+  }
+  Rig a;
+  std::string text;
+};
+
+std::string replace_first(std::string text, const std::string& from,
+                          const std::string& to, std::size_t start = 0) {
+  const auto pos = text.find(from, start);
+  EXPECT_NE(pos, std::string::npos) << "'" << from << "' not in the text";
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  return text;
+}
+
+TEST(SnapshotDigest, BothReadersRejectMalformedText) {
+  const MalformedRig m;
+  const std::string& text = m.text;
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"unknown version", replace_first(text, "snapshot v2", "snapshot v9")},
+      {"roots table size mismatch", replace_first(text, "roots 16 ", "roots 17 ")},
+      {"bad ghost state", replace_first(text, "ghosts 1 E", "ghosts 1 X")},
+      {"ghost fan-out mismatch", replace_first(text, "ghosts 1 ", "ghosts 2 ")},
+      {"edge count over capacity", replace_first(text, "edges 2 ", "edges 3 ")},
+      {"truncated in the graph line", text.substr(0, text.find("graph ") + 8)},
+      {"truncated in the roots table", text.substr(0, text.find("roots ") + 12)},
+      {"truncated in a fragment block", text.substr(0, text.find("\nghosts ") + 1)},
+  };
+  {
+    std::istringstream in(text);
+    Rig b = m.a.clone_empty();
+    ASSERT_NO_THROW((void)StreamingGraph::load_snapshot(*b.proto, in));
+    ASSERT_NO_THROW((void)parse(text));
+  }
+  for (const auto& [what, bad] : cases) {
+    SCOPED_TRACE(what);
+    EXPECT_THROW((void)parse(bad), std::runtime_error);
+    std::istringstream in(bad);
+    Rig b = m.a.clone_empty();
+    EXPECT_THROW((void)StreamingGraph::load_snapshot(*b.proto, in),
+                 std::runtime_error);
+  }
+}
+
+TEST(SnapshotDigest, ParserRejectsBrokenChains) {
+  // load_snapshot restores fragments as the text lays them out and does not
+  // check chain integrity or edge targets; the digest parser does.
+  const MalformedRig m;
+  const auto [root, ghost] = m.root_then_ghost();
+
+  // An edge record pointing at a ghost fragment instead of a root.
+  const auto edges = m.text.find("\nedges 2 ") + std::string("\nedges 2 ").size();
+  std::string to_ghost = m.text;
+  to_ghost.replace(edges, m.text.find(' ', edges) - edges, std::to_string(ghost.pack()));
+  EXPECT_THROW((void)parse(to_ghost), std::runtime_error);
+
+  // Cut after the root's block, before its ghost's: the link dangles.
+  EXPECT_THROW((void)parse(m.text.substr(0, m.block_at(ghost))), std::runtime_error);
+
+  // The root's ghost link points back at the root: a cycle.
+  const std::string to_self =
+      replace_first(m.text, "R " + std::to_string(ghost.pack()),
+                    "R " + std::to_string(root.pack()), m.block_at(root));
+  EXPECT_THROW((void)parse(to_self), std::runtime_error);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,23 @@ inline sim::ChipConfig small_chip_config(std::uint32_t dim = 8) {
   cfg.height = dim;
   cfg.cc_memory_bytes = 1u << 20;
   return cfg;
+}
+
+/// Rewrites a save_snapshot text into the pre-deletion v1 format: v1
+/// header, no deletes_seen column on the frag lines (the last field in v2).
+inline std::string to_v1_snapshot(const std::string& v2_text) {
+  std::istringstream v2(v2_text);
+  std::ostringstream v1;
+  std::string line;
+  while (std::getline(v2, line)) {
+    if (line.rfind("ccastream-snapshot", 0) == 0) {
+      line = "ccastream-snapshot v1";
+    } else if (line.rfind("frag ", 0) == 0) {
+      line = line.substr(0, line.rfind(' '));
+    }
+    v1 << line << '\n';
+  }
+  return v1.str();
 }
 
 /// Builds a RefGraph from streamed edges.
