@@ -24,7 +24,7 @@ int main() {
         sim::RoutingPolicyKind::kWestFirst, sim::RoutingPolicyKind::kOddEven}) {
     auto cfg = bench::paper_chip_config();
     cfg.routing = routing;
-    auto e = bench::make_experiment(cfg, ds.vertices, /*with_bfs=*/true, 0);
+    auto e = bench::make_experiment(cfg, ds.vertices, bench::AppKind::kBfs, 0);
     const auto reports = bench::run_schedule(e, sched);
     if (routing == sim::RoutingPolicyKind::kYX) {
       // Headline record: the paper's YX dimension-ordered routing.

@@ -19,13 +19,13 @@ Experiment make_structured(const sim::ChipConfig& cfg, std::uint64_t verts,
   Experiment e;
   e.chip = std::make_unique<sim::Chip>(cfg);
   e.proto = std::make_unique<graph::GraphProtocol>(*e.chip, rc);
-  e.bfs = std::make_unique<apps::StreamingBfs>(*e.proto);
-  e.bfs->install();
+  e.app = std::make_unique<apps::StreamingBfs>(*e.proto);
+  e.app->install();
   graph::GraphConfig gc;
   gc.num_vertices = verts;
   gc.root_init = apps::StreamingBfs::initial_state();
   e.graph = std::make_unique<graph::StreamingGraph>(*e.proto, gc);
-  e.bfs->set_source(*e.graph, source);
+  e.app->seed(*e.graph, source, 0);
   return e;
 }
 

@@ -82,8 +82,8 @@ Measurement run_once(const Scenario& sc, sim::EngineKind engine) {
   cfg.height = sc.dim;
   cfg.engine = engine;
 
-  auto e = bench::make_experiment(cfg, sc.vertices, /*with_bfs=*/true,
-                                  /*bfs_source=*/0);
+  auto e = bench::make_experiment(cfg, sc.vertices, bench::AppKind::kBfs,
+                                  /*source=*/0);
   const auto t0 = std::chrono::steady_clock::now();
   const auto reports = bench::run_schedule(e, sc.sched);
   const auto t1 = std::chrono::steady_clock::now();

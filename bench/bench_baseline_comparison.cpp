@@ -37,7 +37,7 @@ int main() {
   // Chip run alongside, to report the diffusion's message count per
   // increment (its own "work" metric).
   auto e = bench::make_experiment(bench::paper_chip_config(), ds.vertices,
-                                  /*with_bfs=*/true, 0);
+                                  bench::AppKind::kBfs, 0);
   std::uint64_t resettled_before = 0;
   std::uint64_t chip_cycles = 0;
   double chip_uj = 0.0;

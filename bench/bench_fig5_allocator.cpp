@@ -32,7 +32,7 @@ int main() {
         rt::AllocPolicyKind::kRoundRobin, rt::AllocPolicyKind::kLocal}) {
     auto cfg = bench::paper_chip_config();
     cfg.alloc_policy = policy;
-    auto e = bench::make_experiment(cfg, ds.vertices, /*with_bfs=*/true, 0);
+    auto e = bench::make_experiment(cfg, ds.vertices, bench::AppKind::kBfs, 0);
     const auto reports = bench::run_schedule(e, sched);
     if (policy == rt::AllocPolicyKind::kVicinity) {
       // Headline record: the paper's vicinity configuration.

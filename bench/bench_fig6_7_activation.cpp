@@ -27,7 +27,9 @@ int main() {
 
       auto cfg = bench::paper_chip_config();
       cfg.record_activation = true;
-      auto e = bench::make_experiment(cfg, ds.vertices, with_bfs, source);
+      auto e = bench::make_experiment(
+          cfg, ds.vertices,
+          with_bfs ? bench::AppKind::kBfs : bench::AppKind::kNone, source);
       const auto reports = bench::run_schedule(e, sched);
       if (with_bfs && kind == wl::SamplingKind::kEdge) {
         // Headline record: Fig 7's ingestion+BFS edge-sampled run.

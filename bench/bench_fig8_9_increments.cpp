@@ -34,12 +34,12 @@ int main() {
       std::uint64_t backend_threads = 1;
       {
         auto e = bench::make_experiment(bench::paper_chip_config(), ds.vertices,
-                                        false, source);
+                                        bench::AppKind::kNone, source);
         plain = bench::run_schedule(e, sched);
       }
       {
         auto e = bench::make_experiment(bench::paper_chip_config(), ds.vertices,
-                                        true, source);
+                                        bench::AppKind::kBfs, source);
         with_bfs = bench::run_schedule(e, sched);
         backend_threads = e.chip->threads();
       }

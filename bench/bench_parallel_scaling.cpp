@@ -33,8 +33,8 @@ Measurement run_once(std::uint32_t dim, std::uint32_t threads,
   cfg.height = dim;
   cfg.threads = threads;
 
-  auto e = bench::make_experiment(cfg, vertices, /*with_bfs=*/true,
-                                  /*bfs_source=*/0);
+  auto e = bench::make_experiment(cfg, vertices, bench::AppKind::kBfs,
+                                  /*source=*/0);
   const auto sched = wl::make_graphchallenge_like(
       vertices, edges, wl::SamplingKind::kEdge, /*increments=*/4, /*seed=*/42);
 

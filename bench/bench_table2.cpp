@@ -37,7 +37,9 @@ int main() {
       std::uint64_t backend_threads = 1;
       for (const bool with_bfs : {false, true}) {
         auto e = bench::make_experiment(bench::paper_chip_config(), ds.vertices,
-                                        with_bfs, source);
+                                        with_bfs ? bench::AppKind::kBfs
+                                                 : bench::AppKind::kNone,
+                                        source);
         const auto reports = bench::run_schedule(e, sched);
         uj[with_bfs] = bench::total_energy_uj(reports);
         cycles[with_bfs] = bench::total_cycles(reports);

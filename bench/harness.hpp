@@ -104,16 +104,12 @@ inline const char* to_string(AppKind app) {
   return "none";
 }
 
-/// One assembled experiment: chip + protocol + installed app + graph. `bfs`
-/// is always constructed (the protocol-level benches read its state even in
-/// ingestion-only runs); `sssp`/`comps` exist only when requested, so
-/// BFS-era measurements stay byte-for-byte what they were.
+/// One assembled experiment: chip + protocol + installed app + graph. Only
+/// the requested app is built (none for the ingestion-only kNone).
 struct Experiment {
   std::unique_ptr<sim::Chip> chip;
   std::unique_ptr<graph::GraphProtocol> proto;
-  std::unique_ptr<apps::StreamingBfs> bfs;
-  std::unique_ptr<apps::StreamingSssp> sssp;
-  std::unique_ptr<apps::StreamingComponents> comps;
+  std::unique_ptr<apps::MonotoneApp> app;
   std::unique_ptr<graph::StreamingGraph> graph;
 };
 
@@ -125,45 +121,30 @@ inline Experiment make_experiment(const sim::ChipConfig& cfg,
   Experiment e;
   e.chip = std::make_unique<sim::Chip>(cfg);
   e.proto = std::make_unique<graph::GraphProtocol>(*e.chip);
-  e.bfs = std::make_unique<apps::StreamingBfs>(*e.proto);
-  graph::GraphConfig gc;
-  gc.num_vertices = num_vertices;
-  gc.root_init = apps::StreamingBfs::initial_state();
   switch (app) {
-    case AppKind::kNone: {
-      graph::AppHooks hooks;  // ingestion only; keep levels inert
-      hooks.ghost_init = apps::StreamingBfs::initial_state();
-      e.proto->set_hooks(hooks);
+    case AppKind::kNone:  // ingestion only: the protocol's empty hooks
       break;
-    }
     case AppKind::kBfs:
-      e.bfs->install();
+      e.app = std::make_unique<apps::StreamingBfs>(*e.proto);
       break;
     case AppKind::kSssp:
-      e.sssp = std::make_unique<apps::StreamingSssp>(*e.proto);
-      e.sssp->install();
-      gc.root_init = apps::StreamingSssp::initial_state();
+      e.app = std::make_unique<apps::StreamingSssp>(*e.proto);
       break;
     case AppKind::kComponents:
-      e.comps = std::make_unique<apps::StreamingComponents>(*e.proto);
-      e.comps->install();
-      gc.root_init = apps::StreamingComponents::initial_state();
+      e.app = std::make_unique<apps::StreamingComponents>(*e.proto);
       break;
   }
+  if (e.app) e.app->install();
+  graph::GraphConfig gc;
+  gc.num_vertices = num_vertices;
+  gc.root_init = e.proto->hooks().ghost_init;  // roots start like ghosts
   e.graph = std::make_unique<graph::StreamingGraph>(*e.proto, gc);
-  if (app == AppKind::kBfs) e.bfs->set_source(*e.graph, source);
-  if (app == AppKind::kSssp) e.sssp->set_source(*e.graph, source);
-  if (app == AppKind::kComponents) e.comps->seed_labels(*e.graph);
+  if (app == AppKind::kComponents) {
+    static_cast<const apps::StreamingComponents&>(*e.app).seed_labels(*e.graph);
+  } else if (e.app) {
+    e.app->seed(*e.graph, source, 0);
+  }
   return e;
-}
-
-/// Builds the streaming-BFS experiment of the paper (or its ingestion-only
-/// variant). Legacy form kept for the single-app benches.
-inline Experiment make_experiment(const sim::ChipConfig& cfg,
-                                  std::uint64_t num_vertices, bool with_bfs,
-                                  std::uint64_t bfs_source) {
-  return make_experiment(cfg, num_vertices,
-                         with_bfs ? AppKind::kBfs : AppKind::kNone, bfs_source);
 }
 
 /// Streams every increment of a schedule; returns per-increment reports.

@@ -1,53 +1,36 @@
 // Asynchronous streaming dynamic BFS — the paper's demonstration
-// application (Listings 4 & 5).
+// application (Listings 4 & 5), as the level policy of MonotoneApp
+// (apps/monotone.hpp).
 //
-// Levels propagate monotonically: bfs-action(v, lvl) lowers v's level if
-// lvl is better and re-diffuses lvl+1 along v's edges. Streamed edge
-// insertions chain into bfs-action through the on_edge_inserted hook, so
-// results of previous computation are *updated*, never recomputed from
-// scratch. Ghost fragments keep a level copy; the ghost link forwards the
-// level unchanged (a ghost is the same logical vertex).
-//
-// Deletions break monotonicity (removing a tree edge must RAISE levels).
-// BFS instantiates the shared monotone-raise repair framework
-// (apps/repair.hpp) with the level policy: the bfs-unsettle wave follows
+// bfs-action(v, lvl) lowers v's level if lvl is better and re-diffuses
+// lvl+1 along v's edges; streamed edge insertions chain into it through the
+// on_edge_inserted hook. Deletion repair: the bfs-unsettle wave follows
 // exact level(+1) edges from each deleted tree edge's destination, and
 // bfs-resettle re-diffuses every surviving level until monotone diffusion
 // restores the exact BFS fixed point of the post-increment graph.
-// StreamingGraph::stream_increment orchestrates the phases for op-mixed
-// increments; see repair.hpp for the wave semantics and the correctness
-// argument.
-//
-// Deletion repair requires rhizomes == 1 (enforced by StreamingGraph);
-// resettle intentionally does not traverse the rhizome ring, which would
-// cycle without an improvement check.
 #pragma once
 
 #include <cstdint>
 
-#include "apps/repair.hpp"
-#include "graph/builder.hpp"
-#include "graph/protocol.hpp"
+#include "apps/monotone.hpp"
 
 namespace ccastream::apps {
 
-class StreamingBfs {
+class StreamingBfs : public MonotoneApp {
  public:
   /// Sentinel "no valid BFS level" (the paper's max-level).
   static constexpr rt::Word kUnreached = ~0ull;
   /// App word that stores the level.
   static constexpr std::size_t kLevelWord = 0;
 
-  /// Registers the bfs-action handler (and the repair framework's
-  /// unsettle/resettle pair) on the protocol's chip.
-  explicit StreamingBfs(graph::GraphProtocol& protocol);
-
-  /// Installs the BFS hooks on the protocol (insert-edge will chain into
-  /// bfs-action from then on). Call before streaming.
-  void install();
-
-  /// Hooks without installing (for callers composing their own AppHooks).
-  [[nodiscard]] graph::AppHooks make_hooks() const;
+  /// Registers app.bfs, app.bfs-unsettle and app.bfs-resettle.
+  explicit StreamingBfs(graph::GraphProtocol& protocol)
+      : MonotoneApp(protocol, {.name = "bfs",
+                               .word = kLevelWord,
+                               .unsettled = kUnreached,
+                               .step = EdgeStep::kPlusOne,
+                               .seed = SeedWhen::kExactPlusOne,
+                               .reset = ResetTo::kUnsettled}) {}
 
   /// Initial app state for fragments (level = unreached).
   [[nodiscard]] static graph::AppState initial_state() {
@@ -57,32 +40,21 @@ class StreamingBfs {
   }
 
   /// Marks `vid` as the BFS source (level 0) before streaming starts.
-  void set_source(graph::StreamingGraph& g, std::uint64_t vid) const;
+  void set_source(graph::StreamingGraph& g, std::uint64_t vid) const {
+    seed(g, vid, 0);
+  }
 
   /// Injects bfs-action(root(vid), 0) — seeds or re-seeds a BFS on a graph
   /// that already has edges. Run the chip afterwards.
-  void kick_source(graph::StreamingGraph& g, std::uint64_t vid) const;
+  void kick_source(graph::StreamingGraph& g, std::uint64_t vid) const {
+    kick(g, vid, 0);
+  }
 
   /// The computed level of a vertex (kUnreached if not reachable).
   [[nodiscard]] rt::Word level_of(const graph::StreamingGraph& g,
-                                  std::uint64_t vid) const;
-
-  [[nodiscard]] rt::HandlerId handler() const noexcept { return h_bfs_; }
-  [[nodiscard]] rt::HandlerId unsettle_handler() const noexcept {
-    return repair_.unsettle_handler();
+                                  std::uint64_t vid) const {
+    return value_of(g, vid);
   }
-  [[nodiscard]] rt::HandlerId resettle_handler() const noexcept {
-    return repair_.resettle_handler();
-  }
-
- private:
-  void handle_bfs(rt::Context& ctx, const rt::Action& a);
-
-  graph::GraphProtocol& proto_;
-  rt::HandlerId h_bfs_ = 0;
-  /// Deletion repair: level policy over the shared framework. Constructed
-  /// after h_bfs_ so handler-id order stays (bfs, unsettle, resettle).
-  MonotoneRaiseRepair repair_;
 };
 
 }  // namespace ccastream::apps

@@ -1,4 +1,5 @@
-// Streaming connected components by asynchronous min-label propagation.
+// Streaming connected components by asynchronous min-label propagation, as
+// the label policy of MonotoneApp (apps/monotone.hpp).
 //
 // Every root starts with label = vid; labels spread over edges and the
 // minimum wins. For undirected semantics the stream must carry both edge
@@ -6,15 +7,10 @@
 // the minimum vertex id of each connected component, updating incrementally
 // as new edges merge components.
 //
-// Deletion repair instantiates the monotone-raise framework
-// (apps/repair.hpp) with the label policy: a deleted edge (u, v) where
-// label(v) == label(u) may have carried v's label, so the unsettle wave
-// clears the equal-label region downstream of v — resetting each cleared
-// vertex to its OWN vid (every root is its own label seed, so labels are
-// never unsettled), and protecting self-labelled vertices, whose label
-// depends on no edge. Resettle then re-diffuses every label and min wins
-// again. Note the fixed point is that of the *directed* stream: the label
-// of v is the minimum vid that reaches v along streamed arcs. With a
+// Deletion repair clears the equal-label region downstream of a deleted
+// edge back to each vertex's OWN vid (ResetTo::kSelfId), and resettle lets
+// min win again. Note the fixed point is that of the *directed* stream: the
+// label of v is the minimum vid that reaches v along streamed arcs. With a
 // symmetrized stream that equals the undirected component minimum, but a
 // sliding window can expire the two arcs of a pair in different
 // increments, so windowed runs are checked against the directed oracle
@@ -23,21 +19,24 @@
 
 #include <cstdint>
 
-#include "apps/repair.hpp"
-#include "graph/builder.hpp"
-#include "graph/protocol.hpp"
+#include "apps/monotone.hpp"
 
 namespace ccastream::apps {
 
-class StreamingComponents {
+class StreamingComponents : public MonotoneApp {
  public:
   static constexpr rt::Word kNoLabel = ~0ull;
   static constexpr std::size_t kLabelWord = 0;
 
-  explicit StreamingComponents(graph::GraphProtocol& protocol);
-
-  void install();
-  [[nodiscard]] graph::AppHooks make_hooks() const;
+  /// Registers app.components, app.components-unsettle and
+  /// app.components-resettle.
+  explicit StreamingComponents(graph::GraphProtocol& protocol)
+      : MonotoneApp(protocol, {.name = "components",
+                               .word = kLabelWord,
+                               .unsettled = kNoLabel,
+                               .step = EdgeStep::kSame,
+                               .seed = SeedWhen::kSameLabel,
+                               .reset = ResetTo::kSelfId}) {}
 
   /// Ghosts start unlabeled; the ghost-link hook forwards the root's label.
   [[nodiscard]] static graph::AppState initial_state() {
@@ -48,26 +47,14 @@ class StreamingComponents {
 
   /// Seeds every root's label with its own vertex id. Call once after
   /// constructing the StreamingGraph, before streaming.
-  void seed_labels(graph::StreamingGraph& g) const;
+  void seed_labels(graph::StreamingGraph& g) const {
+    for (std::uint64_t vid = 0; vid < g.num_vertices(); ++vid) seed(g, vid, vid);
+  }
 
   [[nodiscard]] rt::Word label_of(const graph::StreamingGraph& g,
-                                  std::uint64_t vid) const;
-
-  [[nodiscard]] rt::HandlerId handler() const noexcept { return h_cc_; }
-  [[nodiscard]] rt::HandlerId unsettle_handler() const noexcept {
-    return repair_.unsettle_handler();
+                                  std::uint64_t vid) const {
+    return value_of(g, vid);
   }
-  [[nodiscard]] rt::HandlerId resettle_handler() const noexcept {
-    return repair_.resettle_handler();
-  }
-
- private:
-  void handle_label(rt::Context& ctx, const rt::Action& a);
-
-  graph::GraphProtocol& proto_;
-  rt::HandlerId h_cc_ = 0;
-  /// Deletion repair: label policy over the shared framework.
-  MonotoneRaiseRepair repair_;
 };
 
 }  // namespace ccastream::apps

@@ -79,11 +79,8 @@ void PageRank::handle_delta(rt::Context& ctx, const rt::Action& a) {
   for (const graph::EdgeRecord& e : frag->edges) {
     ctx.propagate(rt::make_action(h_delta_, e.dst, as_word(per_edge)));
   }
-  for (rt::FutureAddr& ghost : frag->ghosts) {
-    if (ghost.is_ready() && !ghost.value().is_null()) {
-      ctx.propagate(rt::make_action(h_push_, ghost.value(), as_word(per_edge)));
-    }
-  }
+  graph::forward_down_chain(
+      ctx, *frag, rt::make_action(h_push_, rt::kNullAddress, as_word(per_edge)));
 }
 
 // pr-push(frag, per_edge): emit one delta per locally stored edge, then
@@ -96,11 +93,8 @@ void PageRank::handle_push(rt::Context& ctx, const rt::Action& a) {
   for (const graph::EdgeRecord& e : frag->edges) {
     ctx.propagate(rt::make_action(h_delta_, e.dst, per_edge));
   }
-  for (rt::FutureAddr& ghost : frag->ghosts) {
-    if (ghost.is_ready() && !ghost.value().is_null()) {
-      ctx.propagate(rt::make_action(h_push_, ghost.value(), per_edge));
-    }
-  }
+  graph::forward_down_chain(
+      ctx, *frag, rt::make_action(h_push_, rt::kNullAddress, per_edge));
 }
 
 }  // namespace ccastream::apps

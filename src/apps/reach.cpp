@@ -32,6 +32,12 @@ bool any(const rt::Payload& p) {
   return false;
 }
 
+void check_source_index(std::size_t source_index) {
+  if (source_index >= MultiSourceReach::kMaxSources) {
+    throw std::out_of_range("MultiSourceReach: source index exceeds 256");
+  }
+}
+
 }  // namespace
 
 MultiSourceReach::MultiSourceReach(graph::GraphProtocol& protocol)
@@ -67,9 +73,7 @@ void MultiSourceReach::install() { proto_.set_hooks(make_hooks()); }
 
 void MultiSourceReach::add_source(graph::StreamingGraph& g, std::uint64_t vid,
                                   std::size_t source_index) const {
-  if (source_index >= kMaxSources) {
-    throw std::out_of_range("MultiSourceReach: source index exceeds 256");
-  }
+  check_source_index(source_index);
   const auto word = source_index / 64;
   const auto bit = source_index % 64;
   const rt::Word prev = g.app_word(vid, word);
@@ -78,6 +82,7 @@ void MultiSourceReach::add_source(graph::StreamingGraph& g, std::uint64_t vid,
 
 bool MultiSourceReach::reached(const graph::StreamingGraph& g, std::uint64_t vid,
                                std::size_t source_index) const {
+  check_source_index(source_index);
   const auto word = source_index / 64;
   const auto bit = source_index % 64;
   return (g.app_word(vid, word) >> bit) & 1;
@@ -119,13 +124,8 @@ void MultiSourceReach::handle_reach(rt::Context& ctx, const rt::Action& a) {
   for (const graph::EdgeRecord& e : frag->edges) {
     ctx.propagate(reach_action(h_reach_, e.dst, fresh));
   }
-  for (rt::FutureAddr& ghost : frag->ghosts) {
-    if (ghost.is_ready() && !ghost.value().is_null()) {
-      ctx.propagate(reach_action(h_reach_, ghost.value(), fresh));
-    } else if (ghost.is_pending()) {
-      ghost.enqueue(reach_action(h_reach_, rt::kNullAddress, fresh));
-    }
-  }
+  graph::forward_down_chain(ctx, *frag,
+                            reach_action(h_reach_, rt::kNullAddress, fresh));
   if (!frag->rhizome_next.is_null()) {
     ctx.propagate(reach_action(h_reach_, frag->rhizome_next, fresh));
   }

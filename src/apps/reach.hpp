@@ -35,7 +35,8 @@ class MultiSourceReach {
   void add_source(graph::StreamingGraph& g, std::uint64_t vid,
                   std::size_t source_index) const;
 
-  /// True if `vid` is reachable from source number `source_index`.
+  /// True if `vid` is reachable from source number `source_index`. Throws
+  /// std::out_of_range for an index >= kMaxSources, like add_source.
   [[nodiscard]] bool reached(const graph::StreamingGraph& g, std::uint64_t vid,
                              std::size_t source_index) const;
 

@@ -1,39 +1,33 @@
 // Streaming single-source shortest paths — the weighted generalisation of
 // the paper's streaming BFS (first of the "more complex message-driven
-// streaming dynamic algorithms" the conclusion calls for).
+// streaming dynamic algorithms" the conclusion calls for), as the distance
+// policy of MonotoneApp (apps/monotone.hpp).
 //
-// Identical diffusion structure to BFS, but the relaxation carries the edge
-// weight: sssp-action(v, d) lowers v's tentative distance and re-diffuses
-// d + w(e) along each edge. Monotonic min-updates make the asynchronous,
-// unordered message delivery safe (chaotic relaxation).
-//
-// Deletion repair instantiates the monotone-raise framework
-// (apps/repair.hpp) with the distance policy. Because deleted edge records
-// (and their weights) are gone by the time phase I runs, the invalidation
-// seed is the conservative `dist(dst) > dist(src)` test rather than the
-// exact `dist(dst) == dist(src) + w`; the over-approximation is corrected
-// by resettle. This relies on edge weights >= 1 (every generator in
-// workload/ emits weight >= 1), which keeps the source (distance 0) out of
-// every wave.
+// sssp-action(v, d) lowers v's tentative distance and re-diffuses d + w(e)
+// along each edge. Deletion repair seeds conservatively
+// (SeedWhen::kDownstream), which relies on edge weights >= 1; every
+// generator in workload/ emits weight >= 1.
 #pragma once
 
 #include <cstdint>
 
-#include "apps/repair.hpp"
-#include "graph/builder.hpp"
-#include "graph/protocol.hpp"
+#include "apps/monotone.hpp"
 
 namespace ccastream::apps {
 
-class StreamingSssp {
+class StreamingSssp : public MonotoneApp {
  public:
   static constexpr rt::Word kUnreached = ~0ull;
   static constexpr std::size_t kDistWord = 0;
 
-  explicit StreamingSssp(graph::GraphProtocol& protocol);
-
-  void install();
-  [[nodiscard]] graph::AppHooks make_hooks() const;
+  /// Registers app.sssp, app.sssp-unsettle and app.sssp-resettle.
+  explicit StreamingSssp(graph::GraphProtocol& protocol)
+      : MonotoneApp(protocol, {.name = "sssp",
+                               .word = kDistWord,
+                               .unsettled = kUnreached,
+                               .step = EdgeStep::kPlusWeight,
+                               .seed = SeedWhen::kDownstream,
+                               .reset = ResetTo::kUnsettled}) {}
 
   [[nodiscard]] static graph::AppState initial_state() {
     graph::AppState s{};
@@ -42,29 +36,19 @@ class StreamingSssp {
   }
 
   /// Marks `vid` as the source (distance 0) before streaming.
-  void set_source(graph::StreamingGraph& g, std::uint64_t vid) const;
+  void set_source(graph::StreamingGraph& g, std::uint64_t vid) const {
+    seed(g, vid, 0);
+  }
 
   /// Injects sssp-action(root(vid), 0) to (re)start on a built graph.
-  void kick_source(graph::StreamingGraph& g, std::uint64_t vid) const;
+  void kick_source(graph::StreamingGraph& g, std::uint64_t vid) const {
+    kick(g, vid, 0);
+  }
 
   [[nodiscard]] rt::Word distance_of(const graph::StreamingGraph& g,
-                                     std::uint64_t vid) const;
-
-  [[nodiscard]] rt::HandlerId handler() const noexcept { return h_sssp_; }
-  [[nodiscard]] rt::HandlerId unsettle_handler() const noexcept {
-    return repair_.unsettle_handler();
+                                     std::uint64_t vid) const {
+    return value_of(g, vid);
   }
-  [[nodiscard]] rt::HandlerId resettle_handler() const noexcept {
-    return repair_.resettle_handler();
-  }
-
- private:
-  void handle_sssp(rt::Context& ctx, const rt::Action& a);
-
-  graph::GraphProtocol& proto_;
-  rt::HandlerId h_sssp_ = 0;
-  /// Deletion repair: distance policy over the shared framework.
-  MonotoneRaiseRepair repair_;
 };
 
 }  // namespace ccastream::apps

@@ -8,22 +8,9 @@
 namespace ccastream::apps {
 
 using graph::VertexFragment;
-
-namespace {
-
-/// Forwards `a` retargeted to the fragment's ghost if the link is ready.
-/// Post-construction queries run on a quiescent chip, so futures are either
-/// empty (end of chain) or ready; pending links cannot occur.
-void forward_down_chain(rt::Context& ctx, VertexFragment& frag, rt::Action a) {
-  for (rt::FutureAddr& ghost : frag.ghosts) {
-    if (ghost.is_ready() && !ghost.value().is_null()) {
-      a.target = ghost.value();
-      ctx.propagate(a);
-    }
-  }
-}
-
-}  // namespace
+// Probes run on a quiescent chip, so ghost futures are either empty (end of
+// chain) or ready: forward_down_chain never parks here.
+using graph::forward_down_chain;
 
 // ---------------------------------------------------------------------------
 // TriangleCounter

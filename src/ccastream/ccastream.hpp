@@ -2,7 +2,8 @@
 //
 //   sim::Chip          — the AM-CCA chip simulator (mesh, routing, IO, energy)
 //   graph::*           — RPVO fragments, insert-edge protocol, host façade
-//   apps::*            — streaming BFS/SSSP/components, PageRank, triangles
+//   apps::*            — MonotoneApp (streaming BFS/SSSP/components),
+//                        reachability, PageRank, triangles
 //   wl::*              — SBM/R-MAT generators, Edge/Snowball sampling
 //   base::*            — sequential reference oracles and baselines
 //   io::*              — edge lists, CSV experiment outputs, increment logs
@@ -37,9 +38,9 @@
 
 #include "apps/bfs.hpp"
 #include "apps/components.hpp"
+#include "apps/monotone.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/reach.hpp"
-#include "apps/repair.hpp"
 #include "apps/sssp.hpp"
 #include "apps/triangles.hpp"
 

@@ -65,6 +65,12 @@ StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg)
   }
 }
 
+void StreamingGraph::throw_no_such_vertex(std::uint64_t vid) const {
+  throw std::out_of_range("StreamingGraph: vertex id " + std::to_string(vid) +
+                          " out of range (graph has " +
+                          std::to_string(cfg_.num_vertices) + " vertices)");
+}
+
 void StreamingGraph::set_root_app_word(std::uint64_t vid, std::size_t word,
                                        rt::Word value) {
   for (const auto addr : rhizome_roots(vid)) {
@@ -202,9 +208,7 @@ std::vector<std::pair<std::uint64_t, std::uint32_t>> StreamingGraph::neighbors(
 }
 
 rt::Word StreamingGraph::app_word(std::uint64_t vid, std::size_t word) const {
-  return const_cast<sim::Chip&>(chip_)
-      .as<VertexFragment>(roots_[vid * rhizomes_])
-      ->app[word];
+  return const_cast<sim::Chip&>(chip_).as<VertexFragment>(root_of(vid))->app[word];
 }
 
 rt::Word StreamingGraph::app_word_chain_sum(std::uint64_t vid,

@@ -99,6 +99,8 @@ struct SnapshotDigest {
 /// std::runtime_error on malformed input.
 [[nodiscard]] SnapshotDigest parse_snapshot_digest(std::istream& in);
 
+/// Every member taking a vertex id throws std::out_of_range when the id is
+/// not a vertex of the graph (vid >= num_vertices()).
 class StreamingGraph {
  public:
   /// Places all root fragments host-side (graph construction in the paper
@@ -110,12 +112,13 @@ class StreamingGraph {
 
   /// Primary root fragment address of a vertex.
   [[nodiscard]] rt::GlobalAddress root_of(std::uint64_t vid) const {
-    return roots_[vid * rhizomes_];
+    return rhizome_roots(vid).front();
   }
 
   /// All rhizome root addresses of a vertex (size == config's `rhizomes`).
   [[nodiscard]] std::span<const rt::GlobalAddress> rhizome_roots(
       std::uint64_t vid) const {
+    if (vid >= cfg_.num_vertices) throw_no_such_vertex(vid);
     return {roots_.data() + vid * rhizomes_, rhizomes_};
   }
 
@@ -217,6 +220,7 @@ class StreamingGraph {
 
  private:
   struct RestoreTag {};
+  [[noreturn]] void throw_no_such_vertex(std::uint64_t vid) const;
   /// Restore constructor: adopts already-placed roots instead of allocating.
   StreamingGraph(GraphProtocol& protocol, GraphConfig cfg, RestoreTag);
 

@@ -12,4 +12,21 @@ std::size_t VertexFragment::logical_bytes() const noexcept {
          ghosts.size() * rt::FutureAddr::logical_bytes();
 }
 
+ChainForward forward_down_chain(rt::Context& ctx, VertexFragment& frag,
+                                rt::Action a) {
+  ChainForward out;
+  for (rt::FutureAddr& ghost : frag.ghosts) {
+    if (ghost.is_ready() && !ghost.value().is_null()) {
+      a.target = ghost.value();
+      ctx.propagate(a);
+      ++out.propagated;
+    } else if (ghost.is_pending()) {
+      a.target = rt::kNullAddress;
+      ghost.enqueue(a);
+      ++out.parked;
+    }
+  }
+  return out;
+}
+
 }  // namespace ccastream::graph

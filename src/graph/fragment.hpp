@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/action.hpp"
 #include "runtime/arena.hpp"
+#include "runtime/context.hpp"
 #include "runtime/future.hpp"
 #include "runtime/types.hpp"
 
@@ -94,5 +96,19 @@ class VertexFragment final : public rt::ArenaObject {
  private:
   std::uint32_t next_ghost_ = 0;
 };
+
+/// How many copies of an action forward_down_chain sent on.
+struct ChainForward {
+  std::uint32_t propagated = 0;  ///< Copies sent down ready ghost links.
+  std::uint32_t parked = 0;      ///< Copies parked on pending futures.
+};
+
+/// Hands `a` on to the rest of `frag`'s logical vertex: a copy retargeted
+/// at each ready ghost link is propagated, and a copy is parked on each
+/// pending future (its target is patched at fulfilment, so a racing
+/// allocation cannot lose it). Empty slots and failed (null) links get
+/// nothing.
+ChainForward forward_down_chain(rt::Context& ctx, VertexFragment& frag,
+                                rt::Action a);
 
 }  // namespace ccastream::graph

@@ -174,24 +174,10 @@ void GraphProtocol::handle_delete(rt::Context& ctx, const rt::Action& a) {
   });
   ps.edges_deleted += removed;
 
-  bool forwarded = false;
-  for (rt::FutureAddr& ghost : frag->ghosts) {
-    if (ghost.is_empty()) continue;
-    if (ghost.is_pending()) {
-      rt::Action deferred = a;
-      deferred.target = rt::kNullAddress;  // patched at fulfilment
-      ghost.enqueue(deferred);
-      ++ps.deletes_deferred;
-      forwarded = true;
-    } else if (!ghost.value().is_null()) {
-      rt::Action fwd = a;
-      fwd.target = ghost.value();
-      ctx.propagate(fwd);
-      ++ps.deletes_forwarded;
-      forwarded = true;
-    }
-  }
-  if (!forwarded && removed == 0) ++ps.deletes_unmatched;
+  const ChainForward fwd = forward_down_chain(ctx, *frag, a);
+  ps.deletes_forwarded += fwd.propagated;
+  ps.deletes_deferred += fwd.parked;
+  if (fwd.propagated + fwd.parked == 0 && removed == 0) ++ps.deletes_unmatched;
 }
 
 // Sets a freshly allocated ghost's identity. args: w0 = vid, w1 = root addr.

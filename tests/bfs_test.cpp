@@ -96,6 +96,14 @@ TEST(StreamingBfs, KickOnPrebuiltGraph) {
   for (std::uint64_t v = 0; v < 4; ++v) EXPECT_EQ(f.bfs->level_of(*f.g, v), v);
 }
 
+TEST(StreamingBfs, OutOfRangeSourceThrows) {
+  // A source id past the graph must not index past its roots.
+  BfsFixture f(4);
+  EXPECT_THROW(f.bfs->set_source(*f.g, 4), std::out_of_range);
+  EXPECT_THROW(f.bfs->kick_source(*f.g, 5000), std::out_of_range);
+  EXPECT_TRUE(f.chip->quiescent());
+}
+
 TEST(StreamingBfs, LevelsSurviveGhostChains) {
   // Tiny fragments force ghosts everywhere; levels must be identical.
   graph::RpvoConfig rc;

@@ -6,6 +6,7 @@
 // and every per-vertex result must match the serial engine exactly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -285,6 +286,176 @@ TEST(Determinism, SlidingWindowDeletionsAreCycleIdenticalToSerial) {
         }
       }
     }
+  }
+}
+
+// Cost pin for the three monotone apps. Every other check compares
+// backends with each other, or results with oracles, so a changed charge()
+// or an extra propagate in a diffusion handler would pass them all. This
+// one pins the absolute cost of one fixed windowed run per app: the
+// per-increment cycles, the integer ChipStats event counts (energy is a
+// pure function of them), the final ProtocolStats and a checksum of the
+// final values, plus the handler names and their registration order. The
+// run reaches every path: capacity-4 fragments with a 2-slot ghost fan-out
+// grow ghost trees and park inserts on pending futures, weights 1..9 make
+// SSSP differ from BFS, and the window drives unsettle and resettle waves.
+// An intended cost change re-pins from the failure message, which prints
+// the observed pin as an initializer.
+struct CostPin {
+  std::vector<std::uint64_t> increment_cycles;
+  sim::ChipStats stats;
+  std::array<std::uint64_t, 11> proto{};  ///< ProtocolStats, field order.
+  std::uint64_t checksum = 0;             ///< Over the final values.
+  friend bool operator==(const CostPin&, const CostPin&) = default;
+};
+
+void PrintTo(const CostPin& p, std::ostream* os) {
+  *os << "CostPin{{";
+  for (std::size_t i = 0; i < p.increment_cycles.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << p.increment_cycles[i];
+  }
+  const sim::ChipStats& s = p.stats;
+  *os << "}, {" << s.cycles << ", " << s.actions_created << ", "
+      << s.actions_executed << ", " << s.tasks_scheduled << ", "
+      << s.instructions << ", " << s.stage_stalls << ", " << s.messages_staged
+      << ", " << s.hops << ", " << s.deliveries << ", "
+      << s.total_delivery_latency << ", " << s.io_injections << ", "
+      << s.allocations << ", " << s.alloc_forwards << ", " << s.alloc_failures
+      << ", " << s.futures_fulfilled << ", " << s.future_waiters_drained
+      << ", " << s.faults << "}, {";
+  for (std::size_t i = 0; i < p.proto.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << p.proto[i];
+  }
+  *os << "}, " << p.checksum << "u}";
+}
+
+constexpr std::uint64_t kPinVertices = 96;
+
+wl::StreamSchedule cost_pin_schedule() {
+  auto sched = wl::make_graphchallenge_like(kPinVertices, 1'200,
+                                            wl::SamplingKind::kEdge,
+                                            /*increments=*/6, /*seed=*/1515);
+  rt::Xoshiro256 rng(1515);
+  for (auto& inc : sched.increments) {
+    for (StreamEdge& e : inc) {
+      e.weight = static_cast<std::uint32_t>(1 + rng.below(9));
+    }
+  }
+  return wl::apply_sliding_window(sched, /*window=*/2, /*drain=*/false);
+}
+
+/// Streams the pinned schedule under `App`, seeded by `seed(app, g)`, and
+/// reads vertex values back through `value(app, g, vid)`.
+template <class App>
+CostPin run_cost_pin(const std::string& name, const auto& seed,
+                     const auto& value) {
+  sim::ChipConfig cfg;
+  cfg.width = 6;
+  cfg.height = 6;
+  cfg.seed = 1515;
+  cfg.profile_handlers = true;
+  sim::Chip chip(cfg);
+  graph::RpvoConfig rc;
+  rc.edge_capacity = 4;
+  rc.ghost_fanout = 2;
+  graph::GraphProtocol proto(chip, rc);
+  App app(proto);
+  app.install();
+  graph::GraphConfig gc;
+  gc.num_vertices = kPinVertices;
+  gc.root_init = App::initial_state();
+  graph::StreamingGraph g(proto, gc);
+  seed(app, g);
+
+  // Handler names and registration order: value, unsettle, resettle.
+  EXPECT_EQ(chip.handlers().name(app.handler()), "app." + name);
+  EXPECT_EQ(chip.handlers().name(app.unsettle_handler()),
+            "app." + name + "-unsettle");
+  EXPECT_EQ(chip.handlers().name(app.resettle_handler()),
+            "app." + name + "-resettle");
+  EXPECT_EQ(app.unsettle_handler(), app.handler() + 1);
+  EXPECT_EQ(app.resettle_handler(), app.handler() + 2);
+
+  CostPin pin;
+  for (const auto& inc : cost_pin_schedule().increments) {
+    pin.increment_cycles.push_back(g.stream_increment(inc).cycles);
+  }
+  EXPECT_TRUE(chip.quiescent());
+  pin.stats = chip.stats();
+  const graph::ProtocolStats ps = proto.stats();
+  pin.proto = {ps.edges_inserted,       ps.inserts_forwarded,
+               ps.inserts_deferred,     ps.edges_deleted,
+               ps.deletes_forwarded,    ps.deletes_deferred,
+               ps.deletes_unmatched,    ps.ghost_allocs_started,
+               ps.ghost_links_made,     ps.ghost_alloc_failures,
+               ps.bad_targets};
+  for (std::uint64_t v = 0; v < kPinVertices; ++v) {
+    pin.checksum = pin.checksum * 1'000'003 + value(app, g, v);
+  }
+
+  // The run exercised every path the pin is meant to cover.
+  EXPECT_GT(ps.ghost_allocs_started, 0u);
+  EXPECT_GT(ps.inserts_deferred, 0u);
+  EXPECT_GT(ps.edges_deleted, 0u);
+  const auto executions = [&](rt::HandlerId h) {
+    const auto& prof = chip.handler_profile();
+    return h < prof.size() ? prof[h].executions : 0;
+  };
+  EXPECT_GT(executions(app.handler()), 0u);
+  EXPECT_GT(executions(app.unsettle_handler()), 0u);
+  EXPECT_GT(executions(app.resettle_handler()), 0u);
+  return pin;
+}
+
+TEST(Determinism, MonotoneAppCostIsPinned) {
+  const auto set_source = [](auto& app, graph::StreamingGraph& g) {
+    app.set_source(g, 0);
+  };
+  {
+    SCOPED_TRACE("app = bfs");
+    const CostPin pin = run_cost_pin<apps::StreamingBfs>(
+        "bfs", set_source,
+        [](const auto& app, const auto& g, std::uint64_t v) {
+          return app.level_of(g, v);
+        });
+    const CostPin want{
+        {204, 323, 533, 605, 669, 575},
+        {2909, 10044, 10248, 204, 41084, 0, 7964, 33865, 10248, 104968, 2284,
+         133, 0, 0, 133, 204, 0},
+        {1200, 135, 171, 792, 932, 0, 739, 133, 133, 0, 0},
+        3930650766404267206u};
+    EXPECT_EQ(pin, want);
+  }
+  {
+    SCOPED_TRACE("app = sssp");
+    const CostPin pin = run_cost_pin<apps::StreamingSssp>(
+        "sssp", set_source,
+        [](const auto& app, const auto& g, std::uint64_t v) {
+          return app.distance_of(g, v);
+        });
+    const CostPin want{
+        {221, 364, 691, 840, 719, 756},
+        {3591, 12112, 12310, 198, 48905, 0, 9942, 40885, 12310, 130051, 2368,
+         133, 0, 0, 133, 198, 0},
+        {1200, 135, 171, 792, 932, 0, 738, 133, 133, 0, 0},
+        8080202380114632658u};
+    EXPECT_EQ(pin, want);
+  }
+  {
+    SCOPED_TRACE("app = components");
+    const CostPin pin = run_cost_pin<apps::StreamingComponents>(
+        "components",
+        [](auto& app, graph::StreamingGraph& g) { app.seed_labels(g); },
+        [](const auto& app, const auto& g, std::uint64_t v) {
+          return app.label_of(g, v);
+        });
+    const CostPin want{
+        {330, 186, 874, 959, 1029, 964},
+        {4342, 17029, 17211, 182, 66970, 7, 14128, 57778, 17211, 190078, 3083,
+         133, 0, 0, 133, 182, 0},
+        {1200, 135, 171, 792, 932, 0, 738, 133, 133, 0, 0},
+        11404189137860091102u};
+    EXPECT_EQ(pin, want);
   }
 }
 

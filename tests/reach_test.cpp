@@ -59,6 +59,12 @@ TEST(MultiSourceReach, SourceIndexOutOfRangeThrows) {
   EXPECT_THROW(f.reach->add_source(*f.g, 0, 256), std::out_of_range);
 }
 
+TEST(MultiSourceReach, ReachedRejectsOutOfRangeSourceIndex) {
+  // Index 256 would read a fifth app word past the 4-word state.
+  ReachFixture f(2);
+  EXPECT_THROW((void)f.reach->reached(*f.g, 0, 256), std::out_of_range);
+}
+
 TEST(MultiSourceReach, LateEdgeExtendsReachability) {
   ReachFixture f(4);
   f.reach->add_source(*f.g, 0, 7);

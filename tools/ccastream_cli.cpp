@@ -22,8 +22,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ccastream/ccastream.hpp"
 
@@ -117,9 +119,9 @@ void usage() {
       "  --window K                    sliding window: edges expire (as delete\n"
       "                                ops) K increments after their latest\n"
       "                                observation (default: CCASTREAM_WINDOW\n"
-      "                                or no expiry; every app repairs\n"
-      "                                deletions except pagerank/triangles;\n"
-      "                                needs --rhizomes 1)\n"
+      "                                or no expiry; bfs, sssp and components\n"
+      "                                repair deletions, none applies them\n"
+      "                                structure-only; needs --rhizomes 1)\n"
       "  --window-drain                append delete-only increments until the\n"
       "                                window empties (shrinking-frontier tail)\n"
       "  --source V                    BFS/SSSP source (default snowball seed\n"
@@ -139,6 +141,12 @@ bool parse(int argc, char** argv, Options& o) {
     }
     return argv[++i];
   };
+  auto invalid = [](const std::string& flag, const std::string& v,
+                    const char* want) {
+    std::fprintf(stderr, "invalid %s '%s' (want %s)\n", flag.c_str(),
+                 v.c_str(), want);
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -152,21 +160,16 @@ bool parse(int argc, char** argv, Options& o) {
     else if (a == "--svc-queue") {
       const char* v = need(i);
       o.svc_queue = svc::parse_queue_spec(v);
-      if (!o.svc_queue) {
-        std::fprintf(stderr,
-                     "invalid --svc-queue '%s' (want block|drop|flush"
-                     "[:1..65536])\n",
-                     v);
-        return false;
-      }
+      if (!o.svc_queue) return invalid(a, v, "block|drop|flush[:1..65536]");
     }
     else if (a == "--vertices") o.vertices = std::strtoull(need(i), nullptr, 10);
     else if (a == "--edges") o.edges = std::strtoull(need(i), nullptr, 10);
     else if (a == "--edges-file") o.edges_file = need(i);
     else if (a == "--sampling") {
       const std::string v = need(i);
-      o.sampling = v == "snowball" ? wl::SamplingKind::kSnowball
-                                   : wl::SamplingKind::kEdge;
+      if (v == "edge") o.sampling = wl::SamplingKind::kEdge;
+      else if (v == "snowball") o.sampling = wl::SamplingKind::kSnowball;
+      else return invalid(a, v, "edge|snowball");
     } else if (a == "--increments") {
       o.increments = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
     } else if (a == "--width") {
@@ -179,35 +182,30 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = need(i);
       o.partition = sim::PartitionSpec::parse(v);
       if (!o.partition) {
-        std::fprintf(stderr, "invalid --partition '%s'\n", v);
-        return false;
+        return invalid(a, v, "rows|cols|tiles[:GXxGY][+rebalance]");
       }
     } else if (a == "--engine") {
       const char* v = need(i);
       o.engine = sim::parse_engine(v);
-      if (!o.engine) {
-        std::fprintf(stderr, "invalid --engine '%s'\n", v);
-        return false;
-      }
+      if (!o.engine) return invalid(a, v, "scan|active");
     } else if (a == "--check") {
       const char* v = need(i);
       o.check = rt::parse_check_level(v);
-      if (!o.check) {
-        std::fprintf(stderr, "invalid --check '%s' (want off|cheap|full)\n", v);
-        return false;
-      }
+      if (!o.check) return invalid(a, v, "off|cheap|full");
     } else if (a == "--routing") {
       const std::string v = need(i);
-      if (v == "xy") o.routing = sim::RoutingPolicyKind::kXY;
+      if (v == "yx") o.routing = sim::RoutingPolicyKind::kYX;
+      else if (v == "xy") o.routing = sim::RoutingPolicyKind::kXY;
       else if (v == "west-first") o.routing = sim::RoutingPolicyKind::kWestFirst;
       else if (v == "odd-even") o.routing = sim::RoutingPolicyKind::kOddEven;
-      else o.routing = sim::RoutingPolicyKind::kYX;
+      else return invalid(a, v, "yx|xy|west-first|odd-even");
     } else if (a == "--alloc") {
       const std::string v = need(i);
-      if (v == "random") o.alloc = rt::AllocPolicyKind::kRandom;
+      if (v == "vicinity") o.alloc = rt::AllocPolicyKind::kVicinity;
+      else if (v == "random") o.alloc = rt::AllocPolicyKind::kRandom;
       else if (v == "round-robin") o.alloc = rt::AllocPolicyKind::kRoundRobin;
       else if (v == "local") o.alloc = rt::AllocPolicyKind::kLocal;
-      else o.alloc = rt::AllocPolicyKind::kVicinity;
+      else return invalid(a, v, "vicinity|random|round-robin|local");
     } else if (a == "--radius") {
       o.vicinity_radius = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
     } else if (a == "--edge-capacity") {
@@ -218,6 +216,10 @@ bool parse(int argc, char** argv, Options& o) {
       o.rhizomes = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
     } else if (a == "--app") {
       o.app = need(i);
+      if (o.app != "none" && o.app != "bfs" && o.app != "sssp" &&
+          o.app != "components") {
+        return invalid(a, o.app, "none|bfs|sssp|components");
+      }
     } else if (a == "--window") {
       // Same validation resolve_window applies to the env var: reject
       // instead of silently falling back (0 would mean "use the env").
@@ -225,8 +227,7 @@ bool parse(int argc, char** argv, Options& o) {
       char* end = nullptr;
       const long w = std::strtol(v, &end, 10);
       if (end == v || *end != '\0' || w < 1 || w > 1'000'000) {
-        std::fprintf(stderr, "invalid --window '%s' (want 1..1000000)\n", v);
-        return false;
+        return invalid(a, v, "1..1000000");
       }
       o.window = static_cast<std::uint32_t>(w);
     } else if (a == "--window-drain") {
@@ -271,6 +272,42 @@ void print_result_json(std::FILE* f, const std::string& app, std::uint64_t seq,
     std::fprintf(f, "%s%lu", v == 0 ? "" : ",", values[v]);
   }
   std::fprintf(f, "]}\n");
+}
+
+/// The selected --app, built alone so only its three handlers register;
+/// null for "none".
+std::unique_ptr<apps::MonotoneApp> make_app(const std::string& name,
+                                            graph::GraphProtocol& proto) {
+  if (name == "bfs") return std::make_unique<apps::StreamingBfs>(proto);
+  if (name == "sssp") return std::make_unique<apps::StreamingSssp>(proto);
+  if (name == "components") {
+    return std::make_unique<apps::StreamingComponents>(proto);
+  }
+  return nullptr;
+}
+
+// The oracles mark unreachable vertices with the apps' own sentinel, so
+// oracle and chip values compare directly.
+static_assert(base::kUnreached == apps::StreamingBfs::kUnreached &&
+              base::kUnreached == apps::StreamingSssp::kUnreached);
+
+/// The CPU oracle's fixed point for `app` after the whole schedule.
+std::vector<rt::Word> oracle_values(const std::string& app,
+                                    std::uint64_t vertices,
+                                    const wl::StreamSchedule& sched,
+                                    std::uint64_t source) {
+  if (app == "components") {
+    // The streamed fixed point is the *directed* min-reaching label (the
+    // CLI does not symmetrize the stream), so compare against the directed
+    // oracle's from-scratch sweep, not undirected union-find.
+    base::DynamicComponents oracle(vertices);
+    for (const auto& inc : sched.increments) oracle.apply_increment(inc);
+    return oracle.recompute();
+  }
+  base::RefGraph ref(vertices);
+  for (const auto& inc : sched.increments) ref.add_edges(inc);
+  return app == "bfs" ? base::bfs_levels(ref, source)
+                      : base::sssp_distances(ref, source);
 }
 
 }  // namespace
@@ -330,6 +367,11 @@ int main(int argc, char** argv) {
   if (!o.source_set && !o.serve) {
     o.source = o.sampling == wl::SamplingKind::kSnowball ? sched.seed_vertex : 0;
   }
+  if (o.source >= o.vertices) {
+    std::fprintf(stderr, "invalid --source %lu (the graph has %lu vertices)\n",
+                 o.source, o.vertices);
+    return 2;
+  }
 
   // Sliding window (config > env > disabled): rewrite the schedule so aged
   // edges expire as delete ops. Deletions are repaired by the monotone-raise
@@ -365,27 +407,19 @@ int main(int argc, char** argv) {
   rc.ghost_fanout = o.ghost_fanout;
   graph::GraphProtocol proto(chip, rc);
 
-  apps::StreamingBfs bfs(proto);
-  apps::StreamingSssp sssp(proto);
-  apps::StreamingComponents comps(proto);
+  const std::unique_ptr<apps::MonotoneApp> app = make_app(o.app, proto);
+  if (app) app->install();
 
   graph::GraphConfig gc;
   gc.num_vertices = o.vertices;
   gc.rhizomes = o.rhizomes;
-  if (o.app == "bfs") {
-    bfs.install();
-    gc.root_init = apps::StreamingBfs::initial_state();
-  } else if (o.app == "sssp") {
-    sssp.install();
-    gc.root_init = apps::StreamingSssp::initial_state();
-  } else if (o.app == "components") {
-    comps.install();
-    gc.root_init = apps::StreamingComponents::initial_state();
-  }
+  gc.root_init = proto.hooks().ghost_init;  // roots start like ghosts
   graph::StreamingGraph g(proto, gc);
-  if (o.app == "bfs") bfs.set_source(g, o.source);
-  if (o.app == "sssp") sssp.set_source(g, o.source);
-  if (o.app == "components") comps.seed_labels(g);
+  if (o.app == "components") {
+    static_cast<const apps::StreamingComponents&>(*app).seed_labels(g);
+  } else if (app) {
+    app->seed(g, o.source, 0);
+  }
 
   std::FILE* jf = nullptr;
   if (!o.json_results.empty()) {
@@ -424,7 +458,7 @@ int main(int argc, char** argv) {
     for (const auto& r : service.batch_reports()) {
       print_increment_json(jf, r.seq, r.edges, r.deletes, r.cycles, r.energy_uj);
     }
-    if (o.app != "none") {
+    if (app) {
       svc::QueryRequest req;
       req.kind = svc::QueryKind::kAppWord;
       req.app_word = 0;
@@ -500,13 +534,13 @@ int main(int argc, char** argv) {
               sim::pj_to_uj(chip.energy_pj()), chip.stats().hops);
 
   if (jf) {
-    if (o.app != "none") {
-      // Same final-result line serve mode emits: the app's word-0 fixed
-      // point per vertex, read from the chip.
+    if (app) {
+      // Same final-result line serve mode emits: the app's fixed point per
+      // vertex, read from the chip.
       std::vector<rt::Word> values;
       values.reserve(o.vertices);
       for (std::uint64_t v = 0; v < o.vertices; ++v) {
-        values.push_back(g.app_word(v, 0));
+        values.push_back(app->value_of(g, v));
       }
       print_result_json(jf, o.app, sched.increments.size(), values);
     }
@@ -529,36 +563,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Verification ---------------------------------------------------------------
-  if (o.verify && o.app != "none") {
-    base::RefGraph ref(o.vertices);
-    for (const auto& inc : sched.increments) ref.add_edges(inc);
+  if (o.verify && app) {
+    const std::vector<rt::Word> want =
+        oracle_values(o.app, o.vertices, sched, o.source);
     std::uint64_t mismatches = 0;
-    if (o.app == "bfs") {
-      const auto want = base::bfs_levels(ref, o.source);
-      for (std::uint64_t v = 0; v < o.vertices; ++v) {
-        const rt::Word w = want[v] == base::kUnreached
-                               ? apps::StreamingBfs::kUnreached
-                               : want[v];
-        if (bfs.level_of(g, v) != w) ++mismatches;
-      }
-    } else if (o.app == "sssp") {
-      const auto want = base::sssp_distances(ref, o.source);
-      for (std::uint64_t v = 0; v < o.vertices; ++v) {
-        const rt::Word w = want[v] == base::kUnreached
-                               ? apps::StreamingSssp::kUnreached
-                               : want[v];
-        if (sssp.distance_of(g, v) != w) ++mismatches;
-      }
-    } else if (o.app == "components") {
-      // The streamed fixed point is the *directed* min-reaching label (the
-      // CLI does not symmetrize the stream), so compare against the
-      // directed oracle's from-scratch sweep, not undirected union-find.
-      base::DynamicComponents oracle(o.vertices);
-      for (const auto& inc : sched.increments) oracle.apply_increment(inc);
-      const auto want = oracle.recompute();
-      for (std::uint64_t v = 0; v < o.vertices; ++v) {
-        if (comps.label_of(g, v) != want[v]) ++mismatches;
-      }
+    for (std::uint64_t v = 0; v < o.vertices; ++v) {
+      if (app->value_of(g, v) != want[v]) ++mismatches;
     }
     std::printf("verification vs oracle: %s (%lu mismatches)\n",
                 mismatches == 0 ? "OK" : "FAILED", mismatches);
