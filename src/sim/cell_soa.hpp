@@ -17,10 +17,11 @@
 //   snapshot_  the four phase-start router-input latches per cell that
 //              neighbour room/occupancy decisions read.
 //   arb_next_  the round-robin arbitration pointer per cell.
-//   active_    the activity-flag BITMAP of the event-driven engine: bit i
-//              is cell i's flag, set while the cell has work. Every phase
-//              sweep walks these words directly (64 cells per load +
-//              countr_zero) instead of testing a bool per cell object.
+//   active_    the activity-flag BITMAP, kept under both cycle engines:
+//              bit i is cell i's flag, set while the cell has work. Every
+//              sweep of the event-driven engine walks these words directly
+//              (64 cells per load + countr_zero) instead of testing a bool
+//              per cell object.
 //   summary_   the bitmap's second level: at every phase boundary, bit w
 //              is set if active_ word w is non-zero (it may also be set,
 //              stale, for a word that has since emptied). Sweeps skip a
@@ -159,7 +160,7 @@ class CellSoA {
     arb_next_[cc] = static_cast<std::uint8_t>((arb_next_[cc] + 1) % kLanes);
   }
 
-  // --- The activity bitmap (active-set engine) -----------------------------
+  // --- The activity bitmap -------------------------------------------------
   // Level 0: bit cc of active_ word cc/64 is cell cc's flag. Each bit has a
   // single writer (the owning partition's worker, or the host between
   // cycles) but a word can straddle a partition boundary, so the

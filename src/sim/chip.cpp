@@ -1,6 +1,7 @@
 #include "sim/chip.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -23,14 +24,21 @@ rt::Action make_allocate_action(std::uint32_t target_cc, rt::ObjectKind kind,
                          rt::GlobalAddress{target_cc, 0}, w0, reply_to.pack(), tag);
 }
 
-/// Sparse fast-path trigger of the parallel active-set engine: when the
-/// whole chip holds at most this many live cells *per partition*, a cycle's
-/// useful work (a few hundred cell visits) is dwarfed by its four barrier
-/// waits, so run_cycles executes the cycle phase-major on the calling
-/// thread instead of dispatching the pool. Purely a host-performance knob:
-/// the serial schedule is the barrier schedule minus the barriers, so
-/// results are identical either way.
+/// Sparse fast-path trigger of the parallel engine: when the whole chip
+/// holds at most this many live cells *per partition*, a cycle's useful
+/// work (a few hundred cell visits) is dwarfed by its four barrier waits,
+/// so run_cycles executes the cycle phase-major on the calling thread
+/// instead of dispatching the pool. Purely a host-performance knob: the
+/// serial schedule is the barrier schedule minus the barriers, so results
+/// are identical either way.
 constexpr std::uint64_t kSparseSerialThreshold = 32;
+
+/// Rebalance hysteresis: a load-adaptive re-split is adopted only when it
+/// improves the hottest band's (decayed) load by at least this many
+/// percent, so oscillating workloads stop ping-ponging boundaries (see
+/// PartitionLayout::rebalanced). The rebalance schedule never changes
+/// results.
+constexpr std::uint32_t kRebalanceMinGainPct = 5;
 
 }  // namespace
 
@@ -191,7 +199,7 @@ Chip::Chip(ChipConfig cfg)
   layout_ = PartitionLayout::build(partition_spec_, cfg_.width, cfg_.height,
                                    resolve_threads(cfg_.threads));
   num_parts_ = layout_.parts();
-  parts_.resize(num_parts_);
+  parts_ = std::vector<PartitionState>(num_parts_);
   for (std::uint32_t p = 0; p < num_parts_; ++p) {
     parts_[p].index = p;
     parts_[p].outbox.resize(num_parts_);
@@ -217,7 +225,6 @@ void Chip::apply_layout() {
 }
 
 void Chip::recount_active_cells() {
-  if (!engine_active_) return;
   for (PartitionState& st : parts_) {
     st.active_count = 0;
     st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
@@ -238,9 +245,8 @@ void Chip::rebalance_partitions() {
     load_at_rebalance_[i] = cell_load_[i];
   }
   // Hysteresis half: rebalanced() keeps the current boundaries unless the
-  // re-split improves the hottest band by the configured margin.
-  PartitionLayout next =
-      layout_.rebalanced(load_window_, cfg_.rebalance_min_gain_pct);
+  // re-split improves the hottest band by kRebalanceMinGainPct.
+  PartitionLayout next = layout_.rebalanced(load_window_, kRebalanceMinGainPct);
   if (next == layout_) return;
   layout_ = std::move(next);
   apply_layout();
@@ -301,41 +307,15 @@ void Chip::inject_via(std::uint32_t at_cc, const rt::Action& action) {
 }
 
 bool Chip::quiescent() const {
-  if (outstanding_ != 0) return false;
-  if (engine_active_) {
-    // The flags are exactly the cells with work (the post-cycle
-    // invariant), so quiescence is O(partitions) instead of O(mesh).
-    for (const PartitionState& st : parts_) {
-      if (st.active_count != 0) return false;
-    }
-    return true;
-  }
-  // Scan engine: one packed hot word per cell — zero iff idle — so the
-  // O(mesh) sweep is a linear pass over one uint64 array.
-  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
-    if (soa_.hot_word(i) != 0) return false;
-  }
-  return true;
+  // The flags are exactly the cells with work (the post-cycle invariant,
+  // kept under both engines), so quiescence is O(partitions).
+  return outstanding_ == 0 && active_cells() == 0;
 }
 
 std::uint64_t Chip::active_cells() const noexcept {
   std::uint64_t n = 0;
-  if (engine_active_) {
-    for (const PartitionState& st : parts_) n += st.active_count;
-    return n;
-  }
-  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
-    if (soa_.hot_word(i) != 0) ++n;
-  }
+  for (const PartitionState& st : parts_) n += st.active_count;
   return n;
-}
-
-bool Chip::partitions_quiescent() const noexcept {
-  if (outstanding_ != 0) return false;
-  for (const auto& st : parts_) {
-    if (!st.idle) return false;
-  }
-  return true;
 }
 
 std::uint64_t Chip::run_until_quiescent(std::uint64_t max_cycles) {
@@ -354,93 +334,85 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
   // are partition-invariant, so the schedule cannot change them.
   if (partition_spec_.rebalance) rebalance_partitions();
 
-  // Serial whenever there is one partition — or the active engine reports
-  // so little live work that the four barrier waits of a pooled cycle
-  // would dwarf the cell visits (see kSparseSerialThreshold). The mode can
-  // flip per cycle as a frontier thins out or widens; the decision reads
-  // only simulated state, so it is deterministic, and either mode produces
+  // The cycle's stages, stated once. Each runs for every partition over
+  // its own cells; a stage reads what other partitions wrote only in
+  // earlier stages, so one barrier after each keeps the pooled mode exact.
+  //   SNAPSHOT  latch the router-input sizes every ROUTE decision reads;
+  //   ROUTE     move traffic, deferring cross-partition pushes to outboxes;
+  //   SETTLE    APPLY inbound outboxes, IO injection, COMPUTE one op.
+  static constexpr std::array<void (Chip::*)(PartitionState&), 3> kStages = {
+      &Chip::cycle_snapshot, &Chip::cycle_route, &Chip::cycle_settle};
+
+  // The end-of-cycle step both modes share: merge the partition
+  // accumulators, count the cycle, decide whether the run is done.
+  std::uint64_t ran = 0;
+  bool done = false;
+  const auto end_cycle = [&] {
+    merge_partitions();
+    ++ran;
+    done = ran >= max_cycles || (until_quiescent && quiescent());
+  };
+
+  // Serial whenever there is one partition — or the chip holds so little
+  // live work that the four barrier waits of a pooled cycle would dwarf
+  // the cell visits (see kSparseSerialThreshold). The mode can flip per
+  // cycle as a frontier thins out or widens; the decision reads only
+  // simulated state, so it is deterministic, and either mode produces
   // bit-identical results.
   const auto serial_preferred = [this] {
     return num_parts_ == 1 ||
-           (engine_active_ &&
-            active_cells() <= kSparseSerialThreshold * num_parts_);
+           active_cells() <= kSparseSerialThreshold * num_parts_;
   };
 
-  std::uint64_t ran = 0;
-  while (ran < max_cycles) {
+  while (!done) {
     if (serial_preferred()) {
-      serial_cycle();
-      ++ran;
-      if (until_quiescent && partitions_quiescent()) break;
+      // Phase-major on the calling thread: every stage finishes on all
+      // partitions before the next begins — the barrier schedule without
+      // the barriers.
+      for (const auto stage : kStages) {
+        for (PartitionState& st : parts_) (this->*stage)(st);
+      }
+      end_cycle();
       continue;
     }
 
-    // Parallel engine: one dispatch for a whole batch of cycles; the cycle
-    // loop lives inside the job and synchronises on the pool's phase
-    // barrier. Partition 0 (the calling thread) performs the merge and the
-    // stop decision between the third and fourth barriers of each cycle;
-    // the barriers provide the happens-before edges, so `stop` and `ran`
-    // need no atomics. The batch also ends when the mesh goes sparse, so
-    // the outer loop can continue on the serial fast path.
+    // Pooled: one dispatch for a whole batch of cycles, one barrier after
+    // each stage and one after the end-of-cycle step, which partition 0
+    // (the calling thread) runs while the others wait. The barriers
+    // provide the happens-before edges, so `stop`, `done` and `ran` need
+    // no atomics. The batch also ends when the mesh goes sparse, so the
+    // outer loop can continue on the serial fast path.
     bool stop = false;
-    bool done = false;
     pool_->run([&](std::uint32_t p) {
-      PartitionState& st = parts_[p];
-      for (;;) {
-        cycle_snapshot(st);
-        pool_->sync();  // snapshots visible to neighbouring partitions
-        cycle_route(st);
-        pool_->sync();  // all routing decisions made; outboxes final
-        cycle_apply(st);
-        cycle_io(st);
-        cycle_compute(st);
-        pool_->sync();  // all cell state settled for this cycle
+      do {
+        for (const auto stage : kStages) {
+          (this->*stage)(parts_[p]);
+          pool_->sync();
+        }
         if (p == 0) {
-          merge_partitions();
-          ++ran;
-          done = ran >= max_cycles ||
-                 (until_quiescent && partitions_quiescent());
+          end_cycle();
           stop = done || serial_preferred();
         }
-        pool_->sync();  // merge + stop decision visible to all partitions
-        if (stop) break;
-      }
+        pool_->sync();
+      } while (!stop);
     });
-    if (done) break;
   }
   return ran;
 }
 
-void Chip::serial_cycle() {
-  // Phase-major over all partitions — exactly the barrier schedule without
-  // the barriers: every snapshot lands before any route reads a
-  // neighbour's latch, every outbox is final before any apply drains it.
-  for (PartitionState& st : parts_) cycle_snapshot(st);
-  for (PartitionState& st : parts_) cycle_route(st);
-  for (PartitionState& st : parts_) {
-    cycle_apply(st);
-    cycle_io(st);
-    cycle_compute(st);
-  }
-  merge_partitions();
-}
-
-template <typename F>
-void Chip::sweep_all(PartitionState& st, F&& f) {
-  st.cell_visits += st.rect.cells();
-  st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
-    for (std::uint32_t idx = span.begin; idx < span.end; ++idx) f(idx);
-  });
-}
-
 template <bool kPrune, typename F>
-void Chip::sweep_active(PartitionState& st, F&& f) {
+void Chip::sweep(PartitionState& st, F&& f) {
   const auto visit = [&](std::uint32_t idx) {
     ++st.cell_visits;
     f(idx);
   };
   st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
-    if constexpr (kPrune) {
+    if (!engine_active_) {
+      // Scan: every cell, without reading the bitmap — an oracle for
+      // which cells run that does not trust the flags.
+      st.cell_visits += span.end - span.begin;
+      for (std::uint32_t idx = span.begin; idx < span.end; ++idx) f(idx);
+    } else if constexpr (kPrune) {
       soa_.for_each_active_pruning(span.begin, span.end, visit);
     } else {
       soa_.for_each_active(span.begin, span.end, visit);
@@ -449,17 +421,14 @@ void Chip::sweep_active(PartitionState& st, F&& f) {
 }
 
 void Chip::cycle_snapshot(PartitionState& st) {
-  const auto latch = [this](std::uint32_t idx) { soa_.latch_snapshot(idx); };
-  if (engine_active_) {
-    // Inactive cells need no latch: leaving the set zeroed their snapshot
-    // (cycle_compute), and an idle cell's live sizes are all zero, so the
-    // stored values already equal what a full scan would latch. No
-    // partition writes the bitmap in this phase, which makes it the one
-    // where the sweep may prune stale summary bits (see CellSoA).
-    sweep_active</*kPrune=*/true>(st, latch);
-  } else {
-    sweep_all(st, latch);
-  }
+  // Cells the active sweep skips need no latch: leaving the set zeroed
+  // their snapshot (cycle_compute), and an idle cell's live sizes are all
+  // zero, so the stored values already equal what a scan would latch. No
+  // partition writes the bitmap in this stage, which makes it the one
+  // where the sweep may prune stale summary bits (see CellSoA).
+  sweep</*kPrune=*/true>(st, [this](std::uint32_t idx) {
+    soa_.latch_snapshot(idx);
+  });
 }
 
 void Chip::deliver(PartitionState& st, ComputeCell& cell, const Message& msg) {
@@ -472,19 +441,16 @@ void Chip::cycle_route(PartitionState& st) {
   const bool adaptive = cfg_.routing == RoutingPolicyKind::kWestFirst ||
                         cfg_.routing == RoutingPolicyKind::kOddEven;
 
-  const auto route = [&](std::uint32_t idx) { route_cell(st, idx, adaptive); };
-  if (engine_active_) {
-    // Sweeping the flags is exact: a cell inactive at phase start has zero
-    // phase-start router occupancy, which is precisely the cells the scan
-    // loop skips (without advancing their arbitration pointer). A cell
-    // this partition's own push flags mid-sweep is visited iff its word
-    // comes later in the sweep, and that visit is the same early-return
-    // no-op: a cell activated this phase has zero snapshot latches and
-    // empty io/local_out lanes.
-    sweep_active</*kPrune=*/false>(st, route);
-  } else {
-    sweep_all(st, route);
-  }
+  // Sweeping the flags is exact: a cell inactive at phase start has zero
+  // phase-start router occupancy, which is precisely the cells the scan
+  // visits as a no-op (without advancing their arbitration pointer). A
+  // cell this partition's own push flags mid-sweep is visited iff its word
+  // comes later in the sweep, and that visit is the same early-return
+  // no-op: a cell activated this phase has zero snapshot latches and
+  // empty io/local_out lanes.
+  sweep</*kPrune=*/false>(st, [&](std::uint32_t idx) {
+    route_cell(st, idx, adaptive);
+  });
 }
 
 void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
@@ -575,20 +541,26 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
         // partitions with traffic (see PartitionState::inbox_producers).
         PartitionState& dst_part = parts_[owner];
         const std::uint32_t slot =
-            dst_part.inbox_count.v.fetch_add(1, std::memory_order_relaxed);
+            dst_part.inbox_count.fetch_add(1, std::memory_order_relaxed);
         dst_part.inbox_producers[slot] = st.index;
       }
       box.pushes.push_back(
           {next_idx, static_cast<std::uint8_t>(port), m});
     } else {
       cells_[next_idx].push_router(port, m);
-      if (engine_active_) mark_active(st, next_idx);
+      mark_active(st, next_idx);
     }
     cell.pop_input(src);
     used_out[d] = true;
     ++st.stats.hops;
   }
   soa_.advance_arb(idx);
+}
+
+void Chip::cycle_settle(PartitionState& st) {
+  cycle_apply(st);
+  cycle_io(st);
+  cycle_compute(st);
 }
 
 void Chip::cycle_apply(PartitionState& st) {
@@ -598,18 +570,18 @@ void Chip::cycle_apply(PartitionState& st) {
   // FIFO receives at most one message per cycle (single writer + used_out)
   // so application order cannot matter; the sort still pins a reproducible
   // drain order, since registration order depends on thread timing.
-  const std::uint32_t n = st.inbox_count.v.load(std::memory_order_relaxed);
+  const std::uint32_t n = st.inbox_count.load(std::memory_order_relaxed);
   if (n == 0) return;
   std::sort(st.inbox_producers.begin(), st.inbox_producers.begin() + n);
   for (std::uint32_t i = 0; i < n; ++i) {
     auto& inbox = parts_[st.inbox_producers[i]].outbox[st.index].pushes;
     for (const PendingPush& p : inbox) {
       cells_[p.target_cc].push_router(p.port, p.msg);
-      if (engine_active_) mark_active(st, p.target_cc);
+      mark_active(st, p.target_cc);
     }
     inbox.clear();
   }
-  st.inbox_count.v.store(0, std::memory_order_relaxed);
+  st.inbox_count.store(0, std::memory_order_relaxed);
 }
 
 void Chip::cycle_io(PartitionState& st) {
@@ -624,7 +596,7 @@ void Chip::cycle_io(PartitionState& st) {
     m.birth_cycle = cycle_;
     m.last_move_cycle = cycle_;  // injection consumes this cycle's movement
     cc.push_io(m);
-    if (engine_active_) mark_active(st, ioc.attached_cc);
+    mark_active(st, ioc.attached_cc);
     ioc.pending.pop_front();
     ++st.stats.io_injections;
   }
@@ -633,34 +605,28 @@ void Chip::cycle_io(PartitionState& st) {
 void Chip::cycle_compute(PartitionState& st) {
   const bool tracing = trace_.enabled();
 
-  if (engine_active_) {
-    // Cells activated since the route phase began (same-partition router
-    // pushes, inbound applies, IO injections) already carry their flag, so
-    // one sweep visits exactly the cells the scan engine finds live, in
-    // the same ascending order. The compute phase never activates a cell
-    // other than the one executing (propagate/schedule_local target the
-    // executing cell), so no flag appears ahead of the sweep.
-    std::uint64_t live = 0;
-    sweep_active</*kPrune=*/false>(st, [&](std::uint32_t idx) {
-      if (compute_one(st, idx, tracing)) {
-        ++live;
-      } else {
-        soa_.clear_active(idx);
-        // Leaving the set re-establishes the inactive-cell invariant: a
-        // neighbour's room/occupancy read of this cell next cycle must see
-        // the zeros a fresh latch of its (now empty) FIFOs would produce.
-        soa_.zero_snapshot(idx);
-      }
-    });
-    st.active_count = live;
-    st.idle = live == 0;
-    return;
-  }
-
-  st.idle = true;
-  sweep_all(st, [&](std::uint32_t idx) {
-    if (compute_one(st, idx, tracing)) st.idle = false;
+  // Cells activated since the route phase began (same-partition router
+  // pushes, inbound applies, IO injections) already carry their flag, so
+  // the active sweep visits exactly the cells the scan finds live, in the
+  // same ascending order. The compute phase never activates a cell other
+  // than the one executing (propagate/schedule_local target the executing
+  // cell), so no flag appears ahead of the sweep.
+  std::uint64_t live = 0;
+  sweep</*kPrune=*/false>(st, [&](std::uint32_t idx) {
+    if (compute_one(st, idx, tracing)) {
+      ++live;
+    } else if (soa_.is_active(idx)) {
+      // Only this partition writes its cells' bits in this stage, so the
+      // test is exact; it always holds under active, and under scan it
+      // spares the never-active cells the atomic clear.
+      soa_.clear_active(idx);
+      // Leaving the set re-establishes the inactive-cell invariant: a
+      // neighbour's room/occupancy read of this cell next cycle must see
+      // the zeros a fresh latch of its (now empty) FIFOs would produce.
+      soa_.zero_snapshot(idx);
+    }
   });
+  st.active_count = live;
 }
 
 bool Chip::compute_one(PartitionState& st, std::uint32_t idx, bool tracing) {
@@ -754,29 +720,27 @@ void Chip::merge_partitions() {
 
 void Chip::verify_cycle_invariants() const {
   // 1. Per-cell: the cached counter equals real lane occupancy, the packed
-  //    hot word sums exactly the containers it caches, and — under the
-  //    active engine — the bitmap flags are exactly the activity predicate
-  //    (the invariant every phase sweep trusts when it skips a cell).
+  //    hot word sums exactly the containers it caches, and the bitmap
+  //    flags are exactly the activity predicate (the invariant every
+  //    active sweep trusts when it skips a cell, and quiescent() reads).
   for (std::uint32_t i = 0; i < cells_.size(); ++i) {
     const ComputeCell& c = cells_[i];
     CCA_CHECK(full, c.fifo_msgs() == c.router_occupancy());
     CCA_CHECK(full, soa_.work_items(i) ==
                         c.fifo_msgs() + c.staged_count() + c.task_count() +
                             c.action_count());
-    if (engine_active_) CCA_CHECK(full, soa_.is_active(i) == c.has_work());
+    CCA_CHECK(full, soa_.is_active(i) == c.has_work());
   }
   // 2. The summary level covers every live word — what lets a sweep skip
   //    a clear summary bit's 64 cells unread. Stale set bits are legal.
-  if (engine_active_) CCA_CHECK(full, soa_.summary_covers_live_words());
+  CCA_CHECK(full, soa_.summary_covers_live_words());
   for (const PartitionState& st : parts_) {
     // 3. Cross-partition plumbing drained: no outbox holds a push and no
     //    producer registration survived the apply phase.
     for (const PartitionState::Outbox& box : st.outbox) {
       CCA_CHECK(full, box.pushes.empty());
     }
-    CCA_CHECK(full,
-              st.inbox_count.v.load(std::memory_order_relaxed) == 0);
-    if (!engine_active_) continue;
+    CCA_CHECK(full, st.inbox_count.load(std::memory_order_relaxed) == 0);
     // 4. The partition's live count is the flag popcount of its rectangle.
     std::uint64_t flagged = 0;
     st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {

@@ -46,25 +46,27 @@ namespace ccastream::sim {
 
 /// Which cycle engine executes the chip. Both engines are cycle-for-cycle
 /// identical — same cycles, counters, energy, traces, results — for every
-/// workload, partition shape, and thread count; they differ only in host
-/// cost per simulated cycle.
+/// workload, partition shape, and thread count; they differ only in the
+/// cells a stage's sweep visits, and so in host cost per simulated cycle.
+/// Both keep the CellSoA activity bitmap: a cell's bit is set at every
+/// point work is created and cleared when the compute stage leaves it
+/// idle, so it is set iff the cell has work (see ComputeCell::has_work).
 ///
-///   * kScan   — the paper-literal engine: every phase walks every cell of
-///               every partition rectangle, costing O(width × height) per
-///               cycle regardless of how much of the mesh is doing
-///               anything. Kept as the in-tree oracle the active engine is
-///               pinned against (CCASTREAM_ENGINE=scan).
-///   * kActive — the event-driven engine, and the default: a cell is
-///               active iff it has work (see ComputeCell::has_work), kept
-///               as one bit per cell in the CellSoA activity bitmap and
-///               set at every point work is created. Every phase sweeps
-///               the set bits of its partition rectangle in ascending
-///               cell-index order, skipping idle 64-cell words through the
-///               bitmap's one-bit-per-word summary level, so a cycle costs
-///               O(live words + rectangle / 4096) instead of O(mesh) —
-///               the win on sparse frontiers (see bench_active_set and the
-///               `cell_visits` metric) — while a saturated mesh costs one
-///               word sweep of the same cells the scan engine walks.
+///   * kScan   — the paper-literal engine: every sweep walks every cell of
+///               its partition rectangle without reading the bitmap,
+///               costing O(width × height) per cycle regardless of how
+///               much of the mesh is doing anything. Kept as the in-tree
+///               oracle the active engine is pinned against
+///               (CCASTREAM_ENGINE=scan).
+///   * kActive — the event-driven engine, and the default: every sweep
+///               visits the set bits of its partition rectangle in
+///               ascending cell-index order, skipping idle 64-cell words
+///               through the bitmap's one-bit-per-word summary level, so a
+///               cycle costs O(live words + rectangle / 4096) instead of
+///               O(mesh) — the win on sparse frontiers (see
+///               bench_active_set and the `cell_visits` metric) — while a
+///               saturated mesh costs one word sweep of the same cells the
+///               scan engine walks.
 enum class EngineKind : std::uint8_t { kScan, kActive };
 
 [[nodiscard]] std::string_view to_string(EngineKind engine) noexcept;
@@ -122,12 +124,6 @@ struct ChipConfig {
   /// CCASTREAM_ENGINE=scan). A performance knob only: both engines are
   /// cycle-for-cycle identical.
   std::optional<EngineKind> engine;
-  /// Rebalance hysteresis: a load-adaptive re-split is adopted only when it
-  /// improves the hottest band's (decayed) load by at least this many
-  /// percent, so oscillating workloads stop ping-ponging boundaries. 0
-  /// restores always-adopt. Another performance knob: the rebalance
-  /// schedule never changes results.
-  std::uint32_t rebalance_min_gain_pct = 5;
   /// Runtime verification level of the checked build (see
   /// runtime/check.hpp): off (default) compiles the checks to untaken
   /// branches, cheap cross-checks the cached fifo_msgs counter at every
@@ -291,15 +287,14 @@ class Chip {
     return cell_visits_;
   }
 
-  /// Live cells across all partitions right now (scan engine: recomputed
-  /// with a full mesh walk; active engine: the summed per-partition
-  /// counts, O(partitions)).
+  /// Live cells across all partitions right now: the summed per-partition
+  /// counts of set activity bits, O(partitions) under both engines.
   [[nodiscard]] std::uint64_t active_cells() const noexcept;
 
   /// Barrier arrivals performed by the worker pool so far (0 on
-  /// single-partition chips). Together with cell_visits() this exposes the
-  /// active engine's sparse fast path: cycles run serially perform no
-  /// barrier arrivals at all.
+  /// single-partition chips). A pooled cycle costs four per partition; a
+  /// cycle on the sparse serial path (see run_cycles) costs none, so this
+  /// counter makes the switch between the two observable.
   [[nodiscard]] std::uint64_t barrier_syncs() const noexcept {
     return pool_ ? pool_->syncs() : 0;
   }
@@ -406,7 +401,6 @@ class Chip {
     std::int64_t outstanding = 0;       ///< This cycle's outstanding delta.
     std::vector<HandlerProfile> profile;
     std::uint32_t trace_active = 0, trace_live = 0;
-    bool idle = true;                   ///< All owned cells idle after compute.
     /// Router pushes crossing into another partition, keyed by destination
     /// partition id; the destination drains its inbox behind the route
     /// barrier. (With one-hop-per-cycle routing only edge-adjacent
@@ -419,7 +413,6 @@ class Chip {
     };
     std::vector<Outbox> outbox;
 
-    // --- Active-set engine state (EngineKind::kActive only) ---------------
     /// Flagged cells of the rectangle (membership itself is the CellSoA
     /// activity bitmap). Invariant between cycles: exactly the owned cells
     /// for which ComputeCell::has_work() holds. Bumped at every activation,
@@ -430,7 +423,6 @@ class Chip {
     /// route + compute); merged into Chip::cell_visits_.
     std::uint64_t cell_visits = 0;
 
-    // --- Cross-partition traffic registration (both engines) --------------
     /// Producers that pushed into this partition's inbox (their
     /// `outbox[this]`) during the route phase, registered on first push.
     /// The apply phase drains exactly `inbox_producers[0..inbox_count)`
@@ -439,25 +431,16 @@ class Chip {
     /// Slot reservation via fetch_add; the route barrier publishes the
     /// slot contents before the consumer reads them.
     std::vector<std::uint32_t> inbox_producers;
-    /// Producer count this cycle. Wrapped so PartitionState stays movable
-    /// (construction-time only; the atomic itself is never moved mid-run).
-    struct MovableAtomicU32 {
-      std::atomic<std::uint32_t> v{0};
-      MovableAtomicU32() = default;
-      MovableAtomicU32(MovableAtomicU32&& o) noexcept
-          : v(o.v.load(std::memory_order_relaxed)) {}
-      MovableAtomicU32& operator=(MovableAtomicU32&& o) noexcept {
-        v.store(o.v.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-        return *this;
-      }
-    };
-    MovableAtomicU32 inbox_count;
+    /// Producer count this cycle.
+    std::atomic<std::uint32_t> inbox_count{0};
   };
 
-  /// The cycle engine: runs up to `max_cycles` cycles (optionally stopping
-  /// at global quiescence) and returns how many were executed. Serial and
-  /// parallel paths run the same per-partition phase functions.
+  /// The cycle loop: runs up to `max_cycles` cycles (optionally stopping
+  /// at global quiescence) and returns how many were executed. Each cycle
+  /// runs one stage table (SNAPSHOT, ROUTE, SETTLE) and one end-of-cycle
+  /// step (merge, count, stop decision), either phase-major on the calling
+  /// thread or on the pool with a barrier after each stage and after the
+  /// end-of-cycle step.
   std::uint64_t run_cycles(std::uint64_t max_cycles, bool until_quiescent);
 
   /// Points every PartitionState at its layout_ rectangle and reassigns IO
@@ -466,24 +449,27 @@ class Chip {
   /// per-cycle accumulator is drained.
   void apply_layout();
 
-  // Per-partition cycle phases (worker-thread side). Each dispatches on
-  // the engine: the scan paths walk every cell of the partition
-  // rectangle, the active paths sweep its set bitmap bits — over the
-  // *same* shared per-cell bodies (latch_snapshot/route_cell/compute_one),
-  // which is what makes the two engines trivially cycle-identical.
+  // The cycle's stages (worker-thread side), each over one partition's
+  // cells. The per-cell sweeps run the same per-cell bodies
+  // (latch_snapshot/route_cell/compute_one) under both engines, which is
+  // what makes the two engines trivially cycle-identical.
   void cycle_snapshot(PartitionState& st);
   void cycle_route(PartitionState& st);
-  /// The two phase loops. Scan: calls `f(idx)` for every cell of `st`'s
-  /// rectangle. Active: for every set bitmap bit of it, pruning stale
-  /// summary bits when kPrune (the snapshot phase only; see CellSoA).
-  /// Both visit in ascending cell index and bill cell_visits.
-  template <typename F>
-  void sweep_all(PartitionState& st, F&& f);
-  template <bool kPrune, typename F>
-  void sweep_active(PartitionState& st, F&& f);
+  /// APPLY, IO and COMPUTE, back to back: each writes only its own
+  /// partition's cells, and the one cross-partition state any of them
+  /// reads (the outboxes APPLY drains) was settled behind the ROUTE
+  /// barrier.
+  void cycle_settle(PartitionState& st);
   void cycle_apply(PartitionState& st);
   void cycle_io(PartitionState& st);
   void cycle_compute(PartitionState& st);
+  /// The one place the engines differ: calls `f(idx)` in ascending cell
+  /// index for every cell of `st`'s rectangle (scan, never reading the
+  /// bitmap) or for every set bitmap bit of it (active, pruning stale
+  /// summary bits when kPrune — the snapshot stage only; see CellSoA).
+  /// Bills each visit to cell_visits.
+  template <bool kPrune, typename F>
+  void sweep(PartitionState& st, F&& f);
   /// End-of-cycle merge (single-threaded, behind the barrier).
   void merge_partitions();
   /// Full-level barrier-point sweep (CCASTREAM_CHECK=full), run at the end
@@ -493,25 +479,17 @@ class Chip {
   /// exactly equals has_work(), every non-zero bitmap word has its summary
   /// bit set, the per-partition counts equal the flag popcount, all
   /// cross-partition outboxes are drained, and the partition rectangles
-  /// exactly cover the mesh. O(mesh) per cycle by design; a failure
-  /// aborts via CCA_CHECK.
+  /// exactly cover the mesh. O(mesh) per cycle by design, under both
+  /// engines; a failure aborts via CCA_CHECK.
   void verify_cycle_invariants() const;
-  /// Quiescence from the partition idle flags of the cycle just merged.
-  [[nodiscard]] bool partitions_quiescent() const noexcept;
 
   // Shared per-cell phase bodies.
   void route_cell(PartitionState& st, std::uint32_t idx, bool adaptive);
   /// One compute-phase visit; returns whether the cell still has work
-  /// (drives both the idle flag and active-set retention).
+  /// (its activity bit stays set iff it does).
   bool compute_one(PartitionState& st, std::uint32_t idx, bool tracing);
 
-  /// One serial cycle over all partitions, phase-major (all snapshots,
-  /// then all routes, then apply/io/compute, then the merge) — exactly the
-  /// barrier schedule without the barriers. The sparse fast path of the
-  /// parallel engine and the whole of the single-partition engine.
-  void serial_cycle();
-
-  // --- Active-set maintenance (engine_active_ only) ------------------------
+  // --- Activity-bitmap maintenance (both engines) -------------------------
   /// Flags `idx` (owned by `st`) and counts it; the compute sweep will find
   /// the flag. Called at every point work is created: same-partition
   /// router pushes, inbound cross-partition applies, IO injection.
@@ -528,7 +506,7 @@ class Chip {
   }
   /// Host-side activation (between cycles), used by the injection APIs.
   void activate_cell(std::uint32_t idx) {
-    if (engine_active_) mark_active(parts_[layout_.owner(idx)], idx);
+    mark_active(parts_[layout_.owner(idx)], idx);
   }
   /// Recounts every partition's active_count from the bitmap after a
   /// layout change (construction, rebalancing). Between cycles only.
@@ -559,7 +537,7 @@ class Chip {
   std::vector<HandlerProfile> handler_profile_;
   std::uint64_t cell_visits_ = 0;
   EngineKind engine_ = EngineKind::kScan;
-  /// engine_ == kActive, hoisted: checked on several per-cell hot paths.
+  /// engine_ == kActive, hoisted: read by sweep(), once per span.
   bool engine_active_ = false;
   /// Resolved runtime-verification level (see resolve_check_level); read
   /// by the CCA_CHECK macro via cca_check_level() below.

@@ -1,14 +1,9 @@
 // The FIFO family of the simulator:
 //
-//   * Fifo<T>     — the owning fixed-capacity ring buffer (capacity from
-//                   ChipConfig::fifo_depth). The historical router-buffer
-//                   container, still the right tool for standalone FIFOs;
-//                   the per-cell router lanes themselves now live in the
-//                   chip's SoA slab and are mutated through FifoView.
-//   * FifoView<T> — a non-owning ring-buffer view over one slab lane
-//                   (element span + head/size words inside
-//                   sim/cell_soa.hpp's arrays). Same semantics and the
-//                   same always-on misuse guards as Fifo; copying the view
+//   * FifoView<T> — the bounded ring buffer of the router lanes: a
+//                   non-owning view over one slab lane (element span +
+//                   head/size words inside sim/cell_soa.hpp's arrays,
+//                   capacity ChipConfig::fifo_depth). Copying the view
 //                   copies three pointers, never the lane.
 //   * RingQueue<T>— an unbounded deque replacement for the per-cell
 //                   action/task/staging queues: allocates NOTHING until
@@ -16,88 +11,30 @@
 //                   512-byte block — ~2 GiB of pure overhead across a
 //                   million idle cells), then grows by doubling.
 //
-// Overflow of the bounded variants is impossible by construction because
-// callers must check has_room() — the mesh applies backpressure instead of
-// dropping messages.
+// Overflow of a lane is impossible by construction because callers must
+// check has_room() — the mesh applies backpressure instead of dropping
+// messages.
 //
-// Misuse (push on full, pop on empty, resizing a non-empty buffer) aborts
-// in EVERY build type, not just debug: each of these means a routing or
-// backpressure invariant is already broken and silent wraparound would
-// corrupt messages. The guards are a single predictable compare on state
-// the operation loads anyway; death tests in tests/fifo_test.cpp pin them.
+// Misuse (push on full, pop on empty) aborts in EVERY build type, not just
+// debug: each means a routing or backpressure invariant is already broken
+// and silent wraparound would corrupt messages. The guards are a single
+// predictable compare on state the operation loads anyway; death tests in
+// tests/fifo_test.cpp pin them.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "runtime/check.hpp"
 
 namespace ccastream::sim {
 
-template <typename T>
-class Fifo {
- public:
-  explicit Fifo(std::size_t capacity = 0) : buf_(capacity) {}
-
-  void set_capacity(std::size_t capacity) {
-    if (size_ != 0) {
-      rt::fatal_misuse("Fifo::set_capacity on a non-empty FIFO", __FILE__,
-                       __LINE__);
-    }
-    buf_.assign(capacity, T{});
-    head_ = 0;
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] bool has_room() const noexcept { return size_ < buf_.size(); }
-
-  /// Pushes a value; caller must have checked has_room().
-  void push(const T& v) {
-    if (size_ >= buf_.size()) {
-      rt::fatal_misuse("Fifo::push on a full FIFO", __FILE__, __LINE__);
-    }
-    buf_[(head_ + size_) % buf_.size()] = v;
-    ++size_;
-  }
-
-  [[nodiscard]] T& front() {
-    assert(!empty());
-    return buf_[head_];
-  }
-  [[nodiscard]] const T& front() const {
-    assert(!empty());
-    return buf_[head_];
-  }
-
-  void pop() {
-    if (size_ == 0) {
-      rt::fatal_misuse("Fifo::pop on an empty FIFO", __FILE__, __LINE__);
-    }
-    head_ = (head_ + 1) % buf_.size();
-    --size_;
-  }
-
-  void clear() noexcept {
-    head_ = 0;
-    size_ = 0;
-  }
-
- private:
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
 /// Non-owning ring-buffer FIFO over one slab lane: `buf[0..capacity)` holds
 /// the elements, `*head`/`*size` are the lane's occupancy words inside the
-/// SoA arrays (see sim/cell_soa.hpp). Behaviour — including the always-on
-/// misuse aborts — mirrors Fifo<T> exactly; the view itself is three
-/// pointers and a capacity, so call sites pass it by value.
+/// SoA arrays (see sim/cell_soa.hpp). The view itself is three pointers
+/// and a capacity, so call sites pass it by value.
 template <typename T>
 class FifoView {
  public:

@@ -20,8 +20,8 @@ PartitionPool::~PartitionPool() {
 }
 
 void PartitionPool::run(const std::function<void(std::uint32_t)>& job) {
-  // Dispatches are cheap enough to repeat: the active-set engine's sparse
-  // fast path may end a batch, run a stretch of cycles serially, and
+  // Dispatches are cheap enough to repeat: the chip's sparse fast path
+  // may end a batch, run a stretch of cycles serially, and
   // re-dispatch the pool many times within one run_cycles call — each
   // dispatch is one generation bump plus a condition-variable wakeup.
   if (workers_ <= 1) {

@@ -8,14 +8,14 @@
 // threads — dispatching once per run (instead of once per phase) keeps the
 // per-cycle synchronisation down to futex-backed barrier waits.
 //
-// The active-set engine (the default — see EngineKind in sim/chip.hpp)
-// adds a sparse fast path on top: when a cycle has almost no live cells,
+// The chip adds a sparse fast path on top, under both cycle engines (see
+// EngineKind in sim/chip.hpp): when a cycle has almost no live cells,
 // Chip::run_cycles ends the pooled batch and executes cycles phase-major
 // on the calling thread, re-dispatching the pool only when the frontier
 // widens again. The syncs() counter makes that mode switch observable (a
 // serially executed cycle performs zero barrier arrivals). The barrier
 // schedule itself — snapshot | route | apply+io+compute | merge, one sync
-// between each — is what the determinism invariant rests on: every
+// after each — is what the determinism invariant rests on: every
 // cross-partition read happens against state settled behind the previous
 // barrier (docs/ARCHITECTURE.md, "The cycle lifecycle").
 #pragma once

@@ -73,9 +73,6 @@ struct PartRect {
 
   [[nodiscard]] std::uint32_t width() const noexcept { return x1 - x0; }
   [[nodiscard]] std::uint32_t height() const noexcept { return y1 - y0; }
-  [[nodiscard]] std::uint64_t cells() const noexcept {
-    return static_cast<std::uint64_t>(width()) * height();
-  }
   [[nodiscard]] bool contains(std::uint32_t x, std::uint32_t y) const noexcept {
     return x >= x0 && x < x1 && y >= y0 && y < y1;
   }

@@ -11,10 +11,11 @@
 //     cached counter, the activity-bitmap membership flag and its summary
 //     bit — all in the chip's SoA block, reached via Chip::cell_state())
 //     turns the next cycle into a diagnosed abort instead of silent
-//     divergence.
+//     divergence, under both engines (both keep the bitmap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "test_util.hpp"
 
@@ -96,8 +97,8 @@ using test::seed_spinner;
 
 /// Runs the reference workload at `level` on `engine` and returns the final
 /// counters. The workload lights a diagonal of cells with staggered
-/// lifetimes so the run exercises activation, deactivation, and (on the
-/// active engine) the membership structures the full sweep audits.
+/// lifetimes so the run exercises activation, deactivation, and the
+/// membership structures the full sweep audits.
 sim::ChipStats run_workload(CheckLevel level, sim::EngineKind engine) {
   auto cfg = test::small_chip_config(8);
   cfg.check_level = level;
@@ -167,36 +168,42 @@ TEST(CheckDeathTest, CorruptedFifoCounterDiesInMutationHelper) {
 }
 
 // Membership corruption: a cleared flag on a cell that still holds work
-// breaks is_active == has_work(), the invariant every phase sweep of the
-// active engine trusts when it skips cells. (A flag set on an idle cell
-// would not do: the next compute sweep visits it and clears it — the
-// engine heals that one by itself.)
+// breaks is_active == has_work(), the invariant every active sweep trusts
+// when it skips cells and quiescent() reads under both engines. (A flag
+// set on an idle cell would not do: the next compute sweep visits it and
+// clears it — the engine heals that one by itself.)
 TEST(CheckDeathTest, CorruptedActiveFlagDiesAtBarrier) {
-  auto cfg = checked_serial_config(CheckLevel::full);
-  cfg.engine = sim::EngineKind::kActive;
-  sim::Chip chip(cfg);
-  const auto spin = install_spin(chip);
-  seed_spinner(chip, spin, 7, 50);
-  chip.step();
-  ASSERT_TRUE(chip.cell_state().is_active(7));
-  chip.cell_state().corrupt_active_flag(7, false);
-  EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.is_active");
+  for (const auto engine : {sim::EngineKind::kActive, sim::EngineKind::kScan}) {
+    SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
+    auto cfg = checked_serial_config(CheckLevel::full);
+    cfg.engine = engine;
+    sim::Chip chip(cfg);
+    const auto spin = install_spin(chip);
+    seed_spinner(chip, spin, 7, 50);
+    chip.step();
+    ASSERT_TRUE(chip.cell_state().is_active(7));
+    chip.cell_state().corrupt_active_flag(7, false);
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.is_active");
+  }
 }
 
 // Summary corruption: a clear summary bit over a live word makes every
-// sweep skip that word's cells unread — the live cell above would simply
-// stop running. The barrier sweep's summary audit catches it.
+// active sweep skip that word's cells unread — the live cell above would
+// simply stop running. The barrier sweep's summary audit catches it.
 TEST(CheckDeathTest, ClearedSummaryBitDiesAtBarrier) {
-  auto cfg = checked_serial_config(CheckLevel::full);
-  cfg.engine = sim::EngineKind::kActive;
-  sim::Chip chip(cfg);
-  const auto spin = install_spin(chip);
-  seed_spinner(chip, spin, 7, 50);
-  chip.step();
-  ASSERT_TRUE(chip.cell_state().summary_bit(7));
-  chip.cell_state().corrupt_summary_flag(7, false);
-  EXPECT_DEATH(chip.step(),
-               "CCA_CHECK failed: soa_.summary_covers_live_words");
+  for (const auto engine : {sim::EngineKind::kActive, sim::EngineKind::kScan}) {
+    SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
+    auto cfg = checked_serial_config(CheckLevel::full);
+    cfg.engine = engine;
+    sim::Chip chip(cfg);
+    const auto spin = install_spin(chip);
+    seed_spinner(chip, spin, 7, 50);
+    chip.step();
+    ASSERT_TRUE(chip.cell_state().summary_bit(7));
+    chip.cell_state().corrupt_summary_flag(7, false);
+    EXPECT_DEATH(chip.step(),
+                 "CCA_CHECK failed: soa_.summary_covers_live_words");
+  }
 }
 
 // Level off must not die: the same corruptions are (deliberately) ignored,

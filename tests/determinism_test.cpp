@@ -188,15 +188,17 @@ TEST(Determinism, PartitionShapeMatrixIsCycleIdenticalToSerial) {
 // monotone-raise repair framework instantiates (BFS, SSSP, components):
 // every engine, thread count, and partition shape must land on the
 // identical counter block, energy, and per-vertex results as the serial
-// scan run.
+// scan run. The 12x12 mesh keeps more cells live than the sparse serial
+// threshold (32 per partition) for part of the run, so every multi-thread
+// leg also runs pooled cycles and their barriers.
 enum class WindowedApp { kBfs, kSssp, kComponents };
 
 TEST(Determinism, SlidingWindowDeletionsAreCycleIdenticalToSerial) {
   auto run = [](WindowedApp app, sim::EngineKind engine, std::uint32_t threads,
                 const char* partition) {
     sim::ChipConfig cfg;
-    cfg.width = 8;
-    cfg.height = 8;
+    cfg.width = 12;
+    cfg.height = 12;
     cfg.threads = threads;
     cfg.engine = engine;
     cfg.partition = *sim::PartitionSpec::parse(partition);
@@ -238,6 +240,9 @@ TEST(Determinism, SlidingWindowDeletionsAreCycleIdenticalToSerial) {
     }
     EXPECT_TRUE(chip.quiescent());
     EXPECT_GT(deletes, 0u) << "window produced no deletions";
+    if (threads > 1) {
+      EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
+    }
     MatrixResult r;
     r.stats = chip.stats();
     r.energy_pj = chip.energy_pj();
@@ -459,6 +464,71 @@ TEST(Determinism, MonotoneAppCostIsPinned) {
   }
 }
 
+// Cost pin for the cycle's stage schedule. One fixed BFS stream on a 16x16
+// chip at 4 threads pins the simulated cycles, the barrier arrivals and the
+// cell visits, under row stripes and under rebalancing tiles. A pooled
+// cycle costs 4 arrivals per partition and a sparse serial cycle none, so
+// barrier_syncs() pins both the schedule's barrier count and how often the
+// sparse serial path runs. The results tests above cannot see either. The
+// scan leg shows that both engines share the schedule and the sparse path
+// and differ only in the cells a sweep visits (scan: 3 x 256 per cycle). A
+// change to the schedule (fewer barriers, a moved threshold) re-pins here
+// from the failure message.
+struct SchedulePin {
+  std::uint64_t cycles = 0;
+  std::uint64_t barrier_syncs = 0;
+  std::uint64_t cell_visits = 0;
+  friend bool operator==(const SchedulePin&, const SchedulePin&) = default;
+};
+
+void PrintTo(const SchedulePin& p, std::ostream* os) {
+  *os << "SchedulePin{" << p.cycles << ", " << p.barrier_syncs << ", "
+      << p.cell_visits << "}";
+}
+
+TEST(Determinism, StageScheduleBarrierCostIsPinned) {
+  const auto run = [](const char* partition,
+                      sim::EngineKind engine = sim::EngineKind::kActive) {
+    constexpr std::uint64_t n = 600;
+    sim::ChipConfig cfg;
+    cfg.width = 16;
+    cfg.height = 16;
+    cfg.threads = 4;
+    cfg.engine = engine;
+    cfg.partition = *sim::PartitionSpec::parse(partition);
+    sim::Chip chip(cfg);
+    graph::GraphProtocol proto(chip);
+    apps::StreamingBfs bfs(proto);
+    bfs.install();
+    graph::GraphConfig gc;
+    gc.num_vertices = n;
+    gc.root_init = apps::StreamingBfs::initial_state();
+    graph::StreamingGraph g(proto, gc);
+    bfs.set_source(g, 0);
+    const auto sched = wl::make_graphchallenge_like(n, 9'000,
+                                                    wl::SamplingKind::kEdge,
+                                                    /*increments=*/6, 7);
+    for (const auto& inc : sched.increments) g.stream_increment(inc);
+    EXPECT_TRUE(chip.quiescent());
+    EXPECT_EQ(chip.threads(), 4u);
+    return SchedulePin{chip.stats().cycles, chip.barrier_syncs(),
+                       chip.cell_visits()};
+  };
+  {
+    SCOPED_TRACE("partition = rows");
+    EXPECT_EQ(run("rows"), (SchedulePin{2094, 14640, 820738}));
+  }
+  {
+    SCOPED_TRACE("partition = tiles+rebalance");
+    EXPECT_EQ(run("tiles+rebalance"), (SchedulePin{2094, 14640, 832589}));
+  }
+  {
+    SCOPED_TRACE("partition = rows, engine = scan");
+    EXPECT_EQ(run("rows", sim::EngineKind::kScan),
+              (SchedulePin{2094, 14640, 3 * 256 * 2094}));
+  }
+}
+
 // An explicit tile grid pins the partition count independently of the
 // worker request — and still changes nothing.
 TEST(Determinism, ExplicitTileGridIsCycleIdenticalToSerial) {
@@ -472,13 +542,16 @@ TEST(Determinism, ExplicitTileGridIsCycleIdenticalToSerial) {
 // full router ports), yet the snapshot protocol must still be exact — for
 // every thread count AND both cycle engines (the active-set engine must
 // track full router ports precisely, or a stale room snapshot would skew
-// the hop counters here first).
+// the hop counters here first). The 16x16 mesh keeps more cells live than
+// the sparse serial threshold (32 per partition, so 224 of 256 at 7
+// threads) for part of the run, so every multi-thread leg runs pooled
+// cycles too.
 TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
   auto run = [](std::uint32_t threads,
                 sim::EngineKind engine = sim::EngineKind::kScan) {
     sim::ChipConfig cfg;
-    cfg.width = 8;
-    cfg.height = 8;
+    cfg.width = 16;
+    cfg.height = 16;
     cfg.fifo_depth = 2;
     cfg.ejections_per_cycle = 1;
     cfg.threads = threads;
@@ -497,6 +570,9 @@ TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
                                                     wl::SamplingKind::kEdge,
                                                     /*increments=*/3, 77);
     for (const auto& inc : sched.increments) g.stream_increment(inc);
+    if (threads > 1) {
+      EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
+    }
     return chip.stats();
   };
   const sim::ChipStats serial = run(1);
@@ -517,6 +593,8 @@ TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
 // cycle engines. The service adds an ingest queue, an engine thread, and
 // per-batch snapshot latching around stream_increment; none of that may
 // move a single counter, because latching only reads the quiescent chip.
+// The 12x12 mesh keeps the 4-thread legs above the sparse serial threshold
+// for part of the run, so they run pooled cycles too.
 TEST(Determinism, ServiceReplayIsCycleIdenticalToBatchRun) {
   constexpr std::uint64_t n = 260;
   auto sched = wl::make_graphchallenge_like(n, 4'200, wl::SamplingKind::kEdge,
@@ -532,8 +610,8 @@ TEST(Determinism, ServiceReplayIsCycleIdenticalToBatchRun) {
 
   auto make_rig = [&](std::uint32_t threads, sim::EngineKind engine) {
     sim::ChipConfig cfg;
-    cfg.width = 8;
-    cfg.height = 8;
+    cfg.width = 12;
+    cfg.height = 12;
     cfg.threads = threads;
     cfg.engine = engine;
     cfg.seed = 606;
@@ -603,6 +681,9 @@ TEST(Determinism, ServiceReplayIsCycleIdenticalToBatchRun) {
       std::uint64_t cycles = 0;
       for (const auto& r : service.batch_reports()) cycles += r.cycles;
       EXPECT_EQ(cycles, batch.stats.cycles);
+      if (threads > 1) {
+        EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
+      }
     }
   }
 }
@@ -615,34 +696,49 @@ TEST(Determinism, RepeatedParallelRunsAreIdentical) {
   EXPECT_EQ(a, b);
 }
 
-// step()-wise execution matches run_until_quiescent: the engine has no
-// batching artefacts across dispatch granularity — and neither has the
-// active-set engine, whose sparse fast path flips between pooled and
-// serial cycle execution at exactly this boundary.
+// step()-wise execution matches run_until_quiescent: neither engine has
+// batching artefacts across dispatch granularity. Fans seeded on half the
+// cells of a 12x12 mesh keep more cells live than the sparse serial
+// threshold at first and then thin out, so the 2-thread runs switch from
+// pooled to serial cycles — inside one run call when batched, between
+// step() calls when stepped.
 TEST(Determinism, SingleSteppingMatchesBatchedRun) {
   auto make_chip = [](std::uint32_t threads,
                       sim::EngineKind engine = sim::EngineKind::kScan) {
-    sim::ChipConfig cfg = test::small_chip_config();
+    sim::ChipConfig cfg = test::small_chip_config(12);
     cfg.threads = threads;
     cfg.engine = engine;
     return cfg;
   };
   auto seed_work = [](sim::Chip& chip) {
-    const auto tgt = *chip.host_allocate(17, std::make_unique<Blob>());
     const rt::HandlerId fan = chip.handlers().register_handler(
-        "fan", [tgt](rt::Context& ctx, const rt::Action& a) {
+        "fan", [](rt::Context& ctx, const rt::Action& a) {
           if (a.args[0] > 0) {
             for (int i = 0; i < 3; ++i) {
-              ctx.propagate(rt::make_action(a.handler, tgt, a.args[0] - 1));
+              ctx.propagate(
+                  rt::make_action(a.handler, a.target, a.args[0] - 1));
             }
           }
         });
-    chip.inject_local(rt::make_action(fan, tgt, rt::Word{5}));
+    // Fan depths 1..5: the shallow fans finish first, so the live set
+    // thins out to the few deep ones.
+    for (std::uint32_t cc = 0; cc < chip.geometry().cell_count(); cc += 2) {
+      const auto tgt = *chip.host_allocate(cc, std::make_unique<Blob>());
+      chip.inject_local(rt::make_action(fan, tgt, rt::Word{1 + cc % 5}));
+    }
+  };
+  // Both pooled and serial cycles ran: a pooled cycle costs 4 barrier
+  // arrivals per partition, a serial one none.
+  const auto expect_mixed = [](const sim::Chip& chip, std::uint64_t cycles) {
+    EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
+    EXPECT_LT(chip.barrier_syncs(), 4u * chip.threads() * cycles)
+        << "no serial cycle ran";
   };
 
   sim::Chip batched(make_chip(2));
   seed_work(batched);
   const std::uint64_t cycles = batched.run_until_quiescent();
+  expect_mixed(batched, cycles);
 
   sim::Chip stepped(make_chip(2));
   seed_work(stepped);
@@ -653,6 +749,7 @@ TEST(Determinism, SingleSteppingMatchesBatchedRun) {
   }
   EXPECT_EQ(stepped_cycles, cycles);
   EXPECT_EQ(stepped.stats(), batched.stats());
+  expect_mixed(stepped, cycles);
 
   // The same scenario under the active-set engine, stepped AND batched,
   // must land on the identical cycle count and counter block.
@@ -697,12 +794,12 @@ TEST(Determinism, IdleChipQuiescesImmediatelyUnderBothEngines) {
       chip.step();
       EXPECT_EQ(chip.stats().cycles, 2u);
       EXPECT_TRUE(chip.quiescent());
+      // The sparse fast path keeps even the pooled chip off its barriers,
+      // under both engines.
+      EXPECT_EQ(chip.barrier_syncs(), 0u);
       if (engine == sim::EngineKind::kActive) {
-        // O(active cells) with zero active cells: no visits at all — and
-        // the sparse fast path keeps even the pooled chip off its
-        // barriers.
+        // O(active cells) with zero active cells: no visits at all.
         EXPECT_EQ(chip.cell_visits(), 0u);
-        EXPECT_EQ(chip.barrier_syncs(), 0u);
       } else {
         // The scan engine's cost floor: 3 full-mesh walks per cycle.
         EXPECT_EQ(chip.cell_visits(), 2u * 3u * 64u);

@@ -1,9 +1,8 @@
-// Unit tests: the FIFO family of sim/fifo.hpp — the owning ring buffer
-// (Fifo), the non-owning slab-lane view (FifoView), and the unbounded
-// lazily allocated ring queue (RingQueue). Each gets ordering/wrap
-// behaviour plus its always-on misuse guards (push-on-full, pop-on-empty,
-// resize-nonempty abort in every build type, not just debug; see the
-// header comment in sim/fifo.hpp).
+// Unit tests: the FIFO family of sim/fifo.hpp — the non-owning slab-lane
+// ring buffer (FifoView) and the unbounded lazily allocated ring queue
+// (RingQueue). Each gets ordering/wrap behaviour plus its always-on misuse
+// guards (push-on-full and pop-on-empty abort in every build type, not
+// just debug; see the header comment in sim/fifo.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,123 +12,10 @@
 namespace ccastream::sim {
 namespace {
 
-TEST(Fifo, StartsEmpty) {
-  Fifo<int> f(4);
-  EXPECT_TRUE(f.empty());
-  EXPECT_EQ(f.size(), 0u);
-  EXPECT_EQ(f.capacity(), 4u);
-  EXPECT_TRUE(f.has_room());
-}
-
-TEST(Fifo, FifoOrder) {
-  Fifo<int> f(4);
-  f.push(1);
-  f.push(2);
-  f.push(3);
-  EXPECT_EQ(f.front(), 1);
-  f.pop();
-  EXPECT_EQ(f.front(), 2);
-  f.pop();
-  f.push(4);
-  EXPECT_EQ(f.front(), 3);
-  f.pop();
-  EXPECT_EQ(f.front(), 4);
-}
-
-TEST(Fifo, FullReportsNoRoom) {
-  Fifo<int> f(2);
-  f.push(1);
-  EXPECT_TRUE(f.has_room());
-  f.push(2);
-  EXPECT_FALSE(f.has_room());
-  f.pop();
-  EXPECT_TRUE(f.has_room());
-}
-
-TEST(Fifo, WrapsAroundManyTimes) {
-  Fifo<int> f(3);
-  for (int i = 0; i < 100; ++i) {
-    f.push(i);
-    EXPECT_EQ(f.front(), i);
-    f.pop();
-  }
-  EXPECT_TRUE(f.empty());
-}
-
-TEST(Fifo, InterleavedWrap) {
-  Fifo<int> f(3);
-  int next_in = 0, next_out = 0;
-  for (int round = 0; round < 50; ++round) {
-    while (f.has_room()) f.push(next_in++);
-    while (!f.empty()) {
-      EXPECT_EQ(f.front(), next_out++);
-      f.pop();
-    }
-  }
-  EXPECT_EQ(next_in, next_out);
-}
-
-TEST(Fifo, SetCapacityOnEmpty) {
-  Fifo<int> f;
-  EXPECT_EQ(f.capacity(), 0u);
-  EXPECT_FALSE(f.has_room());
-  f.set_capacity(5);
-  EXPECT_EQ(f.capacity(), 5u);
-  for (int i = 0; i < 5; ++i) f.push(i);
-  EXPECT_FALSE(f.has_room());
-}
-
-TEST(Fifo, ClearEmptiesButKeepsCapacity) {
-  Fifo<int> f(3);
-  f.push(1);
-  f.push(2);
-  f.clear();
-  EXPECT_TRUE(f.empty());
-  EXPECT_EQ(f.capacity(), 3u);
-  f.push(9);
-  EXPECT_EQ(f.front(), 9);
-}
-
-// The misuse guards are fatal_misuse-based rather than assert-based so
-// that the contract — callers gate on has_room()/empty() — holds in
-// Release builds too (NDEBUG compiles assert out). Each death test pins
-// both the abort and the diagnostic naming the violated contract.
-using FifoDeathTest = ::testing::Test;
-
-TEST(FifoDeathTest, PushOnFullAborts) {
-  Fifo<int> f(1);
-  f.push(7);
-  EXPECT_DEATH(f.push(8), "fatal misuse: Fifo::push on a full FIFO");
-}
-
-TEST(FifoDeathTest, PushOnZeroCapacityAborts) {
-  Fifo<int> f;
-  EXPECT_DEATH(f.push(1), "fatal misuse: Fifo::push on a full FIFO");
-}
-
-TEST(FifoDeathTest, PopOnEmptyAborts) {
-  Fifo<int> f(2);
-  EXPECT_DEATH(f.pop(), "fatal misuse: Fifo::pop on an empty FIFO");
-}
-
-TEST(FifoDeathTest, PopAfterDrainAborts) {
-  Fifo<int> f(2);
-  f.push(1);
-  f.pop();
-  EXPECT_DEATH(f.pop(), "fatal misuse: Fifo::pop on an empty FIFO");
-}
-
-TEST(FifoDeathTest, SetCapacityOnNonEmptyAborts) {
-  Fifo<int> f(2);
-  f.push(1);
-  EXPECT_DEATH(f.set_capacity(8),
-               "fatal misuse: Fifo::set_capacity on a non-empty FIFO");
-}
-
 // ---------------------------------------------------------------------------
-// FifoView: the same ring semantics over caller-owned storage — the shape
-// of one (cell, lane) slab slice in CellSoA. The view is three pointers, so
-// state persists in the backing words across view copies, and the all-zero
+// FifoView: a bounded ring over caller-owned storage — the shape of one
+// (cell, lane) slab slice in CellSoA. The view is three pointers, so state
+// persists in the backing words across view copies, and the all-zero
 // backing state must read as a valid empty FIFO (the slab's calloc pages
 // are never explicitly initialised).
 
@@ -173,6 +59,35 @@ TEST(FifoView, WrapsAroundManyTimes) {
   EXPECT_EQ(lane.head, 100u % 4u);
 }
 
+TEST(FifoView, FullReportsNoRoom) {
+  LaneBacking lane;
+  for (int i = 0; i < 3; ++i) lane.view().push(i);
+  EXPECT_TRUE(lane.view().has_room());
+  lane.view().push(3);
+  EXPECT_FALSE(lane.view().has_room());
+  lane.view().pop();
+  EXPECT_TRUE(lane.view().has_room());
+}
+
+TEST(FifoView, InterleavedWrap) {
+  LaneBacking lane;
+  int next_in = 0, next_out = 0;
+  // Fill, then drain in uneven bursts, so pushes and pops wrap past the
+  // end of the ring in the middle of a burst.
+  for (int round = 0; round < 50; ++round) {
+    while (lane.view().has_room()) lane.view().push(next_in++);
+    for (int k = 0; k < 1 + round % 4; ++k) {
+      EXPECT_EQ(lane.view().front(), next_out++);
+      lane.view().pop();
+    }
+  }
+  while (!lane.view().empty()) {
+    EXPECT_EQ(lane.view().front(), next_out++);
+    lane.view().pop();
+  }
+  EXPECT_EQ(next_in, next_out);
+}
+
 TEST(FifoView, SizeWordIdentifiesTheLane) {
   LaneBacking a;
   LaneBacking b;
@@ -180,6 +95,10 @@ TEST(FifoView, SizeWordIdentifiesTheLane) {
   EXPECT_NE(a.view().size_word(), b.view().size_word());
 }
 
+// The misuse guards are fatal_misuse-based rather than assert-based so
+// that the contract — callers gate on has_room()/empty() — holds in
+// Release builds too (NDEBUG compiles assert out). Each death test pins
+// both the abort and the diagnostic naming the violated contract.
 TEST(FifoViewDeathTest, PushOnFullAborts) {
   LaneBacking lane;
   for (int i = 0; i < 4; ++i) lane.view().push(i);
@@ -190,6 +109,14 @@ TEST(FifoViewDeathTest, PushOnFullAborts) {
 
 TEST(FifoViewDeathTest, PopOnEmptyAborts) {
   LaneBacking lane;
+  EXPECT_DEATH(lane.view().pop(),
+               "fatal misuse: FifoView::pop on an empty FIFO");
+}
+
+TEST(FifoViewDeathTest, PopAfterDrainAborts) {
+  LaneBacking lane;
+  lane.view().push(1);
+  lane.view().pop();
   EXPECT_DEATH(lane.view().pop(),
                "fatal misuse: FifoView::pop on an empty FIFO");
 }

@@ -191,7 +191,7 @@ TEST(JsonRecord, LegacyRecordWithoutThreadsDefaultsToSerial) {
 }
 
 TEST(JsonRecord, RecordsWithRetiredFieldsStillParse) {
-  // Committed BENCH_*.json files from the dense/sparse hybrid engine carry
+  // Records from the retired dense/sparse hybrid engine carry
   // dense_pct/cap_peak/cap_end; the parser skips fields it does not know.
   const std::string line =
       "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":5,"

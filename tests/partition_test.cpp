@@ -353,16 +353,17 @@ TEST(ChipPartition, ShapeResolutionAndRebalanceAreResultInvariant) {
 }
 
 // Chip-level hysteresis: a workload whose hot row oscillates between two
-// mesh rows re-splits on every increment without damping; with the default
-// minimum-improvement threshold (plus the decayed load window) the chip
-// stops chasing it — and, as always, the results cannot tell the
-// difference.
+// mesh rows. Without a threshold the chip would re-split on five of its six
+// bursts (the layout test above shows plain quantiles chasing the hot
+// row); the chip's fixed 5% minimum improvement, plus the decayed load
+// window, lets it re-split exactly once. Pinning 1 rather than "at most 1"
+// keeps the premise that the rebalancer fires on this workload at all; as
+// always, the results cannot tell the difference from fixed row stripes.
 TEST(ChipPartition, RebalanceHysteresisDampensOscillation) {
-  auto run = [](std::uint32_t min_gain) {
+  auto run = [](const char* partition) {
     sim::ChipConfig cfg = test::small_chip_config();  // 8x8
     cfg.threads = 2;
-    cfg.partition = *PartitionSpec::parse("rows+rebalance");
-    cfg.rebalance_min_gain_pct = min_gain;
+    cfg.partition = *PartitionSpec::parse(partition);
     sim::Chip chip(cfg);
     const rt::HandlerId burn = chip.handlers().register_handler(
         "burn", [](rt::Context& ctx, const rt::Action&) { ctx.charge(24); });
@@ -376,10 +377,9 @@ TEST(ChipPartition, RebalanceHysteresisDampensOscillation) {
     }
     return std::pair{chip.stats(), chip.partition_rebalances()};
   };
-  const auto [stats_plain, flips] = run(0);
-  const auto [stats_damped, damped_flips] = run(5);
-  EXPECT_GT(flips, 0u) << "test premise: the oscillation moves boundaries";
-  EXPECT_LT(damped_flips, flips) << "hysteresis must damp the ping-pong";
+  const sim::ChipStats stats_plain = run("rows").first;
+  const auto [stats_damped, damped_flips] = run("rows+rebalance");
+  EXPECT_EQ(damped_flips, 1u) << "hysteresis must damp the ping-pong";
   EXPECT_EQ(stats_damped, stats_plain)
       << "the rebalance schedule must never change results";
 }

@@ -260,7 +260,7 @@ def run_rules(
 SELF_TEST_SEEDS: dict[str, tuple[str, str, str]] = {
     "fifo-discipline": (
         "src/sim/bad_fifo.cpp",
-        "void f(Fifo<int>& q) { q.push(1); }\n",
+        "void f(FifoView<Message> lane, const Message& m) { lane.push(m); }\n",
         "sanctioned ComputeCell helpers",
     ),
     "determinism": (

@@ -5,7 +5,8 @@
 #
 # Usage: tools/run_benches.sh [BUILD_DIR] [OUTPUT_JSON]
 #   BUILD_DIR    defaults to build
-#   OUTPUT_JSON  defaults to BENCH_seed.json (in the current directory)
+#   OUTPUT_JSON  defaults to BENCH_active.json (in the current directory),
+#                the committed trajectory CI diffs every sweep against
 #
 # CCASTREAM_THREADS selects the simulator backend for the whole sweep
 # (default 1 = serial engine), CCASTREAM_PARTITION its mesh partition
@@ -14,18 +15,19 @@
 # bitmap engine); every emitted record carries
 # matching "threads", "partition", and "engine" fields, so sweeps from
 # different backends can be aggregated and compared side by side, e.g.:
-#   tools/run_benches.sh build BENCH_seed.json
-#   CCASTREAM_THREADS=4 tools/run_benches.sh build BENCH_parallel.json
+#   tools/run_benches.sh build BENCH_active.json   # regenerate the trajectory
+#   tools/run_benches.sh build /tmp/BENCH_ci.json && \
+#     python3 tools/check_bench_records.py BENCH_active.json /tmp/BENCH_ci.json
 #   CCASTREAM_THREADS=4 CCASTREAM_PARTITION=tiles+rebalance \
-#     tools/run_benches.sh build BENCH_partition.json
-#   CCASTREAM_ENGINE=scan tools/run_benches.sh build BENCH_scan.json
+#     tools/run_benches.sh build /tmp/BENCH_tiles.json
+#   CCASTREAM_ENGINE=scan tools/run_benches.sh build /tmp/BENCH_scan.json
 # (bench_active_set runs both engines explicitly whatever the env, emitting
 # per-engine records with "cell_visits" — the scan-vs-active comparison is
 # in every sweep.)
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
-OUTPUT=${2:-BENCH_seed.json}
+OUTPUT=${2:-BENCH_active.json}
 export CCASTREAM_THREADS=${CCASTREAM_THREADS:-1}
 export CCASTREAM_PARTITION=${CCASTREAM_PARTITION:-rows}
 export CCASTREAM_ENGINE=${CCASTREAM_ENGINE:-active}
