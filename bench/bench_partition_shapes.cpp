@@ -1,12 +1,11 @@
-// Partition-shape sweep: streams the same SBM + BFS workload through every
-// partition shape (row stripes, column stripes, 2-D tiles, each with and
-// without load-adaptive rebalancing) on 4 workers, crossed with the IO-side
-// configurations that motivate them — north/south IO spreads injection
-// across columns (hot border *rows*), west/east IO funnels it through two
-// border columns (hot *columns*, and row stripes put every IO cell into
-// just two partitions). Checks the determinism contract (identical
-// simulated cycles and energy vs the serial engine) on every row, so the
-// only number that may vary per shape is host wall-clock.
+// Partition sweep: streams the same SBM + BFS workload through row stripes
+// with and without load-adaptive rebalancing on 4 workers, crossed with
+// the IO-side configurations — north/south IO spreads injection across
+// columns (hot border *rows*, what rebalancing splits), west/east IO
+// funnels it through two border columns, whose IO cells every stripe
+// shares. Checks the determinism contract (identical simulated cycles and
+// energy vs the serial engine) on every row, so the only number that may
+// vary per partition is host wall-clock.
 //
 // Speedup is bounded by the host cores actually available — on a 1-core
 // machine every row measures partition bookkeeping, not scaling.
@@ -81,13 +80,11 @@ int main() {
       {"IoNSWE", static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth |
                                            sim::kIoWest | sim::kIoEast)},
   };
-  const char* shapes[] = {"rows",           "cols",
-                          "tiles",          "rows+rebalance",
-                          "cols+rebalance", "tiles+rebalance"};
+  const char* partitions[] = {"rows", "rows+rebalance"};
 
   for (const IoCase& io : io_cases) {
     bench::print_header(
-        (std::string("Partition shapes — ") + io.label + ", " +
+        (std::string("Partitions — ") + io.label + ", " +
          std::to_string(dim) + "x" + std::to_string(dim) + " mesh, " +
          std::to_string(vertices) + " vertices, " + std::to_string(edges) +
          " edges (SBM + streaming BFS, " + std::to_string(kThreads) +
@@ -102,27 +99,27 @@ int main() {
                 0ul, static_cast<unsigned long>(serial.cycles),
                 serial.energy_uj, serial.wall_ms, "-");
 
-    for (const char* shape : shapes) {
+    for (const char* partition : partitions) {
       const Measurement m =
-          run_once(dim, io.sides, kThreads, shape, vertices, edges);
+          run_once(dim, io.sides, kThreads, partition, vertices, edges);
       const bool identical =
           m.cycles == serial.cycles && m.energy_uj == serial.energy_uj;
-      std::printf("%-18s %6u %8lu %14lu %12.1f %10.1f %10s\n", shape, m.parts,
-                  static_cast<unsigned long>(m.rebalances),
+      std::printf("%-18s %6u %8lu %14lu %12.1f %10.1f %10s\n", partition,
+                  m.parts, static_cast<unsigned long>(m.rebalances),
                   static_cast<unsigned long>(m.cycles), m.energy_uj, m.wall_ms,
                   identical ? "yes" : "NO!");
       if (!identical) {
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: partition %s diverged from "
                      "serial under %s\n",
-                     shape, io.label);
+                     partition, io.label);
         return 1;
       }
-      // wall_ms persists into BENCH_*.json so shape overhead/speedup per IO
-      // config is trackable across PRs (cycles/energy are shape-invariant
-      // by design).
-      reporter.record(std::string(io.label) + "/" + shape, m.cycles,
-                      m.energy_uj, kThreads, m.wall_ms, shape);
+      // wall_ms persists into BENCH_*.json so rebalancing's overhead or
+      // speedup per IO config is trackable across PRs (cycles/energy are
+      // partition-invariant by design).
+      reporter.record(std::string(io.label) + "/" + partition, m.cycles,
+                      m.energy_uj, kThreads, m.wall_ms, partition);
     }
   }
   return 0;

@@ -190,10 +190,10 @@ inline const char* to_string(Scale scale) {
 
 /// One measurement record: `{"bench":...,"dataset":...,"cycles":N,
 /// "energy_uj":X,"scale":...,"threads":T,"partition":P,"engine":E
-/// [,"wall_ms":W][,"cell_visits":V][,"rss_kb":R][,"host_cores":H]}`.
+/// [,"wall_ms":W][,"cell_visits":V][,"rss_kb":R],"host_cores":H}`.
 /// `threads`, `partition`, and `engine` identify the simulator backend the
 /// record was measured on (1 = serial; partition spec as in
-/// CCASTREAM_PARTITION, e.g. "rows" or "tiles+rebalance"; engine as in
+/// CCASTREAM_PARTITION, "rows" or "rows+rebalance"; engine as in
 /// CCASTREAM_ENGINE, "scan" or "active"), making records comparable across
 /// backends in aggregated BENCH_*.json files. `wall_ms` is host wall-clock
 /// and `cell_visits` the phase-sweep visit total (`Chip::cell_visits()`) —
@@ -207,9 +207,7 @@ inline const char* to_string(Scale scale) {
 /// `host_cores` records the host machine's logical core count
 /// (`std::thread::hardware_concurrency()`), giving the wall_ms numbers in
 /// aggregated files the hardware context needed to compare them across
-/// machines; the reporter stamps it on every record it
-/// writes, and legacy records (which carried no hardware context at all)
-/// parse as the conservative 1 — the same as the field's default.
+/// machines; the reporter stamps it on every record it writes.
 struct BenchRecord {
   std::string bench;
   std::string dataset;
@@ -292,11 +290,9 @@ inline std::string format_record(const BenchRecord& r) {
                   static_cast<unsigned long long>(r.rss_kb));
     out += std::string(",\"rss_kb\":") + num;
   }
-  if (r.host_cores != 0) {
-    std::snprintf(num, sizeof num, "%llu",
-                  static_cast<unsigned long long>(r.host_cores));
-    out += std::string(",\"host_cores\":") + num;
-  }
+  std::snprintf(num, sizeof num, "%llu",
+                static_cast<unsigned long long>(r.host_cores));
+  out += std::string(",\"host_cores\":") + num;
   out += "}";
   return out;
 }
@@ -372,38 +368,37 @@ inline std::optional<std::uint64_t> parse_uint_field(const std::string& line,
 }  // namespace detail
 
 /// Parses one `format_record` line back into a record. Returns nullopt for
-/// lines that are not records (blank lines, truncated writes).
+/// lines that are not records (blank lines, truncated writes) and for
+/// records missing a field `format_record` always writes; only the
+/// fields it omits when unmeasured (`wall_ms`, `cell_visits`, `rss_kb`)
+/// may be absent, and read as 0.
 inline std::optional<BenchRecord> parse_record(const std::string& line) {
-  BenchRecord r;
   const auto bench = detail::parse_string_field(line, "bench");
   const auto dataset = detail::parse_string_field(line, "dataset");
   const auto cycles = detail::parse_uint_field(line, "cycles");
   const auto energy = detail::parse_number_field(line, "energy_uj");
   const auto scale = detail::parse_string_field(line, "scale");
-  if (!bench || !dataset || !cycles || !energy || !scale) return std::nullopt;
+  const auto threads = detail::parse_uint_field(line, "threads");
+  const auto partition = detail::parse_string_field(line, "partition");
+  const auto engine = detail::parse_string_field(line, "engine");
+  const auto host_cores = detail::parse_uint_field(line, "host_cores");
+  if (!bench || !dataset || !cycles || !energy || !scale || !threads ||
+      !partition || !engine || !host_cores) {
+    return std::nullopt;
+  }
+  BenchRecord r;
   r.bench = *bench;
   r.dataset = *dataset;
   r.cycles = *cycles;
   r.energy_uj = *energy;
   r.scale = *scale;
-  // Absent in records written before the parallel backend existed: those
-  // were all measured on the serial engine (and did not record wall time).
-  r.threads = detail::parse_uint_field(line, "threads").value_or(1);
+  r.threads = *threads;
+  r.partition = *partition;
+  r.engine = *engine;
+  r.host_cores = *host_cores;
   r.wall_ms = detail::parse_number_field(line, "wall_ms").value_or(0.0);
-  // Absent before the partition layer existed: row stripes were the only
-  // decomposition.
-  r.partition = detail::parse_string_field(line, "partition").value_or("rows");
-  // Absent before the active-set engine existed: everything was measured
-  // on the full-scan engine, and cell visits were not counted.
-  r.engine = detail::parse_string_field(line, "engine").value_or("scan");
   r.cell_visits = detail::parse_uint_field(line, "cell_visits").value_or(0);
-  // Absent before the mesh-scale benches: earlier records measured time
-  // and visits only, never the resident footprint.
   r.rss_kb = detail::parse_uint_field(line, "rss_kb").value_or(0);
-  // Absent before hardware context was recorded; legacy records came from
-  // machines whose core count is unknown, so the conservative 1 (also the
-  // field's default) marks their wall_ms as "single unknown core".
-  r.host_cores = detail::parse_uint_field(line, "host_cores").value_or(1);
   return r;
 }
 
@@ -421,8 +416,7 @@ class JsonReporter {
         partition_(sim::resolve_partition({}).to_string()),
         engine_(sim::to_string(sim::resolve_engine({}))),
         // hardware_concurrency() may report 0 on hosts it cannot probe;
-        // fall back to the legacy-parse default rather than writing an
-        // impossible core count.
+        // fall back to 1 rather than writing an impossible core count.
         host_cores_(std::max(1u, std::thread::hardware_concurrency())) {
     const char* path = std::getenv("CCASTREAM_BENCH_JSON");
     if (path != nullptr && *path != '\0') path_ = path;
@@ -432,7 +426,7 @@ class JsonReporter {
 
   /// Appends one record. `threads` should be the *measured* backend — pass
   /// `chip.threads()` (the resolved worker count, which clamps the env
-  /// request to the partition shape's capacity) rather than the raw env
+  /// request to the mesh height) rather than the raw env
   /// value; 0 falls back to the env-resolved default for chip-less
   /// measurements. `partition` likewise should be the measured spec
   /// (`chip.partition_spec().to_string()`) and `engine` the measured

@@ -80,11 +80,11 @@ struct AppHooks {
 
 /// Counters specific to the graph protocol (chip-wide counters live in
 /// sim::ChipStats). The protocol accumulates one block per engine
-/// partition (stripe or tile) — handlers bump only their own partition's
+/// partition (row stripe) — handlers bump only their own partition's
 /// plain counters, the same contention-free pattern the chip uses for
 /// ChipStats — and GraphProtocol::stats() sums the blocks on demand. Every
 /// field is a pure sum, so the totals are deterministic for any thread
-/// count, partition shape, and rebalance schedule.
+/// count and rebalance schedule.
 struct ProtocolStats {
   std::uint64_t edges_inserted = 0;    ///< Edge records physically appended.
   std::uint64_t inserts_forwarded = 0; ///< Inserts sent down a ready ghost link.

@@ -14,7 +14,7 @@
 //             tool can see: active-set membership exactly equals
 //             ComputeCell::has_work(), dense flag counts equal the flag
 //             popcount, every cell's cached counter equals its real
-//             occupancy, partition rectangles exactly cover the mesh, and
+//             occupancy, partition stripes exactly cover the mesh, and
 //             all cross-partition outboxes are drained (see
 //             Chip::verify_cycle_invariants). CI runs the determinism and
 //             engine-equivalence suites under CCASTREAM_CHECK=full.

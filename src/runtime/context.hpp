@@ -84,8 +84,8 @@ class Context {
   /// the default no-op.
   virtual void count(SimCounter /*counter*/, std::uint64_t /*n*/) {}
 
-  /// Index of the engine partition (row stripe, column stripe, or 2-D
-  /// tile — see sim/partition.hpp) executing this handler — always 0 on
+  /// Index of the engine partition (a row stripe — see
+  /// sim/partition.hpp) executing this handler — always 0 on
   /// mocks and the serial engine. Handler libraries that keep their own
   /// counters key them by this index so concurrent handlers never write
   /// shared memory (see graph::GraphProtocol::stats()). Ids are stable

@@ -25,6 +25,8 @@ class MeshGeometry {
 
   [[nodiscard]] constexpr std::uint32_t width() const noexcept { return width_; }
   [[nodiscard]] constexpr std::uint32_t height() const noexcept { return height_; }
+  /// Cells in the mesh. A 32-bit count like every cell index, so it wraps
+  /// at 2^32 cells; sim::Chip refuses such meshes at construction.
   [[nodiscard]] constexpr std::uint32_t cell_count() const noexcept {
     return width_ * height_;
   }

@@ -204,7 +204,7 @@ class CellSoA {
 
   /// Sweeps the set bits of the half-open cell-index span [begin, end) in
   /// ascending order, calling `f(cell index)` — the core of every phase of
-  /// the active engine (a partition rectangle is one or more such spans).
+  /// the active engine (each partition's row stripe is one such span).
   /// Words whose summary bit is clear are skipped unread, so a sweep costs
   /// O(live words + span / 4096). Each word is loaded once, before any of
   /// its bits is visited. A bit that `f` sets in the current word or an

@@ -40,6 +40,20 @@ constexpr std::uint64_t kSparseSerialThreshold = 32;
 /// results.
 constexpr std::uint32_t kRebalanceMinGainPct = 5;
 
+/// Rejects a mesh the chip cannot index, in every build type: cells are
+/// numbered by a 32-bit index (rt::MeshGeometry::cell_count() would wrap
+/// at 2^32 cells), and an empty mesh has no cell to route to.
+const ChipConfig& checked_mesh(const ChipConfig& cfg) {
+  if (cfg.width == 0 || cfg.height == 0) {
+    rt::fatal_misuse("Chip: mesh width and height must be non-zero", __FILE__,
+                     __LINE__);
+  }
+  if (static_cast<std::uint64_t>(cfg.width) * cfg.height > UINT32_MAX) {
+    rt::fatal_misuse("Chip: mesh has 2^32 or more cells", __FILE__, __LINE__);
+  }
+  return cfg;
+}
+
 }  // namespace
 
 std::string_view to_string(EngineKind engine) noexcept {
@@ -166,11 +180,10 @@ class CellContext final : public rt::Context {
 };
 
 Chip::Chip(ChipConfig cfg)
-    : cfg_(cfg),
+    : cfg_(checked_mesh(cfg)),
       mesh_(cfg.width, cfg.height),
       alloc_policy_(rt::make_alloc_policy(cfg.alloc_policy, cfg.vicinity_radius)),
       io_(mesh_, cfg.io_sides) {
-  assert(cfg.width > 0 && cfg.height > 0);
   check_level_ = rt::resolve_check_level(cfg_.check_level);
   // The SoA slab first (the cells hold a pointer into it), then the cell
   // array — both sized exactly once from the config dimensions; neither
@@ -193,10 +206,10 @@ Chip::Chip(ChipConfig cfg)
   engine_ = resolve_engine(cfg_.engine);
   engine_active_ = engine_ == EngineKind::kActive;
 
-  // Mesh partition: one worker per partition. The layout starts uniform;
+  // Mesh partition: one worker per row stripe. The layout starts uniform;
   // rebalancing (when enabled) moves the boundaries between increments.
   partition_spec_ = resolve_partition(cfg_.partition);
-  layout_ = PartitionLayout::build(partition_spec_, cfg_.width, cfg_.height,
+  layout_ = PartitionLayout::build(cfg_.width, cfg_.height,
                                    resolve_threads(cfg_.threads));
   num_parts_ = layout_.parts();
   parts_ = std::vector<PartitionState>(num_parts_);
@@ -212,10 +225,10 @@ Chip::Chip(ChipConfig cfg)
 void Chip::apply_layout() {
   // Checked build: a fresh decomposition (construction or rebalance) must
   // still cover the mesh exactly — catches splitter bugs before the first
-  // cycle runs on the new rectangles.
+  // cycle runs on the new stripes.
   CCA_CHECK(full, layout_.exact_cover());
   for (std::uint32_t p = 0; p < num_parts_; ++p) {
-    parts_[p].rect = layout_.rect(p);
+    parts_[p].span = layout_.span(p);
     parts_[p].io_cells.clear();
   }
   for (std::size_t i = 0; i < io_.cell_count(); ++i) {
@@ -226,10 +239,7 @@ void Chip::apply_layout() {
 
 void Chip::recount_active_cells() {
   for (PartitionState& st : parts_) {
-    st.active_count = 0;
-    st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
-      st.active_count += soa_.count_active(span.begin, span.end);
-    });
+    st.active_count = soa_.count_active(st.span.begin, st.span.end);
   }
 }
 
@@ -402,22 +412,21 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
 
 template <bool kPrune, typename F>
 void Chip::sweep(PartitionState& st, F&& f) {
+  const auto [begin, end] = st.span;
   const auto visit = [&](std::uint32_t idx) {
     ++st.cell_visits;
     f(idx);
   };
-  st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
-    if (!engine_active_) {
-      // Scan: every cell, without reading the bitmap — an oracle for
-      // which cells run that does not trust the flags.
-      st.cell_visits += span.end - span.begin;
-      for (std::uint32_t idx = span.begin; idx < span.end; ++idx) f(idx);
-    } else if constexpr (kPrune) {
-      soa_.for_each_active_pruning(span.begin, span.end, visit);
-    } else {
-      soa_.for_each_active(span.begin, span.end, visit);
-    }
-  });
+  if (!engine_active_) {
+    // Scan: every cell, without reading the bitmap — an oracle for which
+    // cells run that does not trust the flags.
+    st.cell_visits += end - begin;
+    for (std::uint32_t idx = begin; idx < end; ++idx) f(idx);
+  } else if constexpr (kPrune) {
+    soa_.for_each_active_pruning(begin, end, visit);
+  } else {
+    soa_.for_each_active(begin, end, visit);
+  }
 }
 
 void Chip::cycle_snapshot(PartitionState& st) {
@@ -741,14 +750,11 @@ void Chip::verify_cycle_invariants() const {
       CCA_CHECK(full, box.pushes.empty());
     }
     CCA_CHECK(full, st.inbox_count.load(std::memory_order_relaxed) == 0);
-    // 4. The partition's live count is the flag popcount of its rectangle.
-    std::uint64_t flagged = 0;
-    st.rect.for_each_span(cfg_.width, [&](PartRect::CellSpan span) {
-      flagged += soa_.count_active(span.begin, span.end);
-    });
-    CCA_CHECK(full, st.active_count == flagged);
+    // 4. The partition's live count is the flag popcount of its span.
+    CCA_CHECK(full, st.active_count ==
+                        soa_.count_active(st.span.begin, st.span.end));
   }
-  // 5. The decomposition itself: disjoint rectangles covering every cell,
+  // 5. The decomposition itself: non-empty stripes covering every row,
   //    owner table in agreement.
   CCA_CHECK(full, layout_.exact_cover());
 }

@@ -46,23 +46,23 @@ namespace ccastream::sim {
 
 /// Which cycle engine executes the chip. Both engines are cycle-for-cycle
 /// identical — same cycles, counters, energy, traces, results — for every
-/// workload, partition shape, and thread count; they differ only in the
+/// workload, partition, and thread count; they differ only in the
 /// cells a stage's sweep visits, and so in host cost per simulated cycle.
 /// Both keep the CellSoA activity bitmap: a cell's bit is set at every
 /// point work is created and cleared when the compute stage leaves it
 /// idle, so it is set iff the cell has work (see ComputeCell::has_work).
 ///
 ///   * kScan   — the paper-literal engine: every sweep walks every cell of
-///               its partition rectangle without reading the bitmap,
+///               its partition's span without reading the bitmap,
 ///               costing O(width × height) per cycle regardless of how
 ///               much of the mesh is doing anything. Kept as the in-tree
 ///               oracle the active engine is pinned against
 ///               (CCASTREAM_ENGINE=scan).
 ///   * kActive — the event-driven engine, and the default: every sweep
-///               visits the set bits of its partition rectangle in
+///               visits the set bits of its partition's span in
 ///               ascending cell-index order, skipping idle 64-cell words
 ///               through the bitmap's one-bit-per-word summary level, so a
-///               cycle costs O(live words + rectangle / 4096) instead of
+///               cycle costs O(live words + span / 4096) instead of
 ///               O(mesh) — the win on sparse frontiers (see
 ///               bench_active_set and the `cell_visits` metric) — while a
 ///               saturated mesh costs one word sweep of the same cells the
@@ -105,18 +105,14 @@ struct ChipConfig {
   bool profile_handlers = false;       ///< Per-handler execution/instruction counts.
   /// Worker threads for the partitioned parallel engine. 0 resolves from
   /// the CCASTREAM_THREADS environment variable (defaulting to 1 = serial);
-  /// always clamped to the partition shape's capacity (each worker owns at
-  /// least one row, column, or tile). Results are cycle-for-cycle
-  /// identical for every thread count.
+  /// always clamped to the mesh height (each worker owns at least one
+  /// row). Results are cycle-for-cycle identical for every thread count.
   std::uint32_t threads = 0;
-  /// Mesh partition driving the parallel engine: row stripes (default),
-  /// column stripes, or 2-D tiles, each optionally with load-adaptive
-  /// boundary rebalancing (see sim/partition.hpp). nullopt resolves from
-  /// the CCASTREAM_PARTITION environment variable, defaulting to row
-  /// stripes. An explicit tile grid (`tiles:GXxGY`) pins the partition —
-  /// and therefore worker — count, overriding `threads`. Partitioning is
-  /// a performance knob only: results are identical for every shape and
-  /// rebalance schedule.
+  /// Mesh partition driving the parallel engine: row stripes, optionally
+  /// with load-adaptive boundary rebalancing (see sim/partition.hpp).
+  /// nullopt resolves from the CCASTREAM_PARTITION environment variable,
+  /// defaulting to plain row stripes. Partitioning is a performance knob
+  /// only: results are identical for every rebalance schedule.
   std::optional<PartitionSpec> partition;
   /// Cycle engine (see EngineKind). nullopt resolves from the
   /// CCASTREAM_ENGINE environment variable, defaulting to the event-driven
@@ -388,14 +384,14 @@ class Chip {
     std::uint32_t count_ = 0;
   };
 
-  /// One mesh partition (an axis-aligned cell rectangle) plus every
-  /// accumulator its worker thread writes during a cycle. Accumulators are
-  /// merged into the chip-global counters, in partition order, at the
-  /// end-of-cycle barrier; all of them are sums, so the merged totals are
-  /// independent of the partition count and shape.
+  /// One mesh partition (a row stripe: one contiguous cell span) plus
+  /// every accumulator its worker thread writes during a cycle.
+  /// Accumulators are merged into the chip-global counters, in partition
+  /// order, at the end-of-cycle barrier; all of them are sums, so the
+  /// merged totals are independent of the partition count and boundaries.
   struct alignas(64) PartitionState {
     std::uint32_t index = 0;
-    PartRect rect;                      ///< Cells this worker owns.
+    CellSpan span;                      ///< Cells this worker owns.
     std::vector<std::size_t> io_cells;  ///< IO cells attached to these cells.
     ChipStats stats;                    ///< This cycle's counter deltas.
     std::int64_t outstanding = 0;       ///< This cycle's outstanding delta.
@@ -405,7 +401,8 @@ class Chip {
     /// partition id; the destination drains its inbox behind the route
     /// barrier. (With one-hop-per-cycle routing only edge-adjacent
     /// partitions ever receive traffic, but keying by destination keeps
-    /// the scheme shape-agnostic.) Each slot is cache-line padded: during
+    /// the scheme independent of the boundaries.) Each slot is cache-line
+    /// padded: during
     /// the apply phase every *other* partition clears its own slot of this
     /// array concurrently, so unpadded vector headers would false-share.
     struct alignas(64) Outbox {
@@ -413,7 +410,7 @@ class Chip {
     };
     std::vector<Outbox> outbox;
 
-    /// Flagged cells of the rectangle (membership itself is the CellSoA
+    /// Flagged cells of the span (membership itself is the CellSoA
     /// activity bitmap). Invariant between cycles: exactly the owned cells
     /// for which ComputeCell::has_work() holds. Bumped at every activation,
     /// recounted by the compute sweep; read by quiescent(), active_cells()
@@ -443,7 +440,7 @@ class Chip {
   /// end-of-cycle step.
   std::uint64_t run_cycles(std::uint64_t max_cycles, bool until_quiescent);
 
-  /// Points every PartitionState at its layout_ rectangle and reassigns IO
+  /// Points every PartitionState at its layout_ span and reassigns IO
   /// cells to the partition owning their attached cell. Only called
   /// between cycles (construction and rebalancing), when every outbox and
   /// per-cycle accumulator is drained.
@@ -464,7 +461,7 @@ class Chip {
   void cycle_io(PartitionState& st);
   void cycle_compute(PartitionState& st);
   /// The one place the engines differ: calls `f(idx)` in ascending cell
-  /// index for every cell of `st`'s rectangle (scan, never reading the
+  /// index for every cell of `st`'s span (scan, never reading the
   /// bitmap) or for every set bitmap bit of it (active, pruning stale
   /// summary bits when kPrune — the snapshot stage only; see CellSoA).
   /// Bills each visit to cell_visits.
@@ -478,7 +475,7 @@ class Chip {
   /// cached fifo_msgs equals its real FIFO occupancy, bitmap membership
   /// exactly equals has_work(), every non-zero bitmap word has its summary
   /// bit set, the per-partition counts equal the flag popcount, all
-  /// cross-partition outboxes are drained, and the partition rectangles
+  /// cross-partition outboxes are drained, and the partition stripes
   /// exactly cover the mesh. O(mesh) per cycle by design, under both
   /// engines; a failure aborts via CCA_CHECK.
   void verify_cycle_invariants() const;
@@ -537,7 +534,7 @@ class Chip {
   std::vector<HandlerProfile> handler_profile_;
   std::uint64_t cell_visits_ = 0;
   EngineKind engine_ = EngineKind::kScan;
-  /// engine_ == kActive, hoisted: read by sweep(), once per span.
+  /// engine_ == kActive, hoisted: read by sweep(), once per sweep.
   bool engine_active_ = false;
   /// Resolved runtime-verification level (see resolve_check_level); read
   /// by the CCA_CHECK macro via cca_check_level() below.

@@ -1,8 +1,8 @@
 // Persistent worker pool for the partitioned chip engine.
 //
-// One pool drives `workers` logical mesh partitions (row stripes, column
-// stripes, or 2-D tiles — see sim/partition.hpp): the calling thread
-// executes partition 0 and `workers - 1` resident threads execute the rest.
+// One pool drives `workers` logical mesh partitions (row stripes — see
+// sim/partition.hpp): the calling thread executes partition 0 and
+// `workers - 1` resident threads execute the rest.
 // A job is dispatched once per run() and typically loops over many cycles
 // internally, using sync() as the phase barrier shared by all partition
 // threads — dispatching once per run (instead of once per phase) keeps the

@@ -10,19 +10,6 @@ namespace ccastream::sim {
 
 namespace {
 
-/// Parses a base-10 uint32 spanning the whole of `text` (no sign, no
-/// trailing junk). nullopt on empty input or overflow.
-std::optional<std::uint32_t> parse_u32(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    if (v > 0xFFFFFFFFull) return std::nullopt;
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
 /// Uniform boundaries: n bins into parts ranges via floor(n*s/parts), the
 /// same arithmetic the original row-stripe engine used.
 std::vector<std::uint32_t> uniform_boundaries(std::uint32_t n,
@@ -33,37 +20,6 @@ std::vector<std::uint32_t> uniform_boundaries(std::uint32_t n,
         (static_cast<std::uint64_t>(n) * s) / parts);
   }
   return b;
-}
-
-/// The most nearly square gx × gy = parts that fits gx <= width and
-/// gy <= height, degrading parts until a factorisation fits (parts = 1
-/// always does). Ties prefer the taller grid (gy >= gx): row-major bands
-/// keep each tile's cells closer together in the cell array.
-void choose_tile_grid(std::uint32_t width, std::uint32_t height,
-                      std::uint32_t parts, std::uint32_t& gx,
-                      std::uint32_t& gy) {
-  for (;; --parts) {
-    std::uint32_t best_gx = 0, best_gy = 0;
-    for (std::uint32_t d = 1; d <= parts; ++d) {
-      if (parts % d != 0) continue;
-      const std::uint32_t cand_gy = d, cand_gx = parts / d;
-      if (cand_gx > width || cand_gy > height) continue;
-      const auto skew = [](std::uint32_t a, std::uint32_t b) {
-        return a > b ? a - b : b - a;
-      };
-      if (best_gx == 0 || skew(cand_gx, cand_gy) < skew(best_gx, best_gy) ||
-          (skew(cand_gx, cand_gy) == skew(best_gx, best_gy) &&
-           cand_gy > best_gy)) {
-        best_gx = cand_gx;
-        best_gy = cand_gy;
-      }
-    }
-    if (best_gx != 0) {
-      gx = best_gx;
-      gy = best_gy;
-      return;
-    }
-  }
 }
 
 /// The hottest band's cumulative load under `bounds` (a parts+1 boundary
@@ -96,54 +52,14 @@ bool improves_enough(const std::vector<std::uint64_t>& bins,
 
 }  // namespace
 
-std::string_view to_string(PartitionShape shape) noexcept {
-  switch (shape) {
-    case PartitionShape::kRows: return "rows";
-    case PartitionShape::kCols: return "cols";
-    case PartitionShape::kTiles: return "tiles";
-  }
-  return "rows";
-}
-
 std::optional<PartitionSpec> PartitionSpec::parse(std::string_view text) {
-  PartitionSpec spec;
-  if (const auto plus = text.find('+'); plus != std::string_view::npos) {
-    if (text.substr(plus + 1) != "rebalance") return std::nullopt;
-    spec.rebalance = true;
-    text = text.substr(0, plus);
-  }
-  if (text == "rows") {
-    spec.shape = PartitionShape::kRows;
-  } else if (text == "cols") {
-    spec.shape = PartitionShape::kCols;
-  } else if (text == "tiles") {
-    spec.shape = PartitionShape::kTiles;
-  } else if (text.substr(0, 6) == "tiles:") {
-    spec.shape = PartitionShape::kTiles;
-    const std::string_view grid = text.substr(6);
-    const auto x = grid.find('x');
-    if (x == std::string_view::npos) return std::nullopt;
-    const auto gx = parse_u32(grid.substr(0, x));
-    const auto gy = parse_u32(grid.substr(x + 1));
-    if (!gx || !gy || *gx == 0 || *gy == 0) return std::nullopt;
-    spec.tiles_x = *gx;
-    spec.tiles_y = *gy;
-  } else {
-    return std::nullopt;
-  }
-  return spec;
+  if (text == "rows") return PartitionSpec{};
+  if (text == "rows+rebalance") return PartitionSpec{.rebalance = true};
+  return std::nullopt;
 }
 
 std::string PartitionSpec::to_string() const {
-  std::string out{sim::to_string(shape)};
-  if (shape == PartitionShape::kTiles && tiles_x != 0 && tiles_y != 0) {
-    out += ':';
-    out += std::to_string(tiles_x);
-    out += 'x';
-    out += std::to_string(tiles_y);
-  }
-  if (rebalance) out += "+rebalance";
-  return out;
+  return rebalance ? "rows+rebalance" : "rows";
 }
 
 PartitionSpec resolve_partition(const std::optional<PartitionSpec>& requested) {
@@ -152,9 +68,8 @@ PartitionSpec resolve_partition(const std::optional<PartitionSpec>& requested) {
     if (const auto spec = PartitionSpec::parse(env)) return *spec;
     // Warn (once) instead of failing: library code cannot abort the host
     // program, but a typo here would otherwise silently run everything on
-    // the default row stripes — e.g. a CI partition-matrix job testing
-    // nothing. atomic: chips may be constructed from concurrent host
-    // threads.
+    // plain row stripes — e.g. a CI partition-matrix job testing nothing.
+    // atomic: chips may be constructed from concurrent host threads.
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
@@ -196,107 +111,38 @@ std::vector<std::uint32_t> balanced_boundaries(
 }
 
 PartitionLayout PartitionLayout::from_boundaries(
-    PartitionShape shape, std::uint32_t width, std::uint32_t height,
-    const std::vector<std::uint32_t>& xb, const std::vector<std::uint32_t>& yb) {
+    std::uint32_t width, std::uint32_t height, std::vector<std::uint32_t> rows) {
   PartitionLayout layout;
-  layout.shape_ = shape;
   layout.width_ = width;
   layout.height_ = height;
-  layout.grid_x_ = static_cast<std::uint32_t>(xb.size() - 1);
-  layout.grid_y_ = static_cast<std::uint32_t>(yb.size() - 1);
-  layout.rects_.clear();
-  layout.rects_.reserve(static_cast<std::size_t>(layout.grid_x_) * layout.grid_y_);
-  for (std::uint32_t ty = 0; ty < layout.grid_y_; ++ty) {
-    for (std::uint32_t tx = 0; tx < layout.grid_x_; ++tx) {
-      layout.rects_.push_back({xb[tx], xb[tx + 1], yb[ty], yb[ty + 1]});
-    }
-  }
-  layout.owner_.assign(static_cast<std::size_t>(width) * height, 0);
+  layout.rows_ = std::move(rows);
+  layout.owner_.resize(static_cast<std::size_t>(width) * height);
   for (std::uint32_t p = 0; p < layout.parts(); ++p) {
-    const PartRect& r = layout.rects_[p];
-    for (std::uint32_t y = r.y0; y < r.y1; ++y) {
-      for (std::uint32_t x = r.x0; x < r.x1; ++x) {
-        layout.owner_[static_cast<std::size_t>(y) * width + x] = p;
-      }
-    }
+    const CellSpan s = layout.span(p);
+    std::fill(layout.owner_.begin() + s.begin, layout.owner_.begin() + s.end, p);
   }
   return layout;
 }
 
-PartitionLayout PartitionLayout::build(const PartitionSpec& spec,
-                                       std::uint32_t width, std::uint32_t height,
+PartitionLayout PartitionLayout::build(std::uint32_t width,
+                                       std::uint32_t height,
                                        std::uint32_t target_parts) {
   assert(width > 0 && height > 0);
-  target_parts = std::max<std::uint32_t>(1, target_parts);
-  std::uint32_t gx = 1, gy = 1;
-  switch (spec.shape) {
-    case PartitionShape::kRows:
-      gy = std::min(target_parts, height);
-      break;
-    case PartitionShape::kCols:
-      gx = std::min(target_parts, width);
-      break;
-    case PartitionShape::kTiles:
-      if (spec.tiles_x != 0 && spec.tiles_y != 0) {
-        gx = std::min(spec.tiles_x, width);
-        gy = std::min(spec.tiles_y, height);
-      } else {
-        // Clamp before the divisor search: it is O(parts^2) in the worst
-        // case, and an unclamped request (ChipConfig::threads bypasses
-        // resolve_threads' 4096 cap) must not stall construction.
-        const std::uint64_t capacity =
-            std::min<std::uint64_t>(static_cast<std::uint64_t>(width) * height,
-                                    4096);
-        choose_tile_grid(
-            width, height,
-            static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(target_parts, capacity)),
-            gx, gy);
-      }
-      break;
-  }
-  return from_boundaries(spec.shape, width, height,
-                         uniform_boundaries(width, gx),
-                         uniform_boundaries(height, gy));
-}
-
-std::vector<std::uint32_t> PartitionLayout::x_boundaries() const {
-  std::vector<std::uint32_t> xb(grid_x_ + 1);
-  for (std::uint32_t tx = 0; tx < grid_x_; ++tx) xb[tx] = rects_[tx].x0;
-  xb[grid_x_] = width_;
-  return xb;
-}
-
-std::vector<std::uint32_t> PartitionLayout::y_boundaries() const {
-  std::vector<std::uint32_t> yb(grid_y_ + 1);
-  for (std::uint32_t ty = 0; ty < grid_y_; ++ty) {
-    yb[ty] = rects_[static_cast<std::size_t>(ty) * grid_x_].y0;
-  }
-  yb[grid_y_] = height_;
-  return yb;
+  const std::uint32_t parts = std::clamp<std::uint32_t>(target_parts, 1, height);
+  return from_boundaries(width, height, uniform_boundaries(height, parts));
 }
 
 bool PartitionLayout::exact_cover() const {
   if (owner_.size() != static_cast<std::size_t>(width_) * height_) return false;
-  // Count coverage per cell from the rectangles themselves; the owner
-  // table must agree with (and therefore be derivable from) the rects.
-  std::vector<std::uint8_t> covered(owner_.size(), 0);
-  for (std::uint32_t p = 0; p < parts(); ++p) {
-    const PartRect& r = rects_[p];
-    if (r.x0 >= r.x1 || r.y0 >= r.y1 || r.x1 > width_ || r.y1 > height_) {
-      return false;
-    }
-    for (std::uint32_t y = r.y0; y < r.y1; ++y) {
-      for (std::uint32_t x = r.x0; x < r.x1; ++x) {
-        const std::size_t idx = static_cast<std::size_t>(y) * width_ + x;
-        if (covered[idx] != 0) return false;  // overlap
-        covered[idx] = 1;
-        if (owner_[idx] != p) return false;
-      }
-    }
+  if (rows_.size() < 2 || rows_.front() != 0 || rows_.back() != height_) {
+    return false;
   }
-  for (const std::uint8_t c : covered) {
-    if (c == 0) return false;  // gap
+  for (std::uint32_t p = 0; p < parts(); ++p) {
+    if (rows_[p] >= rows_[p + 1]) return false;  // empty or inverted stripe
+    const CellSpan s = span(p);
+    for (std::uint32_t cell = s.begin; cell < s.end; ++cell) {
+      if (owner_[cell] != p) return false;
+    }
   }
   return true;
 }
@@ -305,36 +151,20 @@ PartitionLayout PartitionLayout::rebalanced(
     const std::vector<std::uint64_t>& cell_load,
     std::uint32_t min_gain_pct) const {
   assert(cell_load.size() == static_cast<std::size_t>(width_) * height_);
-  std::vector<std::uint32_t> xb = uniform_boundaries(width_, grid_x_);
-  std::vector<std::uint32_t> yb = uniform_boundaries(height_, grid_y_);
-  if (grid_y_ > 1) {
-    std::vector<std::uint64_t> row_load(height_, 0);
-    for (std::uint32_t y = 0; y < height_; ++y) {
-      for (std::uint32_t x = 0; x < width_; ++x) {
-        row_load[y] += cell_load[static_cast<std::size_t>(y) * width_ + x];
-      }
-    }
-    yb = balanced_boundaries(row_load, grid_y_);
-    if (!improves_enough(row_load, y_boundaries(), yb, min_gain_pct)) {
-      yb = y_boundaries();  // marginal gain: keep the current split
+  std::vector<std::uint64_t> row_load(height_, 0);
+  for (std::uint32_t y = 0; y < height_; ++y) {
+    for (std::uint32_t x = 0; x < width_; ++x) {
+      row_load[y] += cell_load[static_cast<std::size_t>(y) * width_ + x];
     }
   }
-  if (grid_x_ > 1) {
-    std::vector<std::uint64_t> col_load(width_, 0);
-    for (std::uint32_t y = 0; y < height_; ++y) {
-      for (std::uint32_t x = 0; x < width_; ++x) {
-        col_load[x] += cell_load[static_cast<std::size_t>(y) * width_ + x];
-      }
-    }
-    xb = balanced_boundaries(col_load, grid_x_);
-    if (!improves_enough(col_load, x_boundaries(), xb, min_gain_pct)) {
-      xb = x_boundaries();  // marginal gain: keep the current split
-    }
+  std::vector<std::uint32_t> rows = balanced_boundaries(row_load, parts());
+  // Skip the owner-table rebuild when the split did not move — the common
+  // steady-state case for a chip rebalancing every increment — or moved
+  // by too little to pay for itself.
+  if (rows == rows_ || !improves_enough(row_load, rows_, rows, min_gain_pct)) {
+    return *this;
   }
-  // Skip the rect/owner-table rebuild when the split did not move — the
-  // common steady-state case for a chip rebalancing every increment.
-  if (xb == x_boundaries() && yb == y_boundaries()) return *this;
-  return from_boundaries(shape_, width_, height_, xb, yb);
+  return from_boundaries(width_, height_, std::move(rows));
 }
 
 }  // namespace ccastream::sim

@@ -70,7 +70,7 @@ struct ChipStats {
 
   /// Adds every counter of `other` into this one (the per-partition merge
   /// of the parallel engine; all fields are sums, so merging is commutative
-  /// and the totals are invariant to the partition shape and count).
+  /// and the totals are invariant to the partition boundaries and count).
   void add(const ChipStats& other) noexcept;
 
   friend bool operator==(const ChipStats&, const ChipStats&) = default;

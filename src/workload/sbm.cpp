@@ -1,7 +1,8 @@
 #include "workload/sbm.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "runtime/rng.hpp"
 
@@ -24,7 +25,15 @@ std::uint64_t pick_in_range(rt::Xoshiro256& rng, std::uint64_t lo, std::uint64_t
 }  // namespace
 
 std::vector<StreamEdge> generate_sbm(const SbmParams& p) {
-  assert(p.num_vertices > 0);
+  if (p.num_vertices == 0) {
+    throw std::invalid_argument("generate_sbm: the graph needs a vertex");
+  }
+  if (p.num_vertices == 1 && p.num_edges > 0 && !p.allow_self_loops) {
+    // The only possible edge is a self-loop, which would be redrawn forever.
+    throw std::invalid_argument(
+        "generate_sbm: one vertex has no edge but a self-loop, and "
+        "self-loops are not allowed");
+  }
   rt::Xoshiro256 rng(p.seed);
 
   const std::uint64_t requested_blocks =

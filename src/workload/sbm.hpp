@@ -22,7 +22,9 @@ struct SbmParams {
 };
 
 /// Generates `num_edges` directed edges (a multigraph; duplicates possible,
-/// as in a raw observation stream).
+/// as in a raw observation stream). Throws std::invalid_argument when no
+/// such graph exists: zero vertices, or edges on one vertex without
+/// `allow_self_loops`.
 [[nodiscard]] std::vector<StreamEdge> generate_sbm(const SbmParams& params);
 
 }  // namespace ccastream::wl

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "test_util.hpp"
 
@@ -22,6 +23,22 @@ class Counter final : public rt::ArenaObject {
   [[nodiscard]] std::size_t logical_bytes() const noexcept override { return 16; }
   std::uint64_t value = 0;
 };
+
+// A mesh the chip cannot index is refused in every build type, not only
+// where assert() survives: an empty mesh, and one whose cell count would
+// wrap the 32-bit cell index (65536 x 65536 is exactly 2^32 cells).
+TEST(ChipDeathTest, RejectsUnindexableMeshes) {
+  for (const auto& [w, h] : {std::pair{0u, 8u}, std::pair{8u, 0u}}) {
+    ChipConfig cfg = small_chip_config();
+    cfg.width = w;
+    cfg.height = h;
+    EXPECT_DEATH(Chip{cfg}, "fatal misuse: Chip: mesh width and height");
+  }
+  ChipConfig huge = small_chip_config();
+  huge.width = 65536;
+  huge.height = 65536;
+  EXPECT_DEATH(Chip{huge}, "fatal misuse: Chip: mesh has 2\\^32 or more cells");
+}
 
 TEST(Chip, StartsQuiescent) {
   Chip chip(small_chip_config());

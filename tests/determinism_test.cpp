@@ -1,6 +1,6 @@
 // The parallel engine's headline guarantee: a run is cycle-for-cycle
 // identical for every thread count AND every mesh partition (row stripes,
-// column stripes, 2-D tiles; with or without load-adaptive rebalancing).
+// with or without load-adaptive rebalancing).
 // BFS and SSSP stream an SBM graph in increments on 1-, 2-, and 4-thread
 // chips; final cycle count, the full ChipStats counter block, total energy,
 // and every per-vertex result must match the serial engine exactly.
@@ -39,16 +39,12 @@ struct RunResult {
 
 enum class App { kBfs, kSssp };
 
-RunResult run_app(App app, std::uint32_t threads,
-                  const char* partition = nullptr) {
+RunResult run_app(App app, std::uint32_t threads) {
   sim::ChipConfig cfg;
   cfg.width = 16;
   cfg.height = 16;
   cfg.threads = threads;
   cfg.seed = kSeed;
-  if (partition != nullptr) {
-    cfg.partition = *sim::PartitionSpec::parse(partition);
-  }
   sim::Chip chip(cfg);
   EXPECT_EQ(chip.threads(), threads);
 
@@ -116,13 +112,12 @@ INSTANTIATE_TEST_SUITE_P(BfsAndSssp, Determinism,
                            return info.param == App::kBfs ? "Bfs" : "Sssp";
                          });
 
-// The partition-shape × thread-count matrix: every shape, with and without
+// The partition × thread-count matrix: row stripes with and without
 // load-adaptive rebalancing, at 2 and 4 workers, against the serial run. A
-// west/east-IO configuration rides along because it is the motivating case
-// for column partitions (row stripes put every IO cell into two stripes)
-// and exercises cross-partition traffic on the orthogonal axis. Shallow
-// FIFOs + single ejection keep the mesh congested, where order-dependence
-// would hide.
+// west/east-IO configuration rides along because it puts every IO cell
+// into the stripes holding its border columns, so its injection legs run
+// along the rows and cross every stripe boundary. Shallow FIFOs + single
+// ejection keep the mesh congested, where order-dependence would hide.
 struct MatrixResult {
   sim::ChipStats stats;
   double energy_pj = 0.0;
@@ -130,7 +125,7 @@ struct MatrixResult {
   friend bool operator==(const MatrixResult&, const MatrixResult&) = default;
 };
 
-TEST(Determinism, PartitionShapeMatrixIsCycleIdenticalToSerial) {
+TEST(Determinism, PartitionMatrixIsCycleIdenticalToSerial) {
   auto run = [](std::uint8_t io_sides, const char* partition,
                 std::uint32_t threads) {
     sim::ChipConfig cfg;
@@ -169,9 +164,7 @@ TEST(Determinism, PartitionShapeMatrixIsCycleIdenticalToSerial) {
     SCOPED_TRACE("io_sides = " + std::to_string(io_sides));
     const MatrixResult serial = run(io_sides, "rows", 1);
     ASSERT_GT(serial.stats.stage_stalls, 0u) << "config failed to congest";
-    for (const char* partition :
-         {"rows", "cols", "tiles", "rows+rebalance", "cols+rebalance",
-          "tiles+rebalance"}) {
+    for (const char* partition : {"rows", "rows+rebalance"}) {
       for (const std::uint32_t threads : {2u, 4u}) {
         SCOPED_TRACE(std::string("partition = ") + partition +
                      ", threads = " + std::to_string(threads));
@@ -186,7 +179,7 @@ TEST(Determinism, PartitionShapeMatrixIsCycleIdenticalToSerial) {
 // diffusion), so cycle-identity is re-proven here on a sliding-window
 // schedule whose drained tail is pure deletions — for every app the
 // monotone-raise repair framework instantiates (BFS, SSSP, components):
-// every engine, thread count, and partition shape must land on the
+// every engine, thread count, and partition must land on the
 // identical counter block, energy, and per-vertex results as the serial
 // scan run. The 12x12 mesh keeps more cells live than the sparse serial
 // threshold (32 per partition) for part of the run, so every multi-thread
@@ -281,7 +274,7 @@ TEST(Determinism, SlidingWindowDeletionsAreCycleIdenticalToSerial) {
     }
     for (const sim::EngineKind engine :
          {sim::EngineKind::kScan, sim::EngineKind::kActive}) {
-      for (const char* partition : {"rows", "cols", "tiles+rebalance"}) {
+      for (const char* partition : {"rows", "rows+rebalance"}) {
         for (const std::uint32_t threads : {2u, 4u}) {
           SCOPED_TRACE(std::string("engine = ") +
                        std::string(sim::to_string(engine)) +
@@ -466,7 +459,7 @@ TEST(Determinism, MonotoneAppCostIsPinned) {
 
 // Cost pin for the cycle's stage schedule. One fixed BFS stream on a 16x16
 // chip at 4 threads pins the simulated cycles, the barrier arrivals and the
-// cell visits, under row stripes and under rebalancing tiles. A pooled
+// cell visits, under plain and under rebalancing row stripes. A pooled
 // cycle costs 4 arrivals per partition and a sparse serial cycle none, so
 // barrier_syncs() pins both the schedule's barrier count and how often the
 // sparse serial path runs. The results tests above cannot see either. The
@@ -519,22 +512,14 @@ TEST(Determinism, StageScheduleBarrierCostIsPinned) {
     EXPECT_EQ(run("rows"), (SchedulePin{2094, 14640, 820738}));
   }
   {
-    SCOPED_TRACE("partition = tiles+rebalance");
-    EXPECT_EQ(run("tiles+rebalance"), (SchedulePin{2094, 14640, 832589}));
+    SCOPED_TRACE("partition = rows+rebalance");
+    EXPECT_EQ(run("rows+rebalance"), (SchedulePin{2094, 14640, 823150}));
   }
   {
     SCOPED_TRACE("partition = rows, engine = scan");
     EXPECT_EQ(run("rows", sim::EngineKind::kScan),
               (SchedulePin{2094, 14640, 3 * 256 * 2094}));
   }
-}
-
-// An explicit tile grid pins the partition count independently of the
-// worker request — and still changes nothing.
-TEST(Determinism, ExplicitTileGridIsCycleIdenticalToSerial) {
-  const RunResult serial = run_app(App::kBfs, 1);
-  const RunResult tiled = run_app(App::kBfs, 4, "tiles:2x2+rebalance");
-  EXPECT_EQ(tiled, serial);
 }
 
 // Congestion is where order-dependence would hide: shallow FIFOs and a

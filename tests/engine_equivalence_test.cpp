@@ -1,14 +1,14 @@
 // The event-driven engine's headline guarantee: the active-set engine is
 // cycle-for-cycle identical to the full-scan oracle — same cycle count,
 // same complete ChipStats counter block, same energy, same activation
-// trace, same per-vertex results — across the engine × partition shape ×
+// trace, same per-vertex results — across the engine × partition ×
 // thread count × io_sides matrix, while visiting strictly fewer cells per
 // cycle whenever the mesh is not saturated. Shallow FIFOs and a single
 // ejection per cycle keep the mesh congested, where a set-maintenance bug
 // (a cell activated late, a stale snapshot latch, a summary bit pruned
 // under a live word) would surface as a divergent counter. Also here: a
 // workload that swings between a saturated and a nearly idle mesh, a
-// rebalancing-tile run, and the engine's resolution order.
+// rebalancing run, and the engine's resolution order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -94,9 +94,9 @@ EngineResult run_bfs(EngineKind engine, const char* partition,
   return r;
 }
 
-// The acceptance matrix: engine × {rows, cols, tiles+rebalance} ×
-// {1, 2, 4} threads × {north/south, west/east} IO, every cell compared
-// against the scan-serial oracle of its io_sides group.
+// The acceptance matrix: engine × {rows, rows+rebalance} × {1, 2, 4}
+// threads × {north/south, west/east} IO, every cell compared against the
+// scan-serial oracle of its io_sides group.
 TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
   for (const std::uint8_t io_sides :
        {static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth),
@@ -107,7 +107,7 @@ TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
     ASSERT_GT(oracle.cycles, 0u);
     ASSERT_GT(oracle.stats.stage_stalls, 0u) << "config failed to congest";
 
-    for (const char* partition : {"rows", "cols", "tiles+rebalance"}) {
+    for (const char* partition : {"rows", "rows+rebalance"}) {
       for (const std::uint32_t threads : {1u, 2u, 4u}) {
         for (const EngineKind engine :
              {EngineKind::kScan, EngineKind::kActive}) {
@@ -121,7 +121,7 @@ TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
             EXPECT_LT(r.cell_visits, oracle.cell_visits);
           } else {
             EXPECT_EQ(r.cell_visits, oracle.cell_visits)
-                << "scan visits every cell every cycle, whatever the shape";
+                << "scan visits every cell every cycle, whatever the split";
           }
         }
       }
@@ -132,12 +132,13 @@ TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
 // cell_visits is the host-cost currency, so it must not depend on thread
 // timing: which cells a sweep visits follows only the sweeping
 // partition's own program order (see CellSoA::for_each_active). Repeated
-// threaded runs on shapes whose bitmap words straddle partition
-// boundaries must bill the same visits.
+// threaded runs whose bitmap words straddle partition boundaries must bill
+// the same visits: four stripes of the 12x12 chip start at cells 36, 72
+// and 108, all mid-word, and rebalancing moves them.
 TEST(EngineEquivalence, ActiveVisitCountIsDeterministic) {
   const auto io_sides =
       static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth);
-  for (const char* partition : {"cols", "tiles+rebalance"}) {
+  for (const char* partition : {"rows", "rows+rebalance"}) {
     SCOPED_TRACE(std::string("partition = ") + partition);
     const auto visits = [&] {
       return run_bfs(EngineKind::kActive, partition, 4, io_sides).cell_visits;
@@ -149,10 +150,11 @@ TEST(EngineEquivalence, ActiveVisitCountIsDeterministic) {
 
 // The large-mesh leg: the active engine's phases are 64-cell bitmap word
 // sweeps over spans gated by a 4096-cell summary level, so meshes whose
-// partition rectangles start and end mid-word — and span several summary
+// partition stripes start and end mid-word — and span several summary
 // words — are where a masking or pruning bug would live, unreachable on
-// the 12x12 matrix above. 128x128 (256 bitmap words, 4 summary words;
-// threaded tile rectangles with word-unaligned row spans) runs in the
+// the 12x12 matrix above. 120x120 (225 bitmap words, 4 summary words; a
+// width that is not a multiple of 64, so threaded stripes start and end
+// mid-word, where a 128-wide stripe always starts on a word) runs in the
 // default suite; CCASTREAM_STRESS=1 upgrades the leg to the full 512x512
 // acceptance mesh.
 EngineResult run_large_bfs(EngineKind engine, std::uint32_t dim,
@@ -170,7 +172,7 @@ EngineResult run_large_bfs(EngineKind engine, std::uint32_t dim,
   graph::GraphProtocol proto(chip);
   apps::StreamingBfs bfs(proto);
   bfs.install();
-  const std::uint64_t n = dim == 128 ? 2'048 : 8'192;
+  const std::uint64_t n = dim == 120 ? 2'048 : 8'192;
   graph::GraphConfig gc;
   gc.num_vertices = n;
   gc.root_init = apps::StreamingBfs::initial_state();
@@ -195,15 +197,15 @@ EngineResult run_large_bfs(EngineKind engine, std::uint32_t dim,
 TEST(EngineEquivalence, LargeMeshMatchesScanOracle) {
   const char* stress = std::getenv("CCASTREAM_STRESS");
   const std::uint32_t dim =
-      (stress != nullptr && *stress != '\0' && *stress != '0') ? 512u : 128u;
+      (stress != nullptr && *stress != '\0' && *stress != '0') ? 512u : 120u;
   SCOPED_TRACE("mesh = " + std::to_string(dim) + "x" + std::to_string(dim));
   const EngineResult oracle = run_large_bfs(EngineKind::kScan, dim, "rows", 1);
   ASSERT_GT(oracle.cycles, 0u);
 
-  // Serial full-width rows (one contiguous span per sweep) and threaded
-  // tiles (word-unaligned row spans).
+  // One serial span, and four rebalancing stripes whose spans start and
+  // end mid-word.
   for (const auto& [partition, threads] :
-       {std::pair{"rows", 1u}, std::pair{"tiles+rebalance", 4u}}) {
+       {std::pair{"rows", 1u}, std::pair{"rows+rebalance", 4u}}) {
     SCOPED_TRACE(std::string("partition = ") + partition +
                  ", threads = " + std::to_string(threads));
     const EngineResult r =
@@ -269,7 +271,7 @@ TEST(EngineEquivalence, SurvivesRebalancingLayoutsUnchanged) {
     cfg.width = 12;
     cfg.height = 12;
     cfg.threads = 4;
-    cfg.partition = *sim::PartitionSpec::parse("tiles+rebalance");
+    cfg.partition = *sim::PartitionSpec::parse("rows+rebalance");
     cfg.engine = engine;
     cfg.seed = 11;
     sim::Chip chip(cfg);

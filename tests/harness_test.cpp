@@ -167,27 +167,39 @@ TEST(JsonRecord, WallMsRoundTripsAndIsOmittedWhenUnmeasured) {
 
 TEST(JsonRecord, PartitionFieldRoundTrips) {
   bench::BenchRecord r{"b", "64x64", 100, 2.5, "tiny", /*threads=*/4};
-  r.partition = "tiles:2x2+rebalance";
+  r.partition = "rows+rebalance";
   const std::string line = bench::format_record(r);
-  EXPECT_NE(line.find("\"partition\":\"tiles:2x2+rebalance\""),
+  EXPECT_NE(line.find("\"partition\":\"rows+rebalance\""),
             std::string::npos);
   const auto parsed = bench::parse_record(line);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->partition, "tiles:2x2+rebalance");
+  EXPECT_EQ(parsed->partition, "rows+rebalance");
   EXPECT_EQ(*parsed, r);
 }
 
-TEST(JsonRecord, LegacyRecordWithoutThreadsDefaultsToSerial) {
-  // Records written before the parallel backend existed carry no threads
-  // field; they were all measured on the serial engine — and records from
-  // before the partition layer were all row stripes.
-  const std::string line =
-      "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":5,"
-      "\"energy_uj\":1.0,\"scale\":\"tiny\"}";
-  const auto parsed = bench::parse_record(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->threads, 1u);
-  EXPECT_EQ(parsed->partition, "rows");
+TEST(JsonRecord, RecordWithoutABackendFieldIsRejected) {
+  // format_record always writes threads, partition, engine and
+  // host_cores, and every committed record carries them, so a line
+  // missing one is not a record: there is no default to guess for the
+  // backend or the host it was measured on.
+  const std::string full = bench::format_record(
+      bench::BenchRecord{"b", "d", 5, 1.0, "tiny", /*threads=*/4});
+  ASSERT_TRUE(bench::parse_record(full).has_value());
+  for (const std::string field :
+       {"\"threads\":4", "\"partition\":\"rows\"", "\"engine\":\"scan\"",
+        "\"host_cores\":1"}) {
+    SCOPED_TRACE(field);
+    std::string line = full;
+    const auto at = line.find("," + field);
+    ASSERT_NE(at, std::string::npos);
+    line.erase(at, field.size() + 1);
+    EXPECT_FALSE(bench::parse_record(line).has_value()) << line;
+  }
+  // The shape of a record written before any of those fields existed.
+  EXPECT_FALSE(bench::parse_record(
+                   "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":5,"
+                   "\"energy_uj\":1.0,\"scale\":\"tiny\"}")
+                   .has_value());
 }
 
 TEST(JsonRecord, RecordsWithRetiredFieldsStillParse) {
@@ -210,7 +222,8 @@ TEST(JsonRecord, RecordsWithRetiredFieldsStillParse) {
 TEST(JsonRecord, ParseRejectsNegativeCycles) {
   const std::string line =
       "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":-1,"
-      "\"energy_uj\":1.0,\"scale\":\"tiny\"}";
+      "\"energy_uj\":1.0,\"scale\":\"tiny\",\"threads\":1,"
+      "\"partition\":\"rows\",\"engine\":\"scan\",\"host_cores\":1}";
   EXPECT_FALSE(bench::parse_record(line).has_value());
 }
 
@@ -286,7 +299,7 @@ TEST(JsonReporter, AppendsParseableRecordsToEnvNamedFile) {
   std::remove(path.c_str());
 }
 
-TEST(JsonRecord, HostCoresRoundTripsAndLegacyDefaultsToOne) {
+TEST(JsonRecord, HostCoresRoundTrips) {
   bench::BenchRecord r{"b", "64x64", 100, 2.5, "tiny"};
   r.host_cores = 96;
   const std::string line = bench::format_record(r);
@@ -294,16 +307,6 @@ TEST(JsonRecord, HostCoresRoundTripsAndLegacyDefaultsToOne) {
   const auto parsed = bench::parse_record(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, r);
-
-  // Records written before hardware context existed carry no host_cores
-  // field; they parse as the conservative single-core default, which is
-  // also what a default-constructed record holds — so legacy lines still
-  // round-trip through format_record unchanged.
-  const auto legacy = bench::parse_record(
-      "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":5,"
-      "\"energy_uj\":1.0,\"scale\":\"tiny\"}");
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->host_cores, 1u);
 }
 
 TEST(JsonReporter, StampsHostCoresOnEveryRecord) {
@@ -331,14 +334,13 @@ TEST(JsonRecord, RssKbRoundTripsAndIsOmittedWhenUnmeasured) {
   EXPECT_EQ(*parsed, r);
 
   // 0 means unmeasured (no procfs): the field is omitted on write and
-  // legacy lines without it parse back to the same 0 default.
+  // parses back to the same 0.
   const bench::BenchRecord bare{"b", "d", 1, 1.0, "tiny"};
-  EXPECT_EQ(bench::format_record(bare).find("rss_kb"), std::string::npos);
-  const auto legacy = bench::parse_record(
-      "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":5,"
-      "\"energy_uj\":1.0,\"scale\":\"tiny\"}");
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->rss_kb, 0u);
+  const std::string bare_line = bench::format_record(bare);
+  EXPECT_EQ(bare_line.find("rss_kb"), std::string::npos);
+  const auto reparsed = bench::parse_record(bare_line);
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_EQ(reparsed->rss_kb, 0u);
 }
 
 TEST(PeakRss, ReportsANonDecreasingHighWaterOnLinux) {
@@ -362,16 +364,13 @@ TEST(JsonRecord, EngineAndCellVisitsRoundTrip) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, r);
 
-  // Unmeasured visit counts are omitted, and legacy lines (no engine
-  // field) were all measured on the scan engine.
+  // Unmeasured visit counts are omitted and parse back to 0.
   const bench::BenchRecord bare{"b", "d", 1, 1.0, "tiny"};
-  EXPECT_EQ(bench::format_record(bare).find("cell_visits"), std::string::npos);
-  const auto legacy = bench::parse_record(
-      "{\"bench\":\"b\",\"dataset\":\"d\",\"cycles\":5,"
-      "\"energy_uj\":1.0,\"scale\":\"tiny\"}");
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->engine, "scan");
-  EXPECT_EQ(legacy->cell_visits, 0u);
+  const std::string bare_line = bench::format_record(bare);
+  EXPECT_EQ(bare_line.find("cell_visits"), std::string::npos);
+  const auto reparsed = bench::parse_record(bare_line);
+  ASSERT_TRUE(reparsed.has_value());
+  EXPECT_EQ(reparsed->cell_visits, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Randomized oracle cross-checks: ~20 seeded random instances mixing
-// R-MAT and SBM workloads, mesh shapes, thread counts, partition shapes
-// (rows/cols/tiles, with and without rebalancing), apps, and streaming
+// R-MAT and SBM workloads, mesh shapes, thread counts, partitions (row
+// stripes, with and without rebalancing), apps, and streaming
 // orders, each streamed as interleaved edge increments and verified
 // vertex-by-vertex against the `base::` sequential oracles. Every instance
 // derives from a printed seed so any failure replays exactly.
@@ -69,7 +69,6 @@ Instance make_instance(std::uint64_t seed) {
   in.app = static_cast<int>(rng.below(3));
   // Partition draws come last so older replay seeds keep their meaning for
   // every field above.
-  in.partition.shape = static_cast<sim::PartitionShape>(rng.below(3));
   in.partition.rebalance = rng.bernoulli(0.5);
   // Engine draw follows the same append-only rule: half the instances run
   // the event-driven active-set engine, half the full-scan oracle, so any

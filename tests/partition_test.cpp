@@ -1,5 +1,5 @@
-// Property tests for the mesh partition layer (sim/partition.hpp): every
-// shape must cover each cell exactly once with contiguous rectangles, the
+// Property tests for the mesh partition layer (sim/partition.hpp): the
+// row stripes must cover each cell exactly once as contiguous spans, the
 // spec grammar must round-trip, and load-adaptive rebalancing must produce
 // valid, balanced splits from skewed histograms — all invariants the
 // parallel engine's correctness (and the determinism suite) rests on.
@@ -18,41 +18,36 @@
 namespace ccastream {
 namespace {
 
+using sim::CellSpan;
 using sim::PartitionLayout;
-using sim::PartitionShape;
 using sim::PartitionSpec;
-using sim::PartRect;
 
-/// The structural invariant behind everything: rectangles are in-bounds,
-/// non-empty, and their disjoint union covers the mesh; the O(1) owner
-/// table agrees with rectangle membership.
+/// The structural invariant behind everything: stripes are non-empty,
+/// in-bounds and consecutive, so their spans tile the cell range
+/// [0, width * height) in partition order; the O(1) owner table agrees
+/// with span membership.
 void expect_valid(const PartitionLayout& layout) {
   const std::uint32_t w = layout.mesh_width();
   const std::uint32_t h = layout.mesh_height();
   ASSERT_GE(layout.parts(), 1u);
-  EXPECT_EQ(layout.parts(), layout.grid_x() * layout.grid_y());
+  const std::vector<std::uint32_t>& rows = layout.row_boundaries();
+  ASSERT_EQ(rows.size(), layout.parts() + 1);
+  EXPECT_EQ(rows.front(), 0u);
+  EXPECT_EQ(rows.back(), h);
 
-  std::vector<std::uint32_t> covered(static_cast<std::size_t>(w) * h, 0);
+  std::uint32_t next = 0;  // the first cell no earlier span covered
   for (std::uint32_t p = 0; p < layout.parts(); ++p) {
-    const PartRect& r = layout.rect(p);
-    ASSERT_LT(r.x0, r.x1) << "empty rect in partition " << p;
-    ASSERT_LT(r.y0, r.y1) << "empty rect in partition " << p;
-    ASSERT_LE(r.x1, w);
-    ASSERT_LE(r.y1, h);
-    for (std::uint32_t y = r.y0; y < r.y1; ++y) {
-      for (std::uint32_t x = r.x0; x < r.x1; ++x) {
-        const std::uint32_t cell = y * w + x;
-        ++covered[cell];
-        EXPECT_EQ(layout.owner(cell), p)
-            << "owner table disagrees with rect membership at (" << x << ","
-            << y << ")";
-      }
+    ASSERT_LT(rows[p], rows[p + 1]) << "empty stripe " << p;
+    const CellSpan span = layout.span(p);
+    EXPECT_EQ(span, (CellSpan{rows[p] * w, rows[p + 1] * w}));
+    EXPECT_EQ(span.begin, next) << "gap or overlap before partition " << p;
+    for (std::uint32_t cell = span.begin; cell < span.end; ++cell) {
+      EXPECT_EQ(layout.owner(cell), p)
+          << "owner table disagrees with span membership at cell " << cell;
     }
+    next = span.end;
   }
-  for (std::uint32_t cell = 0; cell < w * h; ++cell) {
-    EXPECT_EQ(covered[cell], 1u) << "cell " << cell << " covered "
-                                 << covered[cell] << " times";
-  }
+  EXPECT_EQ(next, w * h) << "stripes stop short of the last row";
 
   // The layout's own self-check (what CCASTREAM_CHECK=full runs at every
   // barrier) must agree with this independent reimplementation.
@@ -60,118 +55,51 @@ void expect_valid(const PartitionLayout& layout) {
 }
 
 TEST(PartitionSpec, ParsesEveryGrammarForm) {
-  struct Case {
-    const char* text;
-    PartitionShape shape;
-    bool rebalance;
-    std::uint32_t gx, gy;
-  };
-  const Case cases[] = {
-      {"rows", PartitionShape::kRows, false, 0, 0},
-      {"cols", PartitionShape::kCols, false, 0, 0},
-      {"tiles", PartitionShape::kTiles, false, 0, 0},
-      {"tiles:4x2", PartitionShape::kTiles, false, 4, 2},
-      {"rows+rebalance", PartitionShape::kRows, true, 0, 0},
-      {"cols+rebalance", PartitionShape::kCols, true, 0, 0},
-      {"tiles:1x8+rebalance", PartitionShape::kTiles, true, 1, 8},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.text);
-    const auto spec = PartitionSpec::parse(c.text);
+  for (const auto& [text, rebalance] :
+       {std::pair{"rows", false}, std::pair{"rows+rebalance", true}}) {
+    SCOPED_TRACE(text);
+    const auto spec = PartitionSpec::parse(text);
     ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(spec->shape, c.shape);
-    EXPECT_EQ(spec->rebalance, c.rebalance);
-    EXPECT_EQ(spec->tiles_x, c.gx);
-    EXPECT_EQ(spec->tiles_y, c.gy);
+    EXPECT_EQ(spec->rebalance, rebalance);
     // to_string round-trips the canonical spelling.
-    EXPECT_EQ(spec->to_string(), c.text);
+    EXPECT_EQ(spec->to_string(), text);
     EXPECT_EQ(PartitionSpec::parse(spec->to_string()), *spec);
   }
+  EXPECT_EQ(PartitionSpec{}.to_string(), "rows") << "the default spec";
 }
 
 TEST(PartitionSpec, RejectsGarbage) {
   for (const char* bad :
-       {"", "stripes", "row", "tiles:", "tiles:4", "tiles:x2", "tiles:4x",
-        "tiles:0x2", "tiles:2x0", "tiles:2x2x2", "tiles:axb",
-        "rows+rebalanced", "rows+", "+rebalance", "rows +rebalance"}) {
+       {"", "stripes", "row", "rows+rebalanced", "rows+", "+rebalance",
+        "rows +rebalance", "rebalance", "rows+rebalance+rebalance",
+        // Column stripes and 2-D tiles: row stripes beat both on every
+        // measured workload (see docs/TUNING.md).
+        "cols", "tiles", "tiles:2x2", "cols+rebalance", "tiles+rebalance"}) {
     EXPECT_FALSE(PartitionSpec::parse(bad).has_value()) << bad;
   }
 }
 
 TEST(PartitionLayout, RowStripesCoverEveryCellOnce) {
   for (const auto& [w, h] : {std::pair{8u, 8u}, {16u, 4u}, {5u, 7u}, {1u, 9u},
-                            {32u, 32u}}) {
-    for (const std::uint32_t parts : {1u, 2u, 3u, 4u, 7u, 16u}) {
+                            {9u, 1u}, {32u, 32u}}) {
+    for (const std::uint32_t parts : {0u, 1u, 2u, 3u, 4u, 7u, 16u,
+                                      100'000'000u}) {
       SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " parts=" +
                    std::to_string(parts));
-      const auto layout = PartitionLayout::build({}, w, h, parts);
+      const auto layout = PartitionLayout::build(w, h, parts);
       expect_valid(layout);
-      EXPECT_EQ(layout.parts(), std::min(parts, h));  // clamped by rows
-      for (std::uint32_t p = 0; p < layout.parts(); ++p) {
-        EXPECT_EQ(layout.rect(p).width(), w) << "row stripes span the width";
-      }
+      // Clamped to [1, height]: every worker owns at least one row.
+      EXPECT_EQ(layout.parts(), std::clamp(parts, 1u, h));
     }
   }
 }
 
-TEST(PartitionLayout, ColumnStripesCoverEveryCellOnce) {
-  PartitionSpec spec;
-  spec.shape = PartitionShape::kCols;
-  for (const auto& [w, h] : {std::pair{8u, 8u}, {4u, 16u}, {7u, 5u}, {9u, 1u}}) {
-    for (const std::uint32_t parts : {1u, 2u, 3u, 4u, 7u, 16u}) {
-      SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " parts=" +
-                   std::to_string(parts));
-      const auto layout = PartitionLayout::build(spec, w, h, parts);
-      expect_valid(layout);
-      EXPECT_EQ(layout.parts(), std::min(parts, w));  // clamped by columns
-      for (std::uint32_t p = 0; p < layout.parts(); ++p) {
-        EXPECT_EQ(layout.rect(p).height(), h) << "col stripes span the height";
-      }
-    }
-  }
-}
-
-TEST(PartitionLayout, AutoTileGridsFactorTheWorkerCount) {
-  PartitionSpec spec;
-  spec.shape = PartitionShape::kTiles;
-  for (std::uint32_t parts = 1; parts <= 8; ++parts) {
-    SCOPED_TRACE("parts=" + std::to_string(parts));
-    const auto layout = PartitionLayout::build(spec, 8, 8, parts);
-    expect_valid(layout);
-    EXPECT_EQ(layout.parts(), parts);  // 8x8 fits every factorisation to 8
-  }
-  // 4 workers on 8x8 should pick the square 2x2 grid, not a 1x4 stripe.
-  const auto square = PartitionLayout::build(spec, 8, 8, 4);
-  EXPECT_EQ(square.grid_x(), 2u);
-  EXPECT_EQ(square.grid_y(), 2u);
-  // A mesh too narrow for the square grid falls back to a fitting shape.
-  const auto narrow = PartitionLayout::build(spec, 1, 8, 4);
-  expect_valid(narrow);
-  EXPECT_EQ(narrow.grid_x(), 1u);
-  EXPECT_EQ(narrow.grid_y(), 4u);
-}
-
-TEST(PartitionLayout, ExplicitTileGridPinsThePartitionCount) {
-  PartitionSpec spec = *PartitionSpec::parse("tiles:3x2");
-  const auto layout = PartitionLayout::build(spec, 9, 8, /*target_parts=*/1);
-  expect_valid(layout);
-  EXPECT_EQ(layout.parts(), 6u);  // grid wins over the worker request
-  EXPECT_EQ(layout.grid_x(), 3u);
-  EXPECT_EQ(layout.grid_y(), 2u);
-  // Oversized grids clamp to the mesh.
-  const auto clamped = PartitionLayout::build(*PartitionSpec::parse("tiles:16x16"),
-                                              4, 4, 1);
-  expect_valid(clamped);
-  EXPECT_EQ(clamped.parts(), 16u);  // 4x4 grid of single cells
-}
-
-TEST(PartitionLayout, HugeTileRequestClampsInsteadOfStalling) {
-  // choose_tile_grid's divisor search is quadratic in the part count; an
-  // unclamped worker request must degrade to the mesh capacity, not stall.
-  const auto layout = PartitionLayout::build(*PartitionSpec::parse("tiles"),
-                                             16, 16, 100'000'000);
-  expect_valid(layout);
-  EXPECT_EQ(layout.parts(), 256u);  // every cell its own tile
+TEST(PartitionLayout, UniformStripesSplitRowsByFloor) {
+  // floor(height * s / parts): 10 rows over 4 stripes -> 2, 3, 2, 3 rows.
+  const auto layout = PartitionLayout::build(6, 10, 4);
+  EXPECT_EQ(layout.row_boundaries(),
+            (std::vector<std::uint32_t>{0, 2, 5, 7, 10}));
+  EXPECT_EQ(layout.span(1), (CellSpan{12, 30}));
 }
 
 TEST(BalancedBoundaries, SkewedHistogramMovesTheBoundaries) {
@@ -214,43 +142,24 @@ TEST(BalancedBoundaries, ZeroLoadDegradesToUniform) {
 }
 
 TEST(PartitionLayout, RebalanceIsValidDeterministicAndLoadAware) {
-  for (const char* text : {"rows", "cols", "tiles"}) {
-    SCOPED_TRACE(text);
-    const auto spec = *PartitionSpec::parse(text);
-    const auto uniform = PartitionLayout::build(spec, 8, 8, 4);
-    // Synthetic skew: the north-west corner is hot (as under north IO with
-    // a west-heavy workload).
-    std::vector<std::uint64_t> load(64, 1);
-    for (std::uint32_t y = 0; y < 2; ++y) {
-      for (std::uint32_t x = 0; x < 2; ++x) load[y * 8 + x] = 500;
-    }
-    const auto balanced = uniform.rebalanced(load);
-    expect_valid(balanced);
-    EXPECT_EQ(balanced.parts(), uniform.parts());
-    EXPECT_EQ(balanced.grid_x(), uniform.grid_x());
-    EXPECT_EQ(balanced.grid_y(), uniform.grid_y());
-    EXPECT_NE(balanced.rects(), uniform.rects())
-        << "skewed load must move a boundary";
-    // Same histogram, same split: the rebalance schedule is a pure
-    // function of the load (what keeps parallel runs deterministic).
-    EXPECT_EQ(uniform.rebalanced(load), balanced);
-    // Zero load snaps back to the uniform layout.
-    EXPECT_EQ(balanced.rebalanced(std::vector<std::uint64_t>(64, 0)), uniform);
+  const auto uniform = PartitionLayout::build(8, 8, 4);
+  // Synthetic skew: the north-west corner is hot (as under north IO with
+  // a west-heavy workload).
+  std::vector<std::uint64_t> load(64, 1);
+  for (std::uint32_t y = 0; y < 2; ++y) {
+    for (std::uint32_t x = 0; x < 2; ++x) load[y * 8 + x] = 500;
   }
-}
-
-TEST(PartitionLayout, TileRebalanceBalancesBothAxesIndependently) {
-  const auto spec = *PartitionSpec::parse("tiles");
-  const auto uniform = PartitionLayout::build(spec, 8, 8, 4);  // 2x2 grid
-  std::vector<std::uint64_t> load(64, 0);
-  for (std::uint32_t x = 0; x < 8; ++x) load[0 * 8 + x] += 800;  // hot row 0
-  for (std::uint32_t y = 0; y < 8; ++y) load[y * 8 + 0] += 800;  // hot col 0
   const auto balanced = uniform.rebalanced(load);
   expect_valid(balanced);
-  EXPECT_EQ(balanced.grid_x(), 2u);
-  EXPECT_EQ(balanced.grid_y(), 2u);
-  // The hot row and column each land alone in the first band of their axis.
-  EXPECT_EQ(balanced.rect(0), (PartRect{0, 1, 0, 1}));
+  EXPECT_EQ(balanced.parts(), uniform.parts());
+  // The two hot rows each land alone in a stripe.
+  EXPECT_EQ(balanced.row_boundaries()[1], 1u);
+  EXPECT_EQ(balanced.row_boundaries()[2], 2u);
+  // Same histogram, same split: the rebalance schedule is a pure
+  // function of the load (what keeps parallel runs deterministic).
+  EXPECT_EQ(uniform.rebalanced(load), balanced);
+  // Zero load snaps back to the uniform layout.
+  EXPECT_EQ(balanced.rebalanced(std::vector<std::uint64_t>(64, 0)), uniform);
 }
 
 // Hysteresis: the ROADMAP's oscillating-workload scenario. A hot row that
@@ -258,7 +167,7 @@ TEST(PartitionLayout, TileRebalanceBalancesBothAxesIndependently) {
 // flip the boundary every call even though neither split is better — the
 // ping-pong a minimum-improvement threshold exists to stop.
 TEST(PartitionLayout, RebalanceHysteresisStopsMarginalPingPong) {
-  const auto uniform = PartitionLayout::build({}, 8, 8, 2);  // 2 row stripes
+  const auto uniform = PartitionLayout::build(8, 8, 2);  // 2 row stripes
   auto hot_row = [](std::uint32_t row) {
     std::vector<std::uint64_t> load(64, 1);
     for (std::uint32_t x = 0; x < 8; ++x) load[row * 8 + x] = 1000;
@@ -285,7 +194,7 @@ TEST(PartitionLayout, RebalanceHysteresisStopsMarginalPingPong) {
 // The threshold must not block genuine improvements: a load shift that
 // clearly shrinks the hottest band still moves the boundaries.
 TEST(PartitionLayout, RebalanceHysteresisStillAdoptsRealGains) {
-  const auto uniform = PartitionLayout::build({}, 8, 8, 2);
+  const auto uniform = PartitionLayout::build(8, 8, 2);
   std::vector<std::uint64_t> top_heavy(64, 10);
   for (std::uint32_t y = 0; y < 4; ++y) {
     for (std::uint32_t x = 0; x < 8; ++x) top_heavy[y * 8 + x] = 200;
@@ -299,21 +208,19 @@ TEST(PartitionLayout, RebalanceHysteresisStillAdoptsRealGains) {
       << "threshold changes *whether* to move, never *where*";
 }
 
-// The chip end of the contract: partition counts resolve per shape, an
-// explicit grid overrides the thread request, and rebalancing relayouts
-// between increments without changing any result.
-TEST(ChipPartition, ShapeResolutionAndRebalanceAreResultInvariant) {
+// The chip end of the contract: the worker count clamps to the mesh
+// height, and rebalancing relayouts between increments without changing
+// any result.
+TEST(ChipPartition, WorkerClampAndRebalanceAreResultInvariant) {
   sim::ChipConfig cfg = test::small_chip_config();  // 8x8 mesh
   cfg.threads = 3;
-  cfg.partition = *PartitionSpec::parse("cols");
-  sim::Chip cols(cfg);
-  EXPECT_EQ(cols.partitions(), 3u);
-  EXPECT_EQ(cols.partition_layout().grid_x(), 3u);
+  cfg.partition = *PartitionSpec::parse("rows");
+  sim::Chip three(cfg);
+  EXPECT_EQ(three.partitions(), 3u);
 
-  cfg.threads = 1;
-  cfg.partition = *PartitionSpec::parse("tiles:2x2");
-  sim::Chip tiles(cfg);
-  EXPECT_EQ(tiles.partitions(), 4u) << "explicit grid pins the worker count";
+  cfg.threads = 20;
+  sim::Chip clamped(cfg);
+  EXPECT_EQ(clamped.threads(), 8u) << "one row per worker at most";
 
   // Identical skewed diffusions on rebalancing and non-rebalancing chips:
   // boundaries must move, results must not.

@@ -1,6 +1,6 @@
 // Stress/scale sweep: mesh sizes {8x8, 32x32, 64x64} crossed with IO-side
-// configurations and partition shapes (row stripes, column stripes, and
-// rebalancing 2-D tiles), each streaming an SBM workload through BFS and
+// configurations and partitions (row stripes, plain and rebalancing),
+// each streaming an SBM workload through BFS and
 // verifying against the sequential oracle. Heavyweight by design: the
 // suite is registered with ctest label `slow` and every test GTEST_SKIPs
 // unless CCASTREAM_STRESS=1, so the default `ctest` run stays fast while
@@ -41,9 +41,9 @@ TEST_P(StressScale, StreamingBfsSettlesAndMatchesOracle) {
   cfg.partition = *sim::PartitionSpec::parse(partition);
   cfg.seed = 0x57AE55ull + dim;
   // threads left at 0: honours CCASTREAM_THREADS, so the CI thread matrix
-  // stresses both engines — and every partition shape — with the same
-  // sweep (at 1 thread the shapes collapse to a single partition, which is
-  // exactly the serial baseline the determinism suite pins against).
+  // stresses both engines — and both partitions — with the same sweep (at
+  // 1 thread they collapse to a single partition, which is exactly the
+  // serial baseline the determinism suite pins against).
   sim::Chip chip(cfg);
   graph::GraphProtocol proto(chip);
   apps::StreamingBfs bfs(proto);
@@ -189,9 +189,8 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return name;
 }
 
-// The partition dimension covers the motivating shapes: row stripes (the
-// default), column stripes (west/east IO), and rebalancing 2-D tiles (the
-// most general decomposition plus the load-adaptive path) — 27 cases.
+// The partition dimension covers plain row stripes (the default) and the
+// load-adaptive path — 18 cases.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StressScale,
     ::testing::Combine(
@@ -201,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(
             static_cast<std::uint8_t>(sim::kIoWest | sim::kIoEast),
             static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth |
                                       sim::kIoWest | sim::kIoEast)),
-        ::testing::Values("rows", "cols", "tiles+rebalance")),
+        ::testing::Values("rows", "rows+rebalance")),
     case_name);
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "test_util.hpp"
 
@@ -64,6 +65,26 @@ TEST(Sbm, SelfLoopsWhenAllowed) {
   const auto edges = generate_sbm(p);
   EXPECT_TRUE(std::any_of(edges.begin(), edges.end(),
                           [](const StreamEdge& e) { return e.src == e.dst; }));
+}
+
+// A graph the generator cannot draw is an error, not a hang or a crash:
+// zero vertices leave no block to draw from, and one vertex without
+// self-loops has no edge at all.
+TEST(Sbm, RejectsGraphsItCannotDraw) {
+  SbmParams p;
+  p.num_vertices = 0;
+  p.num_edges = 10;
+  EXPECT_THROW(static_cast<void>(generate_sbm(p)), std::invalid_argument);
+  p.num_edges = 0;
+  EXPECT_THROW(static_cast<void>(generate_sbm(p)), std::invalid_argument);
+
+  p.num_vertices = 1;
+  p.num_edges = 500;
+  EXPECT_THROW(static_cast<void>(generate_sbm(p)), std::invalid_argument);
+  p.allow_self_loops = true;
+  const auto loops = generate_sbm(p);
+  ASSERT_EQ(loops.size(), 500u);
+  for (const auto& e : loops) EXPECT_EQ(e.src, e.dst);
 }
 
 TEST(EdgeSampling, PartitionsEvenly) {

@@ -17,13 +17,16 @@
 //                 --json-results batch.jsonl
 //   ccastream_cli serve --increment-log inc.bin > serve.jsonl
 //   diff batch.jsonl serve.jsonl
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,14 +96,16 @@ void usage() {
       "  --sampling edge|snowball      streaming order (default edge)\n"
       "  --increments K                number of increments (default 10)\n"
       "  --width W --height H          chip mesh (default 16x16)\n"
-      "  --threads N                   simulator worker threads (default:\n"
+      "  --threads N                   simulator worker threads, 1..4096,\n"
+      "                                at most one per mesh row (default:\n"
       "                                CCASTREAM_THREADS or 1; results are\n"
       "                                identical for every N)\n"
       "  --partition SPEC              mesh partition for the parallel engine:\n"
-      "                                rows|cols|tiles[:GXxGY], optionally\n"
-      "                                +rebalance for load-adaptive boundaries\n"
-      "                                (default: CCASTREAM_PARTITION or rows;\n"
-      "                                results are identical for every SPEC)\n"
+      "                                rows (one row stripe per worker) or\n"
+      "                                rows+rebalance (load-adaptive stripe\n"
+      "                                boundaries; default: CCASTREAM_PARTITION\n"
+      "                                or rows; results are identical either\n"
+      "                                way)\n"
       "  --engine scan|active          cycle engine: the event-driven\n"
       "                                active-set bitmap engine (default:\n"
       "                                CCASTREAM_ENGINE or active) or the\n"
@@ -147,6 +152,27 @@ bool parse(int argc, char** argv, Options& o) {
                  v.c_str(), want);
     return false;
   };
+  // Every numeric flag goes through here: the value must be one whole
+  // base-10 token (no sign, blanks or trailing junk) in [lo, hi], where hi
+  // defaults to the field's range.
+  auto number = [&]<typename T>(int& i, const std::string& flag, T& out,
+                                std::uint64_t lo,
+                                std::uint64_t hi = std::numeric_limits<T>::max()) {
+    const char* v = need(i);
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE || n < lo ||
+        n > hi) {
+      const std::string want =
+          hi == std::numeric_limits<T>::max()
+              ? "an integer >= " + std::to_string(lo)
+              : std::to_string(lo) + ".." + std::to_string(hi);
+      return invalid(flag, v, want.c_str());
+    }
+    out = static_cast<T>(n);
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -162,28 +188,29 @@ bool parse(int argc, char** argv, Options& o) {
       o.svc_queue = svc::parse_queue_spec(v);
       if (!o.svc_queue) return invalid(a, v, "block|drop|flush[:1..65536]");
     }
-    else if (a == "--vertices") o.vertices = std::strtoull(need(i), nullptr, 10);
-    else if (a == "--edges") o.edges = std::strtoull(need(i), nullptr, 10);
-    else if (a == "--edges-file") o.edges_file = need(i);
+    else if (a == "--vertices") {
+      if (!number(i, a, o.vertices, 1)) return false;
+    } else if (a == "--edges") {
+      if (!number(i, a, o.edges, 0)) return false;
+    } else if (a == "--edges-file") o.edges_file = need(i);
     else if (a == "--sampling") {
       const std::string v = need(i);
       if (v == "edge") o.sampling = wl::SamplingKind::kEdge;
       else if (v == "snowball") o.sampling = wl::SamplingKind::kSnowball;
       else return invalid(a, v, "edge|snowball");
     } else if (a == "--increments") {
-      o.increments = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      if (!number(i, a, o.increments, 1)) return false;
     } else if (a == "--width") {
-      o.width = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      if (!number(i, a, o.width, 1)) return false;
     } else if (a == "--height") {
-      o.height = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      if (!number(i, a, o.height, 1)) return false;
     } else if (a == "--threads") {
-      o.threads = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      // The cap CCASTREAM_THREADS gets (sim::resolve_threads).
+      if (!number(i, a, o.threads, 1, 4096)) return false;
     } else if (a == "--partition") {
       const char* v = need(i);
       o.partition = sim::PartitionSpec::parse(v);
-      if (!o.partition) {
-        return invalid(a, v, "rows|cols|tiles[:GXxGY][+rebalance]");
-      }
+      if (!o.partition) return invalid(a, v, "rows|rows+rebalance");
     } else if (a == "--engine") {
       const char* v = need(i);
       o.engine = sim::parse_engine(v);
@@ -207,13 +234,13 @@ bool parse(int argc, char** argv, Options& o) {
       else if (v == "local") o.alloc = rt::AllocPolicyKind::kLocal;
       else return invalid(a, v, "vicinity|random|round-robin|local");
     } else if (a == "--radius") {
-      o.vicinity_radius = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      if (!number(i, a, o.vicinity_radius, 0)) return false;
     } else if (a == "--edge-capacity") {
-      o.edge_capacity = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      if (!number(i, a, o.edge_capacity, 1)) return false;
     } else if (a == "--ghost-fanout") {
-      o.ghost_fanout = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      if (!number(i, a, o.ghost_fanout, 1)) return false;
     } else if (a == "--rhizomes") {
-      o.rhizomes = static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+      if (!number(i, a, o.rhizomes, 1)) return false;
     } else if (a == "--app") {
       o.app = need(i);
       if (o.app != "none" && o.app != "bfs" && o.app != "sssp" &&
@@ -221,22 +248,16 @@ bool parse(int argc, char** argv, Options& o) {
         return invalid(a, o.app, "none|bfs|sssp|components");
       }
     } else if (a == "--window") {
-      // Same validation resolve_window applies to the env var: reject
-      // instead of silently falling back (0 would mean "use the env").
-      const char* v = need(i);
-      char* end = nullptr;
-      const long w = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || w < 1 || w > 1'000'000) {
-        return invalid(a, v, "1..1000000");
-      }
-      o.window = static_cast<std::uint32_t>(w);
+      // The range resolve_window applies to the env var (0 would mean
+      // "use the env").
+      if (!number(i, a, o.window, 1, 1'000'000)) return false;
     } else if (a == "--window-drain") {
       o.window_drain = true;
     } else if (a == "--source") {
-      o.source = std::strtoull(need(i), nullptr, 10);
+      if (!number(i, a, o.source, 0)) return false;
       o.source_set = true;
     } else if (a == "--seed") {
-      o.seed = std::strtoull(need(i), nullptr, 10);
+      if (!number(i, a, o.seed, 0)) return false;
     } else if (a == "--verify") {
       o.verify = true;
     } else if (a == "--csv") {
@@ -361,8 +382,14 @@ int main(int argc, char** argv) {
                 ? wl::snowball_sampling(edges, o.vertices, o.increments, o.seed)
                 : wl::edge_sampling(std::move(edges), o.increments, o.seed);
   } else {
-    sched = wl::make_graphchallenge_like(o.vertices, o.edges, o.sampling,
-                                         o.increments, o.seed);
+    try {
+      sched = wl::make_graphchallenge_like(o.vertices, o.edges, o.sampling,
+                                           o.increments, o.seed);
+    } catch (const std::invalid_argument& e) {
+      // A graph the generator cannot draw, e.g. edges on one vertex.
+      std::fprintf(stderr, "ccastream_cli: %s\n", e.what());
+      return 2;
+    }
   }
   if (!o.source_set && !o.serve) {
     o.source = o.sampling == wl::SamplingKind::kSnowball ? sched.seed_vertex : 0;

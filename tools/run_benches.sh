@@ -10,7 +10,7 @@
 #
 # CCASTREAM_THREADS selects the simulator backend for the whole sweep
 # (default 1 = serial engine), CCASTREAM_PARTITION its mesh partition
-# (rows|cols|tiles[:GXxGY][+rebalance], default rows), and CCASTREAM_ENGINE
+# (rows|rows+rebalance, default rows), and CCASTREAM_ENGINE
 # its cycle engine (scan|active, default active — the simulator's default
 # bitmap engine); every emitted record carries
 # matching "threads", "partition", and "engine" fields, so sweeps from
@@ -18,8 +18,8 @@
 #   tools/run_benches.sh build BENCH_active.json   # regenerate the trajectory
 #   tools/run_benches.sh build /tmp/BENCH_ci.json && \
 #     python3 tools/check_bench_records.py BENCH_active.json /tmp/BENCH_ci.json
-#   CCASTREAM_THREADS=4 CCASTREAM_PARTITION=tiles+rebalance \
-#     tools/run_benches.sh build /tmp/BENCH_tiles.json
+#   CCASTREAM_THREADS=4 CCASTREAM_PARTITION=rows+rebalance \
+#     tools/run_benches.sh build /tmp/BENCH_rebal.json
 #   CCASTREAM_ENGINE=scan tools/run_benches.sh build /tmp/BENCH_scan.json
 # (bench_active_set runs both engines explicitly whatever the env, emitting
 # per-engine records with "cell_visits" — the scan-vs-active comparison is
