@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,8 +220,6 @@ struct BenchRecord {
   std::uint64_t cell_visits = 0;
   std::uint64_t rss_kb = 0;
   std::uint64_t host_cores = 1;
-
-  friend bool operator==(const BenchRecord&, const BenchRecord&) = default;
 };
 
 inline std::string json_escape(const std::string& s) {
@@ -259,8 +256,8 @@ inline std::string path_safe_label(const std::string& label) {
   return out;
 }
 
-/// Serialises one record as a single-line JSON object. `%.17g` keeps the
-/// energy double bit-exact across a parse round trip.
+/// Serialises one record as a single-line JSON object (read back by
+/// tools/check_bench_records.py). `%.17g` keeps the doubles bit-exact.
 inline std::string format_record(const BenchRecord& r) {
   char num[64];
   std::string out = "{\"bench\":\"" + json_escape(r.bench) + "\"";
@@ -295,111 +292,6 @@ inline std::string format_record(const BenchRecord& r) {
   out += std::string(",\"host_cores\":") + num;
   out += "}";
   return out;
-}
-
-namespace detail {
-
-/// Locates the first character of `key`'s value; nullopt when absent.
-inline std::optional<std::size_t> find_value_start(const std::string& line,
-                                                   const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  return pos + needle.size();
-}
-
-inline std::optional<std::string> parse_string_field(const std::string& line,
-                                                     const std::string& key) {
-  const auto start = find_value_start(line, key);
-  if (!start || *start >= line.size() || line[*start] != '"') {
-    return std::nullopt;
-  }
-  std::string out;
-  for (std::size_t i = *start + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      const char next = line[++i];
-      switch (next) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'u':
-          if (i + 4 < line.size()) {
-            out += static_cast<char>(
-                std::strtoul(line.substr(i + 1, 4).c_str(), nullptr, 16));
-            i += 4;
-          }
-          break;
-        default: out += next; break;
-      }
-    } else if (c == '"') {
-      return out;
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;  // unterminated string
-}
-
-inline std::optional<double> parse_number_field(const std::string& line,
-                                                const std::string& key) {
-  const auto pos = find_value_start(line, key);
-  if (!pos) return std::nullopt;
-  const char* start = line.c_str() + *pos;
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return std::nullopt;
-  return v;
-}
-
-// Cycle counts can exceed 2^53, so they never go through a double.
-inline std::optional<std::uint64_t> parse_uint_field(const std::string& line,
-                                                     const std::string& key) {
-  const auto pos = find_value_start(line, key);
-  if (!pos) return std::nullopt;
-  const char* start = line.c_str() + *pos;
-  // strtoull wraps negatives to huge values; reject them outright.
-  if (*start < '0' || *start > '9') return std::nullopt;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(start, &end, 10);
-  if (end == start) return std::nullopt;
-  return v;
-}
-
-}  // namespace detail
-
-/// Parses one `format_record` line back into a record. Returns nullopt for
-/// lines that are not records (blank lines, truncated writes) and for
-/// records missing a field `format_record` always writes; only the
-/// fields it omits when unmeasured (`wall_ms`, `cell_visits`, `rss_kb`)
-/// may be absent, and read as 0.
-inline std::optional<BenchRecord> parse_record(const std::string& line) {
-  const auto bench = detail::parse_string_field(line, "bench");
-  const auto dataset = detail::parse_string_field(line, "dataset");
-  const auto cycles = detail::parse_uint_field(line, "cycles");
-  const auto energy = detail::parse_number_field(line, "energy_uj");
-  const auto scale = detail::parse_string_field(line, "scale");
-  const auto threads = detail::parse_uint_field(line, "threads");
-  const auto partition = detail::parse_string_field(line, "partition");
-  const auto engine = detail::parse_string_field(line, "engine");
-  const auto host_cores = detail::parse_uint_field(line, "host_cores");
-  if (!bench || !dataset || !cycles || !energy || !scale || !threads ||
-      !partition || !engine || !host_cores) {
-    return std::nullopt;
-  }
-  BenchRecord r;
-  r.bench = *bench;
-  r.dataset = *dataset;
-  r.cycles = *cycles;
-  r.energy_uj = *energy;
-  r.scale = *scale;
-  r.threads = *threads;
-  r.partition = *partition;
-  r.engine = *engine;
-  r.host_cores = *host_cores;
-  r.wall_ms = detail::parse_number_field(line, "wall_ms").value_or(0.0);
-  r.cell_visits = detail::parse_uint_field(line, "cell_visits").value_or(0);
-  r.rss_kb = detail::parse_uint_field(line, "rss_kb").value_or(0);
-  return r;
 }
 
 /// Appends records (JSON Lines) to the file named by CCASTREAM_BENCH_JSON;

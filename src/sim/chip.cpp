@@ -94,10 +94,21 @@ EngineKind resolve_engine(const std::optional<EngineKind>& requested) {
 std::uint32_t resolve_threads(std::uint32_t requested) noexcept {
   if (requested != 0) return requested;
   if (const char* env = std::getenv("CCASTREAM_THREADS")) {
-    // strtol (not strtoul) so a negative value falls through to serial
-    // instead of wrapping to a huge unsigned count.
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::uint32_t>(std::min(v, 4096l));
+    // The whole token must be a count of at least 1, as for
+    // CCASTREAM_WINDOW: strtol so negatives are rejected instead of
+    // wrapping, and the endptr check so "4x" warns instead of running 4.
+    char* end = nullptr;
+    const long v = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && v >= 1) {
+      return static_cast<std::uint32_t>(std::min(v, 4096l));
+    }
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true, std::memory_order_relaxed)) {
+      std::fprintf(stderr,
+                   "ccastream: ignoring unparsable CCASTREAM_THREADS '%s' "
+                   "(using 1)\n",
+                   env);
+    }
   }
   return 1;
 }
@@ -213,11 +224,7 @@ Chip::Chip(ChipConfig cfg)
                                    resolve_threads(cfg_.threads));
   num_parts_ = layout_.parts();
   parts_ = std::vector<PartitionState>(num_parts_);
-  for (std::uint32_t p = 0; p < num_parts_; ++p) {
-    parts_[p].index = p;
-    parts_[p].outbox.resize(num_parts_);
-    parts_[p].inbox_producers.assign(num_parts_, 0);
-  }
+  for (std::uint32_t p = 0; p < num_parts_; ++p) parts_[p].index = p;
   apply_layout();
   if (num_parts_ > 1) pool_ = std::make_unique<PartitionPool>(num_parts_);
 }
@@ -541,23 +548,14 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
 
     m.last_move_cycle = cycle_;
     ++m.hops;
-    if (const std::uint32_t owner = layout_.owner(next_idx);
-        owner != st.index) {
-      auto& box = st.outbox[owner];
-      if (box.pushes.empty()) {
-        // First push to this destination this cycle: register as a
-        // producer so the destination's apply phase drains exactly the
-        // partitions with traffic (see PartitionState::inbox_producers).
-        PartitionState& dst_part = parts_[owner];
-        const std::uint32_t slot =
-            dst_part.inbox_count.fetch_add(1, std::memory_order_relaxed);
-        dst_part.inbox_producers[slot] = st.index;
-      }
-      box.pushes.push_back(
-          {next_idx, static_cast<std::uint8_t>(port), m});
-    } else {
+    if (next_idx >= st.span.begin && next_idx < st.span.end) {
       cells_[next_idx].push_router(port, m);
       mark_active(st, next_idx);
+    } else {
+      // Off the stripe, one hop lands in the stripe directly above or
+      // below, which applies the push behind the route barrier.
+      (next_idx < st.span.begin ? st.north : st.south)
+          .pushes.push_back({next_idx, static_cast<std::uint8_t>(port), m});
     }
     cell.pop_input(src);
     used_out[d] = true;
@@ -573,24 +571,19 @@ void Chip::cycle_settle(PartitionState& st) {
 }
 
 void Chip::cycle_apply(PartitionState& st) {
-  // Inbound cross-partition pushes: drain exactly the producers that
-  // registered during route instead of scanning every partition's (mostly
-  // empty) outboxes — O(actual traffic), not O(partitions). Every port
-  // FIFO receives at most one message per cycle (single writer + used_out)
-  // so application order cannot matter; the sort still pins a reproducible
-  // drain order, since registration order depends on thread timing.
-  const std::uint32_t n = st.inbox_count.load(std::memory_order_relaxed);
-  if (n == 0) return;
-  std::sort(st.inbox_producers.begin(), st.inbox_producers.begin() + n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto& inbox = parts_[st.inbox_producers[i]].outbox[st.index].pushes;
-    for (const PendingPush& p : inbox) {
+  // Inbound cross-partition pushes: the stripe above's south box, then the
+  // stripe below's north box. Every port FIFO receives at most one message
+  // per cycle (single writer + used_out), so application order cannot
+  // matter; this one is fixed all the same.
+  const auto drain = [&](PartitionState::Outbox& box) {
+    for (const PendingPush& p : box.pushes) {
       cells_[p.target_cc].push_router(p.port, p.msg);
       mark_active(st, p.target_cc);
     }
-    inbox.clear();
-  }
-  st.inbox_count.store(0, std::memory_order_relaxed);
+    box.pushes.clear();
+  };
+  if (st.index > 0) drain(parts_[st.index - 1].south);
+  if (st.index + 1 < num_parts_) drain(parts_[st.index + 1].north);
 }
 
 void Chip::cycle_io(PartitionState& st) {
@@ -744,18 +737,14 @@ void Chip::verify_cycle_invariants() const {
   //    a clear summary bit's 64 cells unread. Stale set bits are legal.
   CCA_CHECK(full, soa_.summary_covers_live_words());
   for (const PartitionState& st : parts_) {
-    // 3. Cross-partition plumbing drained: no outbox holds a push and no
-    //    producer registration survived the apply phase.
-    for (const PartitionState::Outbox& box : st.outbox) {
-      CCA_CHECK(full, box.pushes.empty());
-    }
-    CCA_CHECK(full, st.inbox_count.load(std::memory_order_relaxed) == 0);
+    // 3. Cross-partition plumbing drained: the neighbours' APPLY emptied
+    //    both outboxes.
+    CCA_CHECK(full, st.north.pushes.empty() && st.south.pushes.empty());
     // 4. The partition's live count is the flag popcount of its span.
     CCA_CHECK(full, st.active_count ==
                         soa_.count_active(st.span.begin, st.span.end));
   }
-  // 5. The decomposition itself: non-empty stripes covering every row,
-  //    owner table in agreement.
+  // 5. The decomposition itself: non-empty stripes covering every row.
   CCA_CHECK(full, layout_.exact_cover());
 }
 

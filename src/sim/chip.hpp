@@ -14,7 +14,6 @@
 // action back to the requester.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -131,7 +130,9 @@ struct ChipConfig {
   std::optional<rt::CheckLevel> check_level;
 };
 
-/// Resolves a requested thread count: 0 reads CCASTREAM_THREADS (default 1).
+/// Resolves a requested thread count: 0 reads CCASTREAM_THREADS (a whole
+/// count >= 1, clamped to 4096; anything else is ignored with a one-shot
+/// warning), defaulting to 1.
 [[nodiscard]] std::uint32_t resolve_threads(std::uint32_t requested) noexcept;
 
 /// Per-handler profile entry (enabled via ChipConfig::profile_handlers).
@@ -397,18 +398,15 @@ class Chip {
     std::int64_t outstanding = 0;       ///< This cycle's outstanding delta.
     std::vector<HandlerProfile> profile;
     std::uint32_t trace_active = 0, trace_live = 0;
-    /// Router pushes crossing into another partition, keyed by destination
-    /// partition id; the destination drains its inbox behind the route
-    /// barrier. (With one-hop-per-cycle routing only edge-adjacent
-    /// partitions ever receive traffic, but keying by destination keeps
-    /// the scheme independent of the boundaries.) Each slot is cache-line
-    /// padded: during
-    /// the apply phase every *other* partition clears its own slot of this
-    /// array concurrently, so unpadded vector headers would false-share.
+    /// Router pushes leaving the stripe. A message moves one link per
+    /// cycle, so such a push lands in the stripe directly above (`north`)
+    /// or below (`south`); that neighbour is the box's one consumer and
+    /// applies it behind the route barrier. Each box is cache-line padded:
+    /// in APPLY the two neighbours clear them concurrently.
     struct alignas(64) Outbox {
       std::vector<PendingPush> pushes;
     };
-    std::vector<Outbox> outbox;
+    Outbox north, south;
 
     /// Flagged cells of the span (membership itself is the CellSoA
     /// activity bitmap). Invariant between cycles: exactly the owned cells
@@ -419,17 +417,6 @@ class Chip {
     /// Cells visited by the per-cell phase sweeps this cycle (snapshot +
     /// route + compute); merged into Chip::cell_visits_.
     std::uint64_t cell_visits = 0;
-
-    /// Producers that pushed into this partition's inbox (their
-    /// `outbox[this]`) during the route phase, registered on first push.
-    /// The apply phase drains exactly `inbox_producers[0..inbox_count)`
-    /// instead of scanning every partition's (mostly empty) outboxes, so
-    /// application cost is proportional to actual cross-partition traffic.
-    /// Slot reservation via fetch_add; the route barrier publishes the
-    /// slot contents before the consumer reads them.
-    std::vector<std::uint32_t> inbox_producers;
-    /// Producer count this cycle.
-    std::atomic<std::uint32_t> inbox_count{0};
   };
 
   /// The cycle loop: runs up to `max_cycles` cycles (optionally stopping

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 
 namespace ccastream::sim {
 
@@ -110,41 +111,26 @@ std::vector<std::uint32_t> balanced_boundaries(
   return b;
 }
 
-PartitionLayout PartitionLayout::from_boundaries(
-    std::uint32_t width, std::uint32_t height, std::vector<std::uint32_t> rows) {
-  PartitionLayout layout;
-  layout.width_ = width;
-  layout.height_ = height;
-  layout.rows_ = std::move(rows);
-  layout.owner_.resize(static_cast<std::size_t>(width) * height);
-  for (std::uint32_t p = 0; p < layout.parts(); ++p) {
-    const CellSpan s = layout.span(p);
-    std::fill(layout.owner_.begin() + s.begin, layout.owner_.begin() + s.end, p);
-  }
-  return layout;
-}
-
 PartitionLayout PartitionLayout::build(std::uint32_t width,
                                        std::uint32_t height,
                                        std::uint32_t target_parts) {
   assert(width > 0 && height > 0);
   const std::uint32_t parts = std::clamp<std::uint32_t>(target_parts, 1, height);
-  return from_boundaries(width, height, uniform_boundaries(height, parts));
+  return {width, height, uniform_boundaries(height, parts)};
+}
+
+std::uint32_t PartitionLayout::owner(std::uint32_t cell) const {
+  // rows_[p + 1] is stripe p's end row: the owner is the first stripe
+  // that ends past the cell's row.
+  const auto ends = rows_.begin() + 1;
+  return static_cast<std::uint32_t>(
+      std::upper_bound(ends, rows_.end(), cell / width_) - ends);
 }
 
 bool PartitionLayout::exact_cover() const {
-  if (owner_.size() != static_cast<std::size_t>(width_) * height_) return false;
-  if (rows_.size() < 2 || rows_.front() != 0 || rows_.back() != height_) {
-    return false;
-  }
-  for (std::uint32_t p = 0; p < parts(); ++p) {
-    if (rows_[p] >= rows_[p + 1]) return false;  // empty or inverted stripe
-    const CellSpan s = span(p);
-    for (std::uint32_t cell = s.begin; cell < s.end; ++cell) {
-      if (owner_[cell] != p) return false;
-    }
-  }
-  return true;
+  return rows_.size() >= 2 && rows_.front() == 0 && rows_.back() == height_ &&
+         std::adjacent_find(rows_.begin(), rows_.end(),
+                            std::greater_equal<>()) == rows_.end();
 }
 
 PartitionLayout PartitionLayout::rebalanced(
@@ -158,13 +144,13 @@ PartitionLayout PartitionLayout::rebalanced(
     }
   }
   std::vector<std::uint32_t> rows = balanced_boundaries(row_load, parts());
-  // Skip the owner-table rebuild when the split did not move — the common
-  // steady-state case for a chip rebalancing every increment — or moved
-  // by too little to pay for itself.
+  // Keep this layout when the split did not move — the common steady-state
+  // case for a chip rebalancing every increment — or moved by too little
+  // to pay for itself.
   if (rows == rows_ || !improves_enough(row_load, rows_, rows, min_gain_pct)) {
     return *this;
   }
-  return from_boundaries(width_, height_, std::move(rows));
+  return {width_, height_, std::move(rows)};
 }
 
 }  // namespace ccastream::sim

@@ -25,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ccastream::sim {
@@ -64,7 +65,7 @@ struct CellSpan {
 class PartitionLayout {
  public:
   /// Single partition covering a 1x1 mesh (a usable placeholder).
-  PartitionLayout() : rows_{0, 1}, owner_{0} {}
+  PartitionLayout() : rows_{0, 1} {}
 
   /// Builds the uniform layout with (up to) `target_parts` stripes: the
   /// part count is clamped to [1, height], since every stripe keeps at
@@ -102,32 +103,28 @@ class PartitionLayout {
   [[nodiscard]] CellSpan span(std::uint32_t part) const {
     return {rows_[part] * width_, rows_[part + 1] * width_};
   }
-  /// Partition id owning cell `y * width + x`. O(1) table lookup — this is
-  /// on the router hot path (every hop consults the owner of its target).
-  [[nodiscard]] std::uint32_t owner(std::uint32_t cell) const {
-    return owner_[cell];
-  }
+  /// Partition id owning cell `y * width + x`: a binary search of the
+  /// row boundaries. Host side only (injection, IO-cell assignment); the
+  /// router never asks, since a hop leaves a stripe only for the stripe
+  /// directly above or below it.
+  [[nodiscard]] std::uint32_t owner(std::uint32_t cell) const;
 
   /// Structural self-check: the boundaries are strictly increasing from
   /// row 0 to the mesh height, so the stripes are non-empty and cover every
-  /// row once, and the owner table names each cell's stripe. O(mesh); used
-  /// by the full-level checked build (CCASTREAM_CHECK=full — see
-  /// runtime/check.hpp) after every layout change and cycle, and by the
-  /// partition property tests.
+  /// row once. O(parts); used by the full-level checked build
+  /// (CCASTREAM_CHECK=full — see runtime/check.hpp) after every layout
+  /// change and cycle, and by the partition property tests.
   [[nodiscard]] bool exact_cover() const;
 
-  friend bool operator==(const PartitionLayout& a, const PartitionLayout& b) {
-    return a.width_ == b.width_ && a.height_ == b.height_ && a.rows_ == b.rows_;
-  }
+  friend bool operator==(const PartitionLayout&, const PartitionLayout&) = default;
 
  private:
-  static PartitionLayout from_boundaries(std::uint32_t width,
-                                         std::uint32_t height,
-                                         std::vector<std::uint32_t> rows);
+  PartitionLayout(std::uint32_t width, std::uint32_t height,
+                  std::vector<std::uint32_t> rows)
+      : width_(width), height_(height), rows_(std::move(rows)) {}
 
   std::uint32_t width_ = 1, height_ = 1;
-  std::vector<std::uint32_t> rows_;   ///< Stripe boundaries, in rows.
-  std::vector<std::uint32_t> owner_;  ///< Cell index -> partition id.
+  std::vector<std::uint32_t> rows_;  ///< Stripe boundaries, in rows.
 };
 
 /// Splits `bins` into `parts` contiguous non-empty ranges with near-equal

@@ -530,19 +530,23 @@ TEST(Determinism, StageScheduleBarrierCostIsPinned) {
 // the hop counters here first). The 16x16 mesh keeps more cells live than
 // the sparse serial threshold (32 per partition, so 224 of 256 at 7
 // threads) for part of the run, so every multi-thread leg runs pooled
-// cycles too.
+// cycles too. A 64x4 mesh at 4 threads adds one-row stripes: there every
+// north/south hop crosses a stripe boundary, and both inner stripes trade
+// with two neighbours.
 TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
-  auto run = [](std::uint32_t threads,
+  auto run = [](std::uint32_t width, std::uint32_t height,
+                std::uint32_t threads,
                 sim::EngineKind engine = sim::EngineKind::kScan) {
     sim::ChipConfig cfg;
-    cfg.width = 16;
-    cfg.height = 16;
+    cfg.width = width;
+    cfg.height = height;
     cfg.fifo_depth = 2;
     cfg.ejections_per_cycle = 1;
     cfg.threads = threads;
     cfg.engine = engine;
     cfg.seed = 77;
     sim::Chip chip(cfg);
+    EXPECT_EQ(chip.partitions(), threads);
     graph::GraphProtocol proto(chip);
     apps::StreamingBfs bfs(proto);
     bfs.install();
@@ -560,15 +564,22 @@ TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
     }
     return chip.stats();
   };
-  const sim::ChipStats serial = run(1);
+  const sim::ChipStats serial = run(16, 16, 1);
   EXPECT_GT(serial.stage_stalls, 0u) << "config failed to congest the mesh";
   for (const std::uint32_t threads : {2u, 4u, 7u}) {
     SCOPED_TRACE("threads = " + std::to_string(threads));
-    EXPECT_EQ(run(threads), serial);
+    EXPECT_EQ(run(16, 16, threads), serial);
   }
   for (const std::uint32_t threads : {1u, 2u, 4u, 7u}) {
     SCOPED_TRACE("engine = active, threads = " + std::to_string(threads));
-    EXPECT_EQ(run(threads, sim::EngineKind::kActive), serial);
+    EXPECT_EQ(run(16, 16, threads, sim::EngineKind::kActive), serial);
+  }
+
+  const sim::ChipStats one_row_serial = run(64, 4, 1);
+  for (const auto engine : {sim::EngineKind::kScan, sim::EngineKind::kActive}) {
+    SCOPED_TRACE("64x4, threads = 4, engine = " +
+                 std::string(sim::to_string(engine)));
+    EXPECT_EQ(run(64, 4, 4, engine), one_row_serial);
   }
 }
 

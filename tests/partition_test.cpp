@@ -24,8 +24,8 @@ using sim::PartitionSpec;
 
 /// The structural invariant behind everything: stripes are non-empty,
 /// in-bounds and consecutive, so their spans tile the cell range
-/// [0, width * height) in partition order; the O(1) owner table agrees
-/// with span membership.
+/// [0, width * height) in partition order; owner() agrees with span
+/// membership.
 void expect_valid(const PartitionLayout& layout) {
   const std::uint32_t w = layout.mesh_width();
   const std::uint32_t h = layout.mesh_height();
@@ -43,7 +43,7 @@ void expect_valid(const PartitionLayout& layout) {
     EXPECT_EQ(span.begin, next) << "gap or overlap before partition " << p;
     for (std::uint32_t cell = span.begin; cell < span.end; ++cell) {
       EXPECT_EQ(layout.owner(cell), p)
-          << "owner table disagrees with span membership at cell " << cell;
+          << "owner() disagrees with span membership at cell " << cell;
     }
     next = span.end;
   }
@@ -206,6 +206,28 @@ TEST(PartitionLayout, RebalanceHysteresisStillAdoptsRealGains) {
   EXPECT_NE(balanced, uniform);
   EXPECT_EQ(balanced, uniform.rebalanced(top_heavy, 0))
       << "threshold changes *whether* to move, never *where*";
+}
+
+// The worker count (one worker per stripe) resolves like every backend
+// knob: an explicit request wins over CCASTREAM_THREADS, which wins over
+// the serial default.
+TEST(ResolveThreads, ExplicitRequestWinsOverEnvironment) {
+  const test::ScopedEnv env("CCASTREAM_THREADS", "3");
+  EXPECT_EQ(sim::resolve_threads(0), 3u);
+  EXPECT_EQ(sim::resolve_threads(2), 2u);
+  const test::ScopedEnv huge("CCASTREAM_THREADS", "5000");
+  EXPECT_EQ(sim::resolve_threads(0), 4096u) << "clamped, not rejected";
+}
+
+TEST(ResolveThreads, RejectsMalformedEnvValues) {
+  // Only a whole count of at least 1 parses; anything else runs serially
+  // (with a one-shot warning) rather than a guessed worker count.
+  for (const char* bad : {"4x", "abc", "0", "-3", ""}) {
+    const test::ScopedEnv env("CCASTREAM_THREADS", bad);
+    EXPECT_EQ(sim::resolve_threads(0), 1u) << "value '" << bad << "'";
+  }
+  const test::ScopedEnv unset("CCASTREAM_THREADS", nullptr);
+  EXPECT_EQ(sim::resolve_threads(0), 1u);
 }
 
 // The chip end of the contract: the worker count clamps to the mesh

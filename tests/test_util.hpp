@@ -15,7 +15,7 @@ namespace ccastream::test {
 
 /// Pins one environment variable for a test's lifetime, restoring the
 /// previous value on destruction. Pass `nullptr` to unset. Used by every
-/// knob-resolution test (engine, check level).
+/// knob-resolution test.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
