@@ -26,7 +26,7 @@ using ObjectKind = std::uint16_t;
 
 /// Simulator statistic channels a handler (or the protocol library) may
 /// bump from inside an action. The simulator routes them to the executing
-/// partition's private accumulator and merges at the end-of-cycle barrier,
+/// partition's private counter block, summed when Chip::stats() is read,
 /// so handlers never write shared chip state — the invariant that makes the
 /// parallel engine race-free and deterministic.
 enum class SimCounter : std::uint8_t {

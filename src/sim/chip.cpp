@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <utility>
 
 namespace ccastream::sim {
 
@@ -53,6 +54,14 @@ const ChipConfig& checked_mesh(const ChipConfig& cfg) {
   }
   return cfg;
 }
+
+/// Rejects a host injection outside the mesh (the null address included)
+/// in every build type: it would route off the mesh edge or index past the
+/// cell array, and its action would never run.
+void require_on_mesh(std::uint32_t cc, std::uint32_t cells, const char* what) {
+  if (cc >= cells) rt::fatal_misuse(what, __FILE__, __LINE__);
+}
+constexpr const char* kOffMeshTarget = "Chip: action target outside the mesh";
 
 }  // namespace
 
@@ -132,18 +141,12 @@ class CellContext final : public rt::Context {
   }
 
   void propagate(const rt::Action& action) override {
-    Message m;
-    m.action = action;
-    m.src_cc = cell_.index();
-    m.birth_cycle = chip_.cycle_;
-    cell_.push_staged(m);
-    ++st_.outstanding;
+    cell_.push_staged(Message{action, chip_.cycle_});
     ++st_.stats.actions_created;
   }
 
   void schedule_local(const rt::Action& action) override {
     cell_.push_task(action);
-    ++st_.outstanding;
     ++st_.stats.tasks_scheduled;
   }
 
@@ -294,39 +297,63 @@ void Chip::set_alloc_policy(std::unique_ptr<rt::AllocationPolicy> policy) {
   }
 }
 
+// The host injections run between cycles and count into partition 0's
+// block; every block is summed when read.
 void Chip::io_enqueue(const rt::Action& action) {
+  require_on_mesh(action.target.cc, cells_.size(), kOffMeshTarget);
   io_.enqueue(action);
-  ++outstanding_;
-  ++stats_.actions_created;
+  ++parts_.front().stats.actions_created;
   // No cell is touched yet: the attached cell activates when cycle_io
-  // actually injects, and outstanding_ != 0 keeps the chip non-quiescent
+  // actually injects, and the queued action keeps the chip non-quiescent
   // until then.
 }
 
 void Chip::inject_local(const rt::Action& action) {
-  assert(!action.target.is_null() && action.target.cc < cells_.size());
+  require_on_mesh(action.target.cc, cells_.size(), kOffMeshTarget);
   cells_[action.target.cc].push_action(action);
-  ++outstanding_;
-  ++stats_.actions_created;
+  ++parts_.front().stats.actions_created;
   activate_cell(action.target.cc);
 }
 
 void Chip::inject_via(std::uint32_t at_cc, const rt::Action& action) {
-  assert(at_cc < cells_.size());
-  Message m;
-  m.action = action;
-  m.src_cc = at_cc;
-  m.birth_cycle = cycle_;
-  cells_[at_cc].push_staged(m);
-  ++outstanding_;
-  ++stats_.actions_created;
+  require_on_mesh(at_cc, cells_.size(),
+                  "Chip: inject_via entry cell outside the mesh");
+  require_on_mesh(action.target.cc, cells_.size(), kOffMeshTarget);
+  cells_[at_cc].push_staged(Message{action, cycle_});
+  ++parts_.front().stats.actions_created;
   activate_cell(at_cc);
 }
 
 bool Chip::quiescent() const {
-  // The flags are exactly the cells with work (the post-cycle invariant,
-  // kept under both engines), so quiescence is O(partitions).
-  return outstanding_ == 0 && active_cells() == 0;
+  // Between cycles every live action sits in an IO queue or in a cell's
+  // queues or lanes, which keep its activity bit set (the post-cycle
+  // invariant, kept under both engines); the outboxes are drained.
+  return active_cells() == 0 && io_.drained();
+}
+
+ChipStats Chip::stats() const {
+  ChipStats total;
+  for (const PartitionState& st : parts_) total.add(st.stats);
+  total.cycles = cycle_;
+  return total;
+}
+
+std::uint64_t Chip::cell_visits() const noexcept {
+  std::uint64_t n = 0;
+  for (const PartitionState& st : parts_) n += st.cell_visits;
+  return n;
+}
+
+std::vector<HandlerProfile> Chip::handler_profile() const {
+  std::vector<HandlerProfile> total;
+  for (const PartitionState& st : parts_) {
+    if (total.size() < st.profile.size()) total.resize(st.profile.size());
+    for (std::size_t h = 0; h < st.profile.size(); ++h) {
+      total[h].executions += st.profile[h].executions;
+      total[h].instructions += st.profile[h].instructions;
+    }
+  }
+  return total;
 }
 
 std::uint64_t Chip::active_cells() const noexcept {
@@ -347,8 +374,8 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
 
   // Load-adaptive rebalancing fires only here — between public run/step
   // calls (i.e. between increments), never inside the cycle loop, where
-  // outboxes and per-cycle accumulators are guaranteed drained. Results
-  // are partition-invariant, so the schedule cannot change them.
+  // the outboxes are guaranteed drained. Results are partition-invariant,
+  // so the schedule cannot change them.
   if (partition_spec_.rebalance) rebalance_partitions();
 
   // The cycle's stages, stated once. Each runs for every partition over
@@ -360,8 +387,8 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
   static constexpr std::array<void (Chip::*)(PartitionState&), 3> kStages = {
       &Chip::cycle_snapshot, &Chip::cycle_route, &Chip::cycle_settle};
 
-  // The end-of-cycle step both modes share: merge the partition
-  // accumulators, count the cycle, decide whether the run is done.
+  // The end-of-cycle step both modes share: count the cycle, sample the
+  // trace, decide whether the run is done.
   std::uint64_t ran = 0;
   bool done = false;
   const auto end_cycle = [&] {
@@ -514,11 +541,14 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
   constexpr std::size_t kSources = CellSoA::kLanes;
   for (std::size_t s = 0; s < kSources; ++s) {
     const std::size_t src_idx = (soa_.arb_next(idx) + s) % kSources;
+    // One link per cycle: a router lane empty at phase start holds only
+    // messages that hopped in this phase. Any other lane still has a
+    // phase-start message at its front: only this cell pops it, once.
+    if (src_idx < kMeshDirections && snap[src_idx] == 0) continue;
     FifoView<Message> src = soa_.lane(idx, src_idx);
     if (src.empty()) continue;
 
-    Message& m = src.front();
-    if (m.last_move_cycle == cycle_ && m.hops > 0) continue;  // already hopped
+    const Message& m = src.front();
 
     const rt::Coord dst = mesh_.coord_of(m.action.target.cc);
     if (dst == cur) {
@@ -546,8 +576,6 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
       continue;
     }
 
-    m.last_move_cycle = cycle_;
-    ++m.hops;
     if (next_idx >= st.span.begin && next_idx < st.span.end) {
       cells_[next_idx].push_router(port, m);
       mark_active(st, next_idx);
@@ -592,12 +620,7 @@ void Chip::cycle_io(PartitionState& st) {
     if (ioc.pending.empty()) continue;
     ComputeCell& cc = cells_[ioc.attached_cc];
     if (!cc.io_in().has_room()) continue;
-    Message m;
-    m.action = ioc.pending.front();
-    m.src_cc = ioc.attached_cc;
-    m.birth_cycle = cycle_;
-    m.last_move_cycle = cycle_;  // injection consumes this cycle's movement
-    cc.push_io(m);
+    cc.push_io(Message{ioc.pending.front(), cycle_});
     mark_active(st, ioc.attached_cc);
     ioc.pending.pop_front();
     ++st.stats.io_injections;
@@ -655,11 +678,7 @@ bool Chip::compute_one(PartitionState& st, std::uint32_t idx, bool tracing) {
       // A drained future closure whose patched target lives elsewhere —
       // the closure's body is a propagate (paper Listing 6 line 23-26),
       // so running it converts the task into an outbound message.
-      Message m;
-      m.action = a;
-      m.src_cc = cell.index();
-      m.birth_cycle = cycle_;
-      cell.push_staged(m);  // stays outstanding as a message
+      cell.push_staged(Message{a, cycle_});
     } else {
       execute_action(st, cell, a);
     }
@@ -681,39 +700,15 @@ bool Chip::compute_one(PartitionState& st, std::uint32_t idx, bool tracing) {
 }
 
 void Chip::merge_partitions() {
-  std::uint32_t active = 0;
-  std::uint32_t live = 0;
-  std::int64_t outstanding_delta = 0;
+  std::uint32_t active = 0, live = 0;
   for (PartitionState& st : parts_) {
-    stats_.add(st.stats);
-    st.stats = ChipStats{};
-    outstanding_delta += st.outstanding;
-    st.outstanding = 0;
-    active += st.trace_active;
-    live += st.trace_live;
-    st.trace_active = st.trace_live = 0;
-    cell_visits_ += st.cell_visits;
-    st.cell_visits = 0;
-    if (cfg_.profile_handlers && !st.profile.empty()) {
-      if (handler_profile_.size() < st.profile.size()) {
-        handler_profile_.resize(st.profile.size());
-      }
-      for (std::size_t h = 0; h < st.profile.size(); ++h) {
-        handler_profile_[h].executions += st.profile[h].executions;
-        handler_profile_[h].instructions += st.profile[h].instructions;
-        st.profile[h] = HandlerProfile{};
-      }
-    }
+    active += std::exchange(st.trace_active, 0);
+    live += std::exchange(st.trace_live, 0);
   }
-  assert(static_cast<std::int64_t>(outstanding_) + outstanding_delta >= 0);
-  outstanding_ =
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(outstanding_) +
-                                 outstanding_delta);
   ++cycle_;
-  ++stats_.cycles;
   if (trace_.enabled()) trace_.record(active, live);
   // Checked build, full level: sweep every structural invariant at this
-  // barrier point. The merge runs on partition 0's thread while all other
+  // barrier point. This step runs on partition 0's thread while all other
   // workers are parked at the cycle barrier (their writes are published by
   // the arrival that admitted us here), so reading every cell and
   // partition is race-free.
@@ -750,8 +745,6 @@ void Chip::verify_cycle_invariants() const {
 
 void Chip::execute_action(PartitionState& st, ComputeCell& cell,
                           const rt::Action& action) {
-  --st.outstanding;  // global non-negativity asserted at the merge
-
   const rt::Handler* handler = registry_.find(action.handler);
   if (handler == nullptr) {
     ++st.stats.faults;
@@ -784,13 +777,11 @@ void Chip::execute_action(PartitionState& st, ComputeCell& cell,
   ++st.stats.actions_executed;
   const std::uint32_t cost = cfg_.action_base_cost + ctx.charged();
   st.stats.instructions += cost;
-  if (cfg_.profile_handlers) {
-    if (st.profile.size() <= action.handler) {
-      st.profile.resize(action.handler + 1);
-    }
-    ++st.profile[action.handler].executions;
-    st.profile[action.handler].instructions += cost;
+  if (st.profile.size() <= action.handler) {
+    st.profile.resize(action.handler + 1);
   }
+  ++st.profile[action.handler].executions;
+  st.profile[action.handler].instructions += cost;
   cell.set_busy(cost > 0 ? cost - 1 : 0);  // this cycle was the first
 }
 

@@ -101,7 +101,6 @@ struct ChipConfig {
   EnergyModel energy{};
   std::uint64_t seed = 0xC0FFEEull;
   bool record_activation = false;      ///< Record Figure 6/7 activation trace.
-  bool profile_handlers = false;       ///< Per-handler execution/instruction counts.
   /// Worker threads for the partitioned parallel engine. 0 resolves from
   /// the CCASTREAM_THREADS environment variable (defaulting to 1 = serial);
   /// always clamped to the mesh height (each worker owns at least one
@@ -135,7 +134,8 @@ struct ChipConfig {
 /// warning), defaulting to 1.
 [[nodiscard]] std::uint32_t resolve_threads(std::uint32_t requested) noexcept;
 
-/// Per-handler profile entry (enabled via ChipConfig::profile_handlers).
+/// Per-handler profile entry: how often one handler ran and the
+/// instruction cycles it cost (see Chip::handler_profile).
 struct HandlerProfile {
   std::uint64_t executions = 0;
   std::uint64_t instructions = 0;
@@ -222,8 +222,9 @@ class Chip {
   [[nodiscard]] const ChipConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const rt::MeshGeometry& geometry() const noexcept { return mesh_; }
   [[nodiscard]] std::uint64_t now() const noexcept { return cycle_; }
-  [[nodiscard]] ChipStats& stats() noexcept { return stats_; }
-  [[nodiscard]] const ChipStats& stats() const noexcept { return stats_; }
+  /// The run's counters: the partition blocks summed in partition order,
+  /// plus the cycle count. Read between run/step calls.
+  [[nodiscard]] ChipStats stats() const;
   [[nodiscard]] ActivationTrace& activation() noexcept { return trace_; }
   [[nodiscard]] const ActivationTrace& activation() const noexcept { return trace_; }
   [[nodiscard]] ComputeCell& cell(std::uint32_t cc) { return cells_[cc]; }
@@ -238,7 +239,7 @@ class Chip {
   /// Total energy of the run so far, in picojoules, under the configured
   /// energy model.
   [[nodiscard]] double energy_pj() const {
-    return total_pj(cfg_.energy, stats_.energy_events());
+    return total_pj(cfg_.energy, stats().energy_events());
   }
 
   /// Per-cell activity levels (0..255) for animation frames; a heuristic
@@ -254,11 +255,9 @@ class Chip {
     return cell_load_;
   }
 
-  /// Per-handler execution profile; entries index by HandlerId. Empty
-  /// unless ChipConfig::profile_handlers was set.
-  [[nodiscard]] const std::vector<HandlerProfile>& handler_profile() const noexcept {
-    return handler_profile_;
-  }
+  /// Per-handler execution profile, summed over the partitions; entries
+  /// index by HandlerId, up to the highest id that has run.
+  [[nodiscard]] std::vector<HandlerProfile> handler_profile() const;
 
   /// The resolved cycle engine of this chip instance (config, else
   /// CCASTREAM_ENGINE, else active).
@@ -279,10 +278,8 @@ class Chip {
   /// CellSoA::for_each_active). The count is deterministic for a given
   /// configuration. Simulated results are engine-invariant; this counter
   /// is deliberately *outside* ChipStats so stats comparisons stay
-  /// engine-agnostic.
-  [[nodiscard]] std::uint64_t cell_visits() const noexcept {
-    return cell_visits_;
-  }
+  /// engine-agnostic. Summed over the partitions when read.
+  [[nodiscard]] std::uint64_t cell_visits() const noexcept;
 
   /// Live cells across all partitions right now: the summed per-partition
   /// counts of set activity bits, O(partitions) under both engines.
@@ -386,18 +383,16 @@ class Chip {
   };
 
   /// One mesh partition (a row stripe: one contiguous cell span) plus
-  /// every accumulator its worker thread writes during a cycle.
-  /// Accumulators are merged into the chip-global counters, in partition
-  /// order, at the end-of-cycle barrier; all of them are sums, so the
-  /// merged totals are independent of the partition count and boundaries.
+  /// every counter its worker thread writes. The counters are pure sums,
+  /// summed in partition order when read, so the totals are independent of
+  /// the partition count and boundaries; only the trace pair is per cycle.
   struct alignas(64) PartitionState {
     std::uint32_t index = 0;
     CellSpan span;                      ///< Cells this worker owns.
     std::vector<std::size_t> io_cells;  ///< IO cells attached to these cells.
-    ChipStats stats;                    ///< This cycle's counter deltas.
-    std::int64_t outstanding = 0;       ///< This cycle's outstanding delta.
-    std::vector<HandlerProfile> profile;
-    std::uint32_t trace_active = 0, trace_live = 0;
+    ChipStats stats;  ///< `cycles` stays 0; block 0 counts host injections.
+    std::vector<HandlerProfile> profile;  ///< Indexed by HandlerId.
+    std::uint32_t trace_active = 0, trace_live = 0;  ///< This cycle's sample.
     /// Router pushes leaving the stripe. A message moves one link per
     /// cycle, so such a push lands in the stripe directly above (`north`)
     /// or below (`south`); that neighbour is the box's one consumer and
@@ -414,23 +409,22 @@ class Chip {
     /// recounted by the compute sweep; read by quiescent(), active_cells()
     /// and the sparse serial fast path, so none of them sweeps the mesh.
     std::uint64_t active_count = 0;
-    /// Cells visited by the per-cell phase sweeps this cycle (snapshot +
-    /// route + compute); merged into Chip::cell_visits_.
+    /// Cells visited by the per-cell sweeps (snapshot, route, compute).
     std::uint64_t cell_visits = 0;
   };
 
   /// The cycle loop: runs up to `max_cycles` cycles (optionally stopping
   /// at global quiescence) and returns how many were executed. Each cycle
   /// runs one stage table (SNAPSHOT, ROUTE, SETTLE) and one end-of-cycle
-  /// step (merge, count, stop decision), either phase-major on the calling
-  /// thread or on the pool with a barrier after each stage and after the
-  /// end-of-cycle step.
+  /// step (count, trace sample, stop decision), either phase-major on the
+  /// calling thread or on the pool with a barrier after each stage and
+  /// after the end-of-cycle step.
   std::uint64_t run_cycles(std::uint64_t max_cycles, bool until_quiescent);
 
   /// Points every PartitionState at its layout_ span and reassigns IO
   /// cells to the partition owning their attached cell. Only called
-  /// between cycles (construction and rebalancing), when every outbox and
-  /// per-cycle accumulator is drained.
+  /// between cycles (construction and rebalancing), when every outbox is
+  /// drained.
   void apply_layout();
 
   // The cycle's stages (worker-thread side), each over one partition's
@@ -454,10 +448,11 @@ class Chip {
   /// Bills each visit to cell_visits.
   template <bool kPrune, typename F>
   void sweep(PartitionState& st, F&& f);
-  /// End-of-cycle merge (single-threaded, behind the barrier).
+  /// End-of-cycle step (single-threaded, behind the barrier): counts the
+  /// cycle, samples the activation trace and runs the full-level audit.
   void merge_partitions();
   /// Full-level barrier-point sweep (CCASTREAM_CHECK=full), run at the end
-  /// of every merge while the worker pool is parked at the cycle barrier:
+  /// of every cycle while the worker pool is parked at the cycle barrier:
   /// verifies the invariants the lint cannot see statically — every cell's
   /// cached fifo_msgs equals its real FIFO occupancy, bitmap membership
   /// exactly equals has_work(), every non-zero bitmap word has its summary
@@ -514,12 +509,9 @@ class Chip {
   std::unordered_map<rt::ObjectKind, ObjectFactory> factories_;
   std::unique_ptr<rt::AllocationPolicy> alloc_policy_;
   IoSystem io_;
-  ChipStats stats_;
   ActivationTrace trace_;
   std::uint64_t cycle_ = 0;
   std::vector<std::uint64_t> cell_load_;
-  std::vector<HandlerProfile> handler_profile_;
-  std::uint64_t cell_visits_ = 0;
   EngineKind engine_ = EngineKind::kScan;
   /// engine_ == kActive, hoisted: read by sweep(), once per sweep.
   bool engine_active_ = false;
@@ -532,10 +524,6 @@ class Chip {
   /// the split tracks *recent* load instead of all of history).
   std::vector<std::uint64_t> load_at_rebalance_;
   std::vector<std::uint64_t> load_window_;
-  /// Actions created but whose handler has not yet finished executing.
-  /// Includes actions still queued in IO cells. Zero is necessary (not
-  /// sufficient — cells may still be in busy residue) for quiescence.
-  std::uint64_t outstanding_ = 0;
   PartitionSpec partition_spec_;
   PartitionLayout layout_;
   std::uint32_t num_parts_ = 1;

@@ -1,6 +1,7 @@
-// A message in flight on the mesh: one action plus routing/diagnostic state.
+// A message in flight on the mesh: one action plus its creation cycle.
 // Actions fit a single 256-bit flit (paper §4), so a message occupies one
-// link for exactly one cycle per hop.
+// link for exactly one cycle per hop. The one-hop-per-cycle rule needs no
+// per-message state: ROUTE reads it off the phase-start lane snapshots.
 #pragma once
 
 #include <cstdint>
@@ -11,10 +12,12 @@ namespace ccastream::sim {
 
 struct Message {
   rt::Action action;
-  std::uint32_t src_cc = 0;          ///< Cell (or border cell for IO) of origin.
-  std::uint32_t hops = 0;            ///< Link traversals so far.
-  std::uint64_t birth_cycle = 0;     ///< Cycle the message was created.
-  std::uint64_t last_move_cycle = 0; ///< Guards against >1 hop per cycle.
+  std::uint64_t birth_cycle = 0;  ///< Cycle the message was created.
 };
+
+// Message sizes the lane slab (cells × 6 × fifo_depth × sizeof(Message)),
+// every staged RingQueue and every cross-partition PendingPush: keep it
+// within one cache line, so a re-added field cannot silently regrow them.
+static_assert(sizeof(Message) <= 64, "sim::Message must fit one cache line");
 
 }  // namespace ccastream::sim

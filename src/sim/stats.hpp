@@ -68,8 +68,8 @@ struct ChipStats {
   /// Difference between two snapshots (for per-increment reporting).
   [[nodiscard]] ChipStats delta_since(const ChipStats& earlier) const noexcept;
 
-  /// Adds every counter of `other` into this one (the per-partition merge
-  /// of the parallel engine; all fields are sums, so merging is commutative
+  /// Adds every counter of `other` into this one (how Chip::stats() sums
+  /// the per-partition blocks; all fields are sums, so adding is commutative
   /// and the totals are invariant to the partition boundaries and count).
   void add(const ChipStats& other) noexcept;
 

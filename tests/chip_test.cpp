@@ -40,6 +40,24 @@ TEST(ChipDeathTest, RejectsUnindexableMeshes) {
   EXPECT_DEATH(Chip{huge}, "fatal misuse: Chip: mesh has 2\\^32 or more cells");
 }
 
+// Host injection refuses a cell outside the mesh in every build type: such
+// an action would route off the mesh edge (or index past the cell array)
+// instead of ever being executed. The null address is outside too.
+TEST(ChipDeathTest, RejectsInjectionOutsideTheMesh) {
+  const ChipConfig cfg = small_chip_config(8);  // cells 0..63
+  const Action off_mesh = make_action(rt::HandlerId{1}, GlobalAddress{70, 0});
+  const Action on_mesh = make_action(rt::HandlerId{1}, GlobalAddress{5, 0});
+  EXPECT_DEATH(Chip(cfg).io_enqueue(off_mesh),
+               "fatal misuse: Chip: action target outside the mesh");
+  EXPECT_DEATH(Chip(cfg).inject_local(make_action(rt::HandlerId{1},
+                                                  rt::kNullAddress)),
+               "fatal misuse: Chip: action target outside the mesh");
+  EXPECT_DEATH(Chip(cfg).inject_via(64, on_mesh),
+               "fatal misuse: Chip: inject_via entry cell outside the mesh");
+  EXPECT_DEATH(Chip(cfg).inject_via(0, off_mesh),
+               "fatal misuse: Chip: action target outside the mesh");
+}
+
 TEST(Chip, StartsQuiescent) {
   Chip chip(small_chip_config());
   EXPECT_TRUE(chip.quiescent());
@@ -84,6 +102,39 @@ TEST(Chip, PropagatedActionTraversesNetworkMinimally) {
   // Staging (1 cycle) + 14 hops + ejection + dispatch: latency is bounded.
   EXPECT_GE(chip.now(), 15u);
   EXPECT_LE(chip.now(), 25u);
+}
+
+// One link per cycle, in a case that can see it: message A (cell 0 to 56,
+// straight south) enters cell 8 in the same ROUTE phase in which cell 8
+// still has phase-start traffic of its own (message B, cell 8 to 15,
+// straight east), ahead of the sweep. A must wait for the next cycle even
+// though its output link is free. Each message pays staging (cycle 0),
+// seven hops (cycles 1-7) and ejection at cycle 8: a latency of 8 each.
+// A second hop of A in cycle 1 would make the total 15 instead of 16.
+TEST(Chip, MessageArrivingAheadOfTheSweepWaitsForTheNextCycle) {
+  for (const EngineKind engine : {EngineKind::kScan, EngineKind::kActive}) {
+    SCOPED_TRACE(to_string(engine));
+    auto cfg = small_chip_config(8);
+    cfg.engine = engine;
+    Chip chip(cfg);
+    const auto south = chip.host_allocate(56, std::make_unique<Counter>());
+    const auto east = chip.host_allocate(15, std::make_unique<Counter>());
+    ASSERT_TRUE(south && east);
+    const rt::HandlerId h = chip.handlers().register_handler(
+        "bump", [](rt::Context& ctx, const Action& a) {
+          if (auto* c = ctx.as<Counter>(a.target)) ++c->value;
+        });
+    chip.inject_via(0, make_action(h, *south));
+    chip.inject_via(8, make_action(h, *east));
+    chip.run_until_quiescent();
+    EXPECT_EQ(chip.as<Counter>(*south)->value, 1u);
+    EXPECT_EQ(chip.as<Counter>(*east)->value, 1u);
+    EXPECT_EQ(chip.stats().hops, 14u);
+    EXPECT_EQ(chip.stats().deliveries, 2u);
+    EXPECT_EQ(chip.stats().total_delivery_latency, 16u);
+    // Ejection at cycle 8, dispatch, then one busy cycle (base cost 2).
+    EXPECT_EQ(chip.stats().cycles, 10u);
+  }
 }
 
 TEST(Chip, DiffusionFanOut) {

@@ -351,7 +351,6 @@ CostPin run_cost_pin(const std::string& name, const auto& seed,
   cfg.width = 6;
   cfg.height = 6;
   cfg.seed = 1515;
-  cfg.profile_handlers = true;
   sim::Chip chip(cfg);
   graph::RpvoConfig rc;
   rc.edge_capacity = 4;

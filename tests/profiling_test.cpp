@@ -20,7 +20,6 @@ class Obj final : public rt::ArenaObject {
 
 TEST(Profiling, HandlerProfileCountsExecutionsAndInstructions) {
   auto cfg = small_chip_config();
-  cfg.profile_handlers = true;
   cfg.action_base_cost = 2;
   Chip chip(cfg);
   const auto tgt = *chip.host_allocate(5, std::make_unique<Obj>());
@@ -39,16 +38,6 @@ TEST(Profiling, HandlerProfileCountsExecutionsAndInstructions) {
   EXPECT_EQ(prof[cheap].instructions, 6u);   // 3 x base cost 2
   EXPECT_EQ(prof[costly].executions, 1u);
   EXPECT_EQ(prof[costly].instructions, 10u);  // base 2 + charged 8
-}
-
-TEST(Profiling, ProfileDisabledByDefault) {
-  Chip chip(small_chip_config());
-  const auto tgt = *chip.host_allocate(0, std::make_unique<Obj>());
-  const rt::HandlerId h =
-      chip.handlers().register_handler("h", [](rt::Context&, const Action&) {});
-  chip.inject_local(make_action(h, tgt));
-  chip.run_until_quiescent();
-  EXPECT_TRUE(chip.handler_profile().empty());
 }
 
 TEST(Profiling, CellLoadTracksWhereWorkHappened) {

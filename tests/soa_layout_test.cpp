@@ -32,9 +32,11 @@
 namespace ccastream::sim {
 namespace {
 
-Message make_msg(std::uint32_t src) {
+/// A message tagged through its birth cycle, so a test can tell which
+/// push it is reading back.
+Message make_msg(std::uint64_t tag) {
   Message m;
-  m.src_cc = src;
+  m.birth_cycle = tag;
   return m;
 }
 
@@ -98,7 +100,7 @@ TEST(CellSoALayout, LanesAreIsolatedPerCellAndLane) {
   for (std::uint32_t cc : {6u, 7u}) {
     for (std::size_t l = 0; l < CellSoA::kLanes; ++l) {
       ASSERT_EQ(soa.lane(cc, l).size(), 1u);
-      EXPECT_EQ(soa.lane(cc, l).front().src_cc,
+      EXPECT_EQ(soa.lane(cc, l).front().birth_cycle,
                 cc * 10 + static_cast<std::uint32_t>(l));
     }
     EXPECT_EQ(soa.lane_occupancy(cc), CellSoA::kLanes);
