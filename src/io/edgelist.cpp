@@ -1,10 +1,25 @@
 #include "io/edgelist.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace ccastream::io {
+
+namespace {
+
+/// Parses a whole token as an unsigned integer in range for T. Unlike
+/// `>>`, it rejects a sign (a negative id would wrap) and trailing junk.
+template <typename T>
+bool parse_whole(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 std::vector<StreamEdge> read_edgelist(std::istream& in) {
   std::vector<StreamEdge> edges;
@@ -15,12 +30,14 @@ std::vector<StreamEdge> read_edgelist(std::istream& in) {
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream ls(line);
-    StreamEdge e;
-    if (!(ls >> e.src >> e.dst)) {
+    std::string src, dst, weight;
+    ls >> src >> dst >> weight;
+    StreamEdge e;  // weight 1 unless the line gives one
+    if (!parse_whole(src, e.src) || !parse_whole(dst, e.dst) ||
+        (!weight.empty() && !parse_whole(weight, e.weight))) {
       throw std::runtime_error("edgelist: malformed line " + std::to_string(lineno) +
                                ": '" + line + "'");
     }
-    if (!(ls >> e.weight)) e.weight = 1;
     edges.push_back(e);
   }
   return edges;

@@ -11,7 +11,9 @@
 
 namespace ccastream::io {
 
-/// Parses an edge list stream. Throws std::runtime_error on malformed lines.
+/// Parses an edge list stream. Throws std::runtime_error, naming the line,
+/// on a line whose ids are not whole u64 tokens or whose optional weight
+/// is not a whole u32 token (a sign, junk or an out-of-range value).
 [[nodiscard]] std::vector<StreamEdge> read_edgelist(std::istream& in);
 
 /// Reads a file; throws std::runtime_error if it cannot be opened.

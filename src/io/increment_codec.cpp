@@ -6,6 +6,7 @@
 // no uninitialised padding reads: the properties the ubsan CI leg checks).
 #include "io/increment_codec.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
@@ -15,6 +16,13 @@
 namespace ccastream::io {
 
 namespace {
+
+/// The most records next() reserves before reading them. A frame's op
+/// count is untrusted (reserving all of it let a 32-byte log ask for
+/// 96 GiB), but the reserve itself stays: growing each increment's vector
+/// from empty raised ccbench bfs_window's peak RSS by 6.5 %. A frame
+/// beyond this many records grows as they arrive.
+constexpr std::uint32_t kMaxReservedOps = 1u << 16;
 
 void put_u16(unsigned char* p, std::uint16_t v) {
   p[0] = static_cast<unsigned char>(v & 0xFF);
@@ -139,7 +147,7 @@ std::optional<std::vector<StreamEdge>> IncrementLogReader::next() {
   const std::uint32_t count = get_u32(f.data() + 4);
 
   std::vector<StreamEdge> ops;
-  ops.reserve(count);
+  ops.reserve(std::min(count, kMaxReservedOps));
   std::array<unsigned char, kIncrementRecordBytes> r{};
   for (std::uint32_t i = 0; i < count; ++i) {
     read_bytes(in_, r.data(), r.size(), "record", /*eof_ok=*/false);

@@ -14,19 +14,19 @@
 //              used to touch a whole object.
 //   fifo_msgs_ the exact router-occupancy counter (all six lanes) the
 //              checked build cross-checks at every sanctioned mutation.
-//   snapshot_  the four phase-start router-input latches per cell that
-//              neighbour room/occupancy decisions read.
+//   snapshot_  the four router-input latches per cell that ROUTE's
+//              one-hop and neighbour room/occupancy decisions read, taken
+//              where the lanes settle (after the cell's compute op).
 //   arb_next_  the round-robin arbitration pointer per cell.
 //   active_    the activity-flag BITMAP, kept under both cycle engines:
 //              bit i is cell i's flag, set while the cell has work. Every
 //              sweep of the event-driven engine walks these words directly
 //              (64 cells per load + countr_zero) instead of testing a bool
 //              per cell object.
-//   summary_   the bitmap's second level: at every phase boundary, bit w
-//              is set if active_ word w is non-zero (it may also be set,
-//              stale, for a word that has since emptied). Sweeps skip a
-//              clear summary bit's 64 cells without loading them, so an
-//              idle 4096-cell block costs one load.
+//   summary_   the bitmap's second level: at every cycle boundary, bit w
+//              is set iff active_ word w is non-zero. Sweeps skip a clear
+//              summary bit's 64 cells without loading them, so an idle
+//              4096-cell block costs one load.
 //   lanes_ / lane_head_ / lane_size_
 //              the six per-cell message FIFOs (4 router ports, the IO
 //              port, the local outport) as slab storage indexed by
@@ -136,19 +136,13 @@ class CellSoA {
   [[nodiscard]] const std::uint32_t* snapshot(std::uint32_t cc) const noexcept {
     return &snapshot_[static_cast<std::size_t>(cc) * kMeshDirections];
   }
-  /// Latches the cell's four router-input sizes (the phase-start values
-  /// every neighbour room/occupancy decision reads this cycle).
+  /// Latches the cell's four router-input sizes: the next cycle's
+  /// phase-start values, which every ROUTE decision reads. An idle cell's
+  /// latch is all zeros.
   void latch_snapshot(std::uint32_t cc) noexcept {
     const std::uint32_t* sz = &lane_size_[static_cast<std::size_t>(cc) * kLanes];
     std::uint32_t* snap = snapshot(cc);
     for (std::size_t d = 0; d < kMeshDirections; ++d) snap[d] = sz[d];
-  }
-  /// Re-establishes the inactive-cell invariant: a cell outside the active
-  /// set must hold all-zero latches, indistinguishable from a fresh latch
-  /// of its (empty) FIFOs.
-  void zero_snapshot(std::uint32_t cc) noexcept {
-    std::uint32_t* snap = snapshot(cc);
-    for (std::size_t d = 0; d < kMeshDirections; ++d) snap[d] = 0;
   }
 
   // --- Arbitration pointers ------------------------------------------------
@@ -168,21 +162,21 @@ class CellSoA {
   // workers ever race on the same *bit*.
   //
   // Level 1: bit w of summary_ word w/64 covers active_ word w. Invariant
-  // at every phase boundary: a non-zero word has its summary bit set. The
+  // at every cycle boundary: the bit is set iff the word is non-zero. The
   // protocol that keeps it without any ordering:
   //   * set   — set_active sets the cell bit, then the summary bit if it
   //             reads clear. Always checked, not only on the word's 0→1
   //             transition: a neighbour may own bits of the same word, and
   //             this partition's own later sweep must not depend on the
   //             neighbour's summary write being visible yet.
-  //   * clear — clear_active touches the cell bit only. A partition that
-  //             empties a shared word may not clear its summary bit while
-  //             a neighbour could be setting a bit in it.
-  //   * prune — only for_each_active_pruning, run by the snapshot phase,
-  //             clears summary bits: it is the one phase in which no
-  //             partition writes the bitmap (sets happen in route, apply,
-  //             io and host injection; clears in compute), so a word seen
-  //             all-zero there stays zero until the phase ends.
+  //   * clear — clear_active clears the cell bit, and the summary bit too
+  //             when that empties a word lying wholly inside the caller's
+  //             span: no other partition owns a bit of it, so none can be
+  //             setting one.
+  //   * prune — a word two stripes share may be emptied by one while the
+  //             other sets a bit in it, so its summary bit stays until the
+  //             end-of-cycle step, in which no partition writes the
+  //             bitmap, prunes it (prune_summary).
 
   [[nodiscard]] bool is_active(std::uint32_t cc) const noexcept {
     return (load(active_[cc >> 6]) >> (cc & 63)) & 1u;
@@ -197,9 +191,24 @@ class CellSoA {
           .fetch_or(sbit, std::memory_order_relaxed);
     }
   }
-  void clear_active(std::uint32_t cc) noexcept {
-    std::atomic_ref<std::uint64_t>(active_[cc >> 6])
-        .fetch_and(~(1ull << (cc & 63)), std::memory_order_relaxed);
+  /// Clears cell cc of the caller's span [begin, end), and its word's
+  /// summary bit too if that empties a word wholly inside the span (for
+  /// the ragged last word, measured up to cell_count()).
+  void clear_active(std::uint32_t cc, std::uint32_t begin,
+                    std::uint32_t end) noexcept {
+    const std::uint32_t w = cc >> 6;
+    const std::uint64_t bit = 1ull << (cc & 63);
+    const std::uint64_t before = std::atomic_ref<std::uint64_t>(active_[w])
+                                     .fetch_and(~bit, std::memory_order_relaxed);
+    if ((before & ~bit) == 0 && (w << 6) >= begin &&
+        (end - (w << 6) >= 64 || end == cells_)) {
+      clear_summary(w);
+    }
+  }
+  /// Clears the summary bit of cell cc's word if the word is empty. Only
+  /// legal while no other thread writes that word.
+  void prune_summary(std::uint32_t cc) noexcept {
+    if (load(active_[cc >> 6]) == 0) clear_summary(cc >> 6);
   }
 
   /// Sweeps the set bits of the half-open cell-index span [begin, end) in
@@ -214,16 +223,32 @@ class CellSoA {
   /// Chip::cell_visits() deterministic.
   template <typename F>
   void for_each_active(std::uint32_t begin, std::uint32_t end, F&& f) const {
-    sweep</*kPrune=*/false>(begin, end, f);
-  }
-
-  /// for_each_active that also clears the summary bit of every word it
-  /// loads all-zero (unmasked, so bits outside the span count too). Only
-  /// legal while no thread writes the bitmap — the snapshot phase.
-  template <typename F>
-  void for_each_active_pruning(std::uint32_t begin, std::uint32_t end,
-                               F&& f) {
-    sweep</*kPrune=*/true>(begin, end, f);
+    if (begin >= end) return;
+    const std::uint32_t w_first = begin >> 6;
+    const std::uint32_t w_last = (end - 1) >> 6;
+    for (std::uint32_t s = w_first >> 6; s <= w_last >> 6; ++s) {
+      // The words of summary block s that lie inside the span.
+      std::uint64_t in_span = ~0ull;
+      if (s == w_first >> 6) in_span &= ~0ull << (w_first & 63);
+      if (s == w_last >> 6) in_span &= ~0ull >> (63 - (w_last & 63));
+      std::uint64_t pending = load(summary_[s]) & in_span;
+      while (pending != 0) {
+        const int b = std::countr_zero(pending);
+        const std::uint32_t w = (s << 6) | static_cast<std::uint32_t>(b);
+        std::uint64_t word = load(active_[w]);
+        if (w == w_first) word &= ~0ull << (begin & 63);
+        if (w == w_last && (end & 63) != 0) word &= ~0ull >> (64 - (end & 63));
+        while (word != 0) {
+          const int bit = std::countr_zero(word);
+          word &= word - 1;
+          f((w << 6) | static_cast<std::uint32_t>(bit));
+        }
+        // Re-read rather than keep the block's first load: `f` may have
+        // activated a cell in a later word of this block, and the summary
+        // bit it set must be seen here.
+        pending = load(summary_[s]) & in_span & (~0ull << b << 1);
+      }
+    }
   }
 
   /// Set bits in [begin, end).
@@ -240,12 +265,12 @@ class CellSoA {
     return (load(summary_[w >> 6]) >> (w & 63)) & 1u;
   }
 
-  /// The summary invariant: every non-zero bitmap word has its summary
-  /// bit set. O(mesh / 64); the checked build's barrier sweep asserts it.
-  [[nodiscard]] bool summary_covers_live_words() const noexcept {
+  /// The summary invariant: a word's summary bit is set iff the word is
+  /// non-zero. O(mesh / 64); the checked build's barrier sweep asserts it.
+  [[nodiscard]] bool summary_exact() const noexcept {
     for (std::uint32_t w = 0; w < (cells_ + 63) / 64; ++w) {
       const bool summarised = (load(summary_[w >> 6]) >> (w & 63)) & 1u;
-      if (load(active_[w]) != 0 && !summarised) return false;
+      if ((load(active_[w]) != 0) != summarised) return false;
     }
     return true;
   }
@@ -294,18 +319,19 @@ class CellSoA {
     if (on) {
       set_active(cc);
     } else {
-      clear_active(cc);
+      std::atomic_ref<std::uint64_t>(active_[cc >> 6])
+          .fetch_and(~(1ull << (cc & 63)), std::memory_order_relaxed);
     }
   }
   /// Forces the summary bit of cell cc's word, bypassing the set/prune
   /// protocol — deliberately corrupting, test-only.
   void corrupt_summary_flag(std::uint32_t cc, bool on) noexcept {
     const std::uint32_t w = cc >> 6;
-    std::atomic_ref<std::uint64_t> s(summary_[w >> 6]);
     if (on) {
-      s.fetch_or(1ull << (w & 63), std::memory_order_relaxed);
+      std::atomic_ref<std::uint64_t>(summary_[w >> 6])
+          .fetch_or(1ull << (w & 63), std::memory_order_relaxed);
     } else {
-      s.fetch_and(~(1ull << (w & 63)), std::memory_order_relaxed);
+      clear_summary(w);
     }
   }
 
@@ -319,40 +345,9 @@ class CellSoA {
         std::memory_order_relaxed);
   }
 
-  template <bool kPrune, typename F>
-  void sweep(std::uint32_t begin, std::uint32_t end, F& f) const {
-    if (begin >= end) return;
-    const std::uint32_t w_first = begin >> 6;
-    const std::uint32_t w_last = (end - 1) >> 6;
-    for (std::uint32_t s = w_first >> 6; s <= w_last >> 6; ++s) {
-      // The words of summary block s that lie inside the span.
-      std::uint64_t in_span = ~0ull;
-      if (s == w_first >> 6) in_span &= ~0ull << (w_first & 63);
-      if (s == w_last >> 6) in_span &= ~0ull >> (63 - (w_last & 63));
-      std::uint64_t pending = load(summary_[s]) & in_span;
-      while (pending != 0) {
-        const int b = std::countr_zero(pending);
-        const std::uint32_t w = (s << 6) | static_cast<std::uint32_t>(b);
-        std::uint64_t word = load(active_[w]);
-        if constexpr (kPrune) {
-          if (word == 0) {
-            std::atomic_ref<std::uint64_t>(summary_[s]).fetch_and(
-                ~(1ull << b), std::memory_order_relaxed);
-          }
-        }
-        if (w == w_first) word &= ~0ull << (begin & 63);
-        if (w == w_last && (end & 63) != 0) word &= ~0ull >> (64 - (end & 63));
-        while (word != 0) {
-          const int bit = std::countr_zero(word);
-          word &= word - 1;
-          f((w << 6) | static_cast<std::uint32_t>(bit));
-        }
-        // Re-read rather than keep the block's first load: `f` may have
-        // activated a cell in a later word of this block, and the summary
-        // bit it set must be seen here (see for_each_active).
-        pending = load(summary_[s]) & in_span & (~0ull << b << 1);
-      }
-    }
+  void clear_summary(std::uint32_t w) noexcept {
+    std::atomic_ref<std::uint64_t>(summary_[w >> 6])
+        .fetch_and(~(1ull << (w & 63)), std::memory_order_relaxed);
   }
 
   rt::SlabArena slab_;

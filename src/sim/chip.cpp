@@ -27,7 +27,7 @@ rt::Action make_allocate_action(std::uint32_t target_cc, rt::ObjectKind kind,
 
 /// Sparse fast-path trigger of the parallel engine: when the whole chip
 /// holds at most this many live cells *per partition*, a cycle's useful
-/// work (a few hundred cell visits) is dwarfed by its four barrier waits,
+/// work (a few hundred cell visits) is dwarfed by its three barrier waits,
 /// so run_cycles executes the cycle phase-major on the calling thread
 /// instead of dispatching the pool. Purely a host-performance knob: the
 /// serial schedule is the barrier schedule minus the barriers, so results
@@ -381,14 +381,15 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
   // The cycle's stages, stated once. Each runs for every partition over
   // its own cells; a stage reads what other partitions wrote only in
   // earlier stages, so one barrier after each keeps the pooled mode exact.
-  //   SNAPSHOT  latch the router-input sizes every ROUTE decision reads;
-  //   ROUTE     move traffic, deferring cross-partition pushes to outboxes;
-  //   SETTLE    APPLY inbound outboxes, IO injection, COMPUTE one op.
-  static constexpr std::array<void (Chip::*)(PartitionState&), 3> kStages = {
-      &Chip::cycle_snapshot, &Chip::cycle_route, &Chip::cycle_settle};
+  //   ROUTE   move traffic, deferring cross-partition pushes to outboxes;
+  //   SETTLE  APPLY inbound outboxes, IO injection, COMPUTE one op and
+  //           latch the router-input sizes the next ROUTE reads.
+  static constexpr std::array<void (Chip::*)(PartitionState&), 2> kStages = {
+      &Chip::cycle_route, &Chip::cycle_settle};
 
   // The end-of-cycle step both modes share: count the cycle, sample the
-  // trace, decide whether the run is done.
+  // trace, prune the summary bits of the words two stripes share, decide
+  // whether the run is done.
   std::uint64_t ran = 0;
   bool done = false;
   const auto end_cycle = [&] {
@@ -398,7 +399,7 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
   };
 
   // Serial whenever there is one partition — or the chip holds so little
-  // live work that the four barrier waits of a pooled cycle would dwarf
+  // live work that the three barrier waits of a pooled cycle would dwarf
   // the cell visits (see kSparseSerialThreshold). The mode can flip per
   // cycle as a frontier thins out or widens; the decision reads only
   // simulated state, so it is deterministic, and either mode produces
@@ -444,33 +445,19 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
   return ran;
 }
 
-template <bool kPrune, typename F>
+template <typename F>
 void Chip::sweep(PartitionState& st, F&& f) {
   const auto [begin, end] = st.span;
-  const auto visit = [&](std::uint32_t idx) {
-    ++st.cell_visits;
-    f(idx);
-  };
   if (!engine_active_) {
     // Scan: every cell, without reading the bitmap — an oracle for which
     // cells run that does not trust the flags.
     st.cell_visits += end - begin;
     for (std::uint32_t idx = begin; idx < end; ++idx) f(idx);
-  } else if constexpr (kPrune) {
-    soa_.for_each_active_pruning(begin, end, visit);
-  } else {
-    soa_.for_each_active(begin, end, visit);
+    return;
   }
-}
-
-void Chip::cycle_snapshot(PartitionState& st) {
-  // Cells the active sweep skips need no latch: leaving the set zeroed
-  // their snapshot (cycle_compute), and an idle cell's live sizes are all
-  // zero, so the stored values already equal what a scan would latch. No
-  // partition writes the bitmap in this stage, which makes it the one
-  // where the sweep may prune stale summary bits (see CellSoA).
-  sweep</*kPrune=*/true>(st, [this](std::uint32_t idx) {
-    soa_.latch_snapshot(idx);
+  soa_.for_each_active(begin, end, [&](std::uint32_t idx) {
+    ++st.cell_visits;
+    f(idx);
   });
 }
 
@@ -491,9 +478,7 @@ void Chip::cycle_route(PartitionState& st) {
   // comes later in the sweep, and that visit is the same early-return
   // no-op: a cell activated this phase has zero snapshot latches and
   // empty io/local_out lanes.
-  sweep</*kPrune=*/false>(st, [&](std::uint32_t idx) {
-    route_cell(st, idx, adaptive);
-  });
+  sweep(st, [&](std::uint32_t idx) { route_cell(st, idx, adaptive); });
 }
 
 void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
@@ -520,8 +505,8 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
   // the phase-start snapshots (deterministic regardless of the order the
   // partitions — or the cells within a partition — are visited). Off-mesh
   // directions read as "full" so they are never preferred. Inactive
-  // neighbours hold all-zero latches (see cycle_snapshot), identical to
-  // what a scan latch of their empty FIFOs would produce.
+  // neighbours hold the all-zero latches they took when they went idle
+  // (see cycle_compute).
   DownstreamOccupancy occ{};
   if (adaptive) {
     for (std::size_t d = 0; d < kMeshDirections; ++d) {
@@ -637,19 +622,23 @@ void Chip::cycle_compute(PartitionState& st) {
   // than the one executing (propagate/schedule_local target the executing
   // cell), so no flag appears ahead of the sweep.
   std::uint64_t live = 0;
-  sweep</*kPrune=*/false>(st, [&](std::uint32_t idx) {
+  sweep(st, [&](std::uint32_t idx) {
     if (compute_one(st, idx, tracing)) {
       ++live;
     } else if (soa_.is_active(idx)) {
       // Only this partition writes its cells' bits in this stage, so the
       // test is exact; it always holds under active, and under scan it
       // spares the never-active cells the atomic clear.
-      soa_.clear_active(idx);
-      // Leaving the set re-establishes the inactive-cell invariant: a
-      // neighbour's room/occupancy read of this cell next cycle must see
-      // the zeros a fresh latch of its (now empty) FIFOs would produce.
-      soa_.zero_snapshot(idx);
+      soa_.clear_active(idx, st.span.begin, st.span.end);
+    } else {
+      // Idle all cycle (only the scan visits it): it keeps the zero latch
+      // it took when it last went idle.
+      return;
     }
+    // The router lanes are final for this cycle: only ROUTE and APPLY
+    // write them, both earlier and both on this partition. So this latch
+    // is the next ROUTE's phase-start view; an emptied cell latches zeros.
+    soa_.latch_snapshot(idx);
   });
   st.active_count = live;
 }
@@ -707,6 +696,11 @@ void Chip::merge_partitions() {
   }
   ++cycle_;
   if (trace_.enabled()) trace_.record(active, live);
+  // The words two stripes share: neither owner may prune one in COMPUTE
+  // (see CellSoA::clear_active), and no partition writes the bitmap here.
+  for (std::uint32_t p = 1; p < num_parts_; ++p) {
+    soa_.prune_summary(parts_[p].span.begin);
+  }
   // Checked build, full level: sweep every structural invariant at this
   // barrier point. This step runs on partition 0's thread while all other
   // workers are parked at the cycle barrier (their writes are published by
@@ -717,9 +711,10 @@ void Chip::merge_partitions() {
 
 void Chip::verify_cycle_invariants() const {
   // 1. Per-cell: the cached counter equals real lane occupancy, the packed
-  //    hot word sums exactly the containers it caches, and the bitmap
-  //    flags are exactly the activity predicate (the invariant every
-  //    active sweep trusts when it skips a cell, and quiescent() reads).
+  //    hot word sums exactly the containers it caches, the bitmap flags
+  //    are exactly the activity predicate (the invariant every active
+  //    sweep trusts when it skips a cell, and quiescent() reads), and the
+  //    latches equal the router-lane sizes the next ROUTE starts from.
   for (std::uint32_t i = 0; i < cells_.size(); ++i) {
     const ComputeCell& c = cells_[i];
     CCA_CHECK(full, c.fifo_msgs() == c.router_occupancy());
@@ -727,10 +722,13 @@ void Chip::verify_cycle_invariants() const {
                         c.fifo_msgs() + c.staged_count() + c.task_count() +
                             c.action_count());
     CCA_CHECK(full, soa_.is_active(i) == c.has_work());
+    for (std::size_t d = 0; d < kMeshDirections; ++d) {
+      CCA_CHECK(full, soa_.snapshot(i)[d] == c.router_in(d).size());
+    }
   }
-  // 2. The summary level covers every live word — what lets a sweep skip
-  //    a clear summary bit's 64 cells unread. Stale set bits are legal.
-  CCA_CHECK(full, soa_.summary_covers_live_words());
+  // 2. The summary level is exact: a clear bit lets a sweep skip the
+  //    word's 64 cells unread, and no bit outlives its word's last cell.
+  CCA_CHECK(full, soa_.summary_exact());
   for (const PartitionState& st : parts_) {
     // 3. Cross-partition plumbing drained: the neighbours' APPLY emptied
     //    both outboxes.

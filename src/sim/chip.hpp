@@ -269,10 +269,10 @@ class Chip {
     return check_level_;
   }
 
-  /// Cells visited by the three per-cell phase sweeps (snapshot, route,
-  /// compute) over the whole run — the host-cost metric the engines differ
-  /// in. The scan engine visits every cell of the mesh in each sweep, 3 ×
-  /// width × height per cycle. The active engine visits the set bits of
+  /// Cells visited by the two per-cell phase sweeps (route, compute) over
+  /// the whole run — the host-cost metric the engines differ in. The scan
+  /// engine visits every cell of the mesh in each sweep, 2 × width ×
+  /// height per cycle. The active engine visits the set bits of
   /// the activity bitmap: each cell active at a sweep's start, plus any a
   /// route push flags in a word the sweep has not reached yet (see
   /// CellSoA::for_each_active). The count is deterministic for a given
@@ -286,7 +286,7 @@ class Chip {
   [[nodiscard]] std::uint64_t active_cells() const noexcept;
 
   /// Barrier arrivals performed by the worker pool so far (0 on
-  /// single-partition chips). A pooled cycle costs four per partition; a
+  /// single-partition chips). A pooled cycle costs three per partition; a
   /// cycle on the sparse serial path (see run_cycles) costs none, so this
   /// counter makes the switch between the two observable.
   [[nodiscard]] std::uint64_t barrier_syncs() const noexcept {
@@ -409,16 +409,16 @@ class Chip {
     /// recounted by the compute sweep; read by quiescent(), active_cells()
     /// and the sparse serial fast path, so none of them sweeps the mesh.
     std::uint64_t active_count = 0;
-    /// Cells visited by the per-cell sweeps (snapshot, route, compute).
+    /// Cells visited by the per-cell sweeps (route, compute).
     std::uint64_t cell_visits = 0;
   };
 
   /// The cycle loop: runs up to `max_cycles` cycles (optionally stopping
   /// at global quiescence) and returns how many were executed. Each cycle
-  /// runs one stage table (SNAPSHOT, ROUTE, SETTLE) and one end-of-cycle
-  /// step (count, trace sample, stop decision), either phase-major on the
-  /// calling thread or on the pool with a barrier after each stage and
-  /// after the end-of-cycle step.
+  /// runs one stage table (ROUTE, SETTLE) and one end-of-cycle step
+  /// (count, trace sample, boundary prune, stop decision), either
+  /// phase-major on the calling thread or on the pool with a barrier after
+  /// each stage and after the end-of-cycle step.
   std::uint64_t run_cycles(std::uint64_t max_cycles, bool until_quiescent);
 
   /// Points every PartitionState at its layout_ span and reassigns IO
@@ -429,9 +429,8 @@ class Chip {
 
   // The cycle's stages (worker-thread side), each over one partition's
   // cells. The per-cell sweeps run the same per-cell bodies
-  // (latch_snapshot/route_cell/compute_one) under both engines, which is
-  // what makes the two engines trivially cycle-identical.
-  void cycle_snapshot(PartitionState& st);
+  // (route_cell/compute_one) under both engines, which is what makes the
+  // two engines trivially cycle-identical.
   void cycle_route(PartitionState& st);
   /// APPLY, IO and COMPUTE, back to back: each writes only its own
   /// partition's cells, and the one cross-partition state any of them
@@ -443,23 +442,23 @@ class Chip {
   void cycle_compute(PartitionState& st);
   /// The one place the engines differ: calls `f(idx)` in ascending cell
   /// index for every cell of `st`'s span (scan, never reading the
-  /// bitmap) or for every set bitmap bit of it (active, pruning stale
-  /// summary bits when kPrune — the snapshot stage only; see CellSoA).
-  /// Bills each visit to cell_visits.
-  template <bool kPrune, typename F>
+  /// bitmap) or for every set bitmap bit of it (active). Bills each visit
+  /// to cell_visits.
+  template <typename F>
   void sweep(PartitionState& st, F&& f);
   /// End-of-cycle step (single-threaded, behind the barrier): counts the
-  /// cycle, samples the activation trace and runs the full-level audit.
+  /// cycle, samples the activation trace, prunes the summary bits of the
+  /// words two stripes share and runs the full-level audit.
   void merge_partitions();
   /// Full-level barrier-point sweep (CCASTREAM_CHECK=full), run at the end
   /// of every cycle while the worker pool is parked at the cycle barrier:
   /// verifies the invariants the lint cannot see statically — every cell's
   /// cached fifo_msgs equals its real FIFO occupancy, bitmap membership
-  /// exactly equals has_work(), every non-zero bitmap word has its summary
-  /// bit set, the per-partition counts equal the flag popcount, all
-  /// cross-partition outboxes are drained, and the partition stripes
-  /// exactly cover the mesh. O(mesh) per cycle by design, under both
-  /// engines; a failure aborts via CCA_CHECK.
+  /// exactly equals has_work(), its latches equal its router-lane sizes,
+  /// the summary level is exact, the per-partition counts equal the flag
+  /// popcount, all cross-partition outboxes are drained, and the partition
+  /// stripes exactly cover the mesh. O(mesh) per cycle by design, under
+  /// both engines; a failure aborts via CCA_CHECK.
   void verify_cycle_invariants() const;
 
   // Shared per-cell phase bodies.

@@ -8,10 +8,11 @@
 //     cycle-for-cycle and counter-for-counter identical to an unchecked
 //     run, on both engines (the checks observe, never steer);
 //   * teeth — corrupting the invariants the sweeps guard (the fifo_msgs
-//     cached counter, the activity-bitmap membership flag and its summary
-//     bit — all in the chip's SoA block, reached via Chip::cell_state())
-//     turns the next cycle into a diagnosed abort instead of silent
-//     divergence, under both engines (both keep the bitmap).
+//     cached counter, the activity-bitmap membership flag, its summary
+//     bit in either direction and the router-input latches — all in the
+//     chip's SoA block, reached via Chip::cell_state()) turns the next
+//     cycle into a diagnosed abort instead of silent divergence, under
+//     both engines (both keep the bitmap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -201,8 +202,44 @@ TEST(CheckDeathTest, ClearedSummaryBitDiesAtBarrier) {
     chip.step();
     ASSERT_TRUE(chip.cell_state().summary_bit(7));
     chip.cell_state().corrupt_summary_flag(7, false);
-    EXPECT_DEATH(chip.step(),
-                 "CCA_CHECK failed: soa_.summary_covers_live_words");
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.summary_exact");
+  }
+}
+
+// The other direction: a summary bit left set over an empty word. Every
+// word of the serial chip has one owner, whose clears prune as they empty
+// a word, so nothing in the cycle clears this bit; the audit, which holds
+// the summary exact at every cycle boundary, catches it.
+TEST(CheckDeathTest, StaleSummaryBitDiesAtBarrier) {
+  for (const auto engine : {sim::EngineKind::kActive, sim::EngineKind::kScan}) {
+    SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
+    auto cfg = checked_serial_config(CheckLevel::full);
+    cfg.engine = engine;
+    sim::Chip chip(cfg);
+    chip.step();
+    ASSERT_FALSE(chip.cell_state().summary_bit(7));
+    chip.cell_state().corrupt_summary_flag(7, true);
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.summary_exact");
+  }
+}
+
+// Latch corruption: ROUTE reads a cell's latches as its phase-start
+// router sizes, and an idle cell is latched by neither engine (COMPUTE
+// latches only the cells it leaves live or empties), so a non-zero latch
+// on one would stand in every later ROUTE's one-hop rule and in its
+// neighbours' room and occupancy reads.
+TEST(CheckDeathTest, CorruptedLatchDiesAtBarrier) {
+  for (const auto engine : {sim::EngineKind::kActive, sim::EngineKind::kScan}) {
+    SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
+    auto cfg = checked_serial_config(CheckLevel::full);
+    cfg.engine = engine;
+    sim::Chip chip(cfg);
+    const auto spin = install_spin(chip);
+    seed_spinner(chip, spin, 7, 50);
+    chip.step();
+    ASSERT_FALSE(chip.cell_state().is_active(5));
+    chip.cell_state().snapshot(5)[2] = 1;
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.snapshot");
   }
 }
 

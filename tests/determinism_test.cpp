@@ -459,11 +459,11 @@ TEST(Determinism, MonotoneAppCostIsPinned) {
 // Cost pin for the cycle's stage schedule. One fixed BFS stream on a 16x16
 // chip at 4 threads pins the simulated cycles, the barrier arrivals and the
 // cell visits, under plain and under rebalancing row stripes. A pooled
-// cycle costs 4 arrivals per partition and a sparse serial cycle none, so
+// cycle costs 3 arrivals per partition and a sparse serial cycle none, so
 // barrier_syncs() pins both the schedule's barrier count and how often the
 // sparse serial path runs. The results tests above cannot see either. The
 // scan leg shows that both engines share the schedule and the sparse path
-// and differ only in the cells a sweep visits (scan: 3 x 256 per cycle). A
+// and differ only in the cells a sweep visits (scan: 2 x 256 per cycle). A
 // change to the schedule (fewer barriers, a moved threshold) re-pins here
 // from the failure message.
 struct SchedulePin {
@@ -508,16 +508,16 @@ TEST(Determinism, StageScheduleBarrierCostIsPinned) {
   };
   {
     SCOPED_TRACE("partition = rows");
-    EXPECT_EQ(run("rows"), (SchedulePin{2094, 14640, 820738}));
+    EXPECT_EQ(run("rows"), (SchedulePin{2094, 10980, 561677}));
   }
   {
     SCOPED_TRACE("partition = rows+rebalance");
-    EXPECT_EQ(run("rows+rebalance"), (SchedulePin{2094, 14640, 823150}));
+    EXPECT_EQ(run("rows+rebalance"), (SchedulePin{2094, 10980, 564089}));
   }
   {
     SCOPED_TRACE("partition = rows, engine = scan");
     EXPECT_EQ(run("rows", sim::EngineKind::kScan),
-              (SchedulePin{2094, 14640, 3 * 256 * 2094}));
+              (SchedulePin{2094, 10980, 2 * 256 * 2094}));
   }
 }
 
@@ -722,11 +722,11 @@ TEST(Determinism, SingleSteppingMatchesBatchedRun) {
       chip.inject_local(rt::make_action(fan, tgt, rt::Word{1 + cc % 5}));
     }
   };
-  // Both pooled and serial cycles ran: a pooled cycle costs 4 barrier
+  // Both pooled and serial cycles ran: a pooled cycle costs 3 barrier
   // arrivals per partition, a serial one none.
   const auto expect_mixed = [](const sim::Chip& chip, std::uint64_t cycles) {
     EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
-    EXPECT_LT(chip.barrier_syncs(), 4u * chip.threads() * cycles)
+    EXPECT_LT(chip.barrier_syncs(), 3u * chip.threads() * cycles)
         << "no serial cycle ran";
   };
 
@@ -796,8 +796,8 @@ TEST(Determinism, IdleChipQuiescesImmediatelyUnderBothEngines) {
         // O(active cells) with zero active cells: no visits at all.
         EXPECT_EQ(chip.cell_visits(), 0u);
       } else {
-        // The scan engine's cost floor: 3 full-mesh walks per cycle.
-        EXPECT_EQ(chip.cell_visits(), 2u * 3u * 64u);
+        // The scan engine's cost floor: 2 full-mesh walks per cycle.
+        EXPECT_EQ(chip.cell_visits(), 2u * 2u * 64u);
       }
     }
   }

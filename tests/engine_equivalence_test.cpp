@@ -262,6 +262,37 @@ TEST(EngineEquivalence, OscillationIsCycleIdenticalToScanOracle) {
   }
 }
 
+// The summary level is exact at every cycle boundary, over the words two
+// stripes share too, which only the end-of-cycle step may prune. On 12x12
+// at 4 threads the stripes start at cells 36, 72 and 108, all mid-word:
+// word 0 straddles one boundary, word 1 two. Spinners on every cell keep
+// the first cycles pooled; the ones that enter at cell 0 cross stripes.
+TEST(EngineEquivalence, SummaryIsExactWhereStripesSplitWords) {
+  for (const auto engine : {EngineKind::kActive, EngineKind::kScan}) {
+    SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
+    sim::ChipConfig cfg = test::small_chip_config(12);
+    cfg.threads = 4;
+    cfg.partition = *sim::PartitionSpec::parse("rows");
+    cfg.engine = engine;
+    sim::Chip chip(cfg);
+    for (std::uint32_t p = 1; p < 4; ++p) {
+      ASSERT_EQ(chip.partition_layout().span(p).begin, 36u * p);
+    }
+    const rt::HandlerId spin = test::install_spin(chip);
+    for (std::uint32_t cc = 0; cc < 144; ++cc) {
+      test::seed_spinner(chip, spin, cc, 1 + cc % 7);
+    }
+    for (std::uint32_t cc : {50u, 100u, 140u}) {
+      test::seed_spinner_via(chip, spin, /*entry_cc=*/0, cc, 9);
+    }
+    while (!chip.quiescent()) {
+      chip.step();
+      ASSERT_TRUE(chip.cell_state().summary_exact()) << "cycle " << chip.now();
+    }
+    EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
+  }
+}
+
 // Rebalancing moves cells between partitions between runs; the
 // per-partition live counts are recounted from the bitmap at every
 // relayout, and results — and the rebalance schedule — stay identical.

@@ -228,6 +228,12 @@ TEST(IncrementCodec, RejectsOverdeclaredOpCount) {
   log[io::kIncrementLogHeaderBytes + 4] = 0xE8;  // op count -> 1000
   log[io::kIncrementLogHeaderBytes + 5] = 0x03;
   expect_rejects(log, "truncated record");
+  // The largest count a frame can declare: still the structured error,
+  // not an allocation sized by the untrusted count (std::bad_alloc).
+  for (std::size_t b = 4; b < 8; ++b) {
+    log[io::kIncrementLogHeaderBytes + b] = static_cast<char>(0xFF);
+  }
+  expect_rejects(log, "truncated record");
 }
 
 TEST(IncrementCodec, ReaderErrorsAreSticky) {

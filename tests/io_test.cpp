@@ -28,6 +28,24 @@ TEST(EdgeList, SkipsCommentsAndBlanks) {
 TEST(EdgeList, MalformedLineThrows) {
   std::stringstream ss("1 2\nbogus\n");
   EXPECT_THROW(read_edgelist(ss), std::runtime_error);
+  // A sign on any field, or a weight that is not a whole u32, is malformed
+  // too: `>>` would wrap -1 to 2^64-1 (or 2^32-3 as a weight), read "abc"
+  // or 2^32 as the default weight, and stop at junk after a number.
+  for (const char* bad : {"-1 0", "0 -1", "0 1 -3", "0 1 abc", "0 1 4294967296",
+                          "0 1 5x", "0 1x 5", "7"}) {
+    SCOPED_TRACE(bad);
+    std::stringstream in(std::string("# header\n") + bad + "\n3 4\n");
+    try {
+      (void)read_edgelist(in);
+      ADD_FAILURE() << "accepted a malformed line";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream max_weight("0 1 4294967295\n");
+  EXPECT_EQ(read_edgelist(max_weight),
+            (std::vector<StreamEdge>{{0, 1, 4294967295u}}));
 }
 
 TEST(EdgeList, MissingFileThrows) {

@@ -11,8 +11,9 @@
 //     the set bits of a half-open span in ascending order, with correct
 //     masking at every 64-bit word boundary — the core of every phase of
 //     the active engine — and its summary level (one bit per 64-cell
-//     word) never hides a live word, across set/clear/sweep/prune
-//     sequences checked against a std::set reference;
+//     word) never hides a live word and is exact once the words stripes
+//     share are pruned, across set/owner-clear/sweep/prune sequences
+//     checked against a std::set reference;
 //   * lane geometry: arbitration order, per-lane isolation in the slab,
 //     the owns_lane ownership guard, and the snapshot latches.
 //
@@ -148,7 +149,10 @@ TEST(CellSoALayout, SnapshotLatchesRouterLanesOnly) {
   // The latch is a copy: draining the lane afterwards must not move it.
   soa.lane(2, 0).pop();
   EXPECT_EQ(soa.snapshot(2)[0], 2u);
-  soa.zero_snapshot(2);
+  // Emptied router lanes latch zeros.
+  soa.lane(2, 0).pop();
+  soa.lane(2, 3).pop();
+  soa.latch_snapshot(2);
   for (std::size_t d = 0; d < kMeshDirections; ++d) {
     EXPECT_EQ(soa.snapshot(2)[d], 0u);
   }
@@ -172,7 +176,7 @@ TEST(CellSoABitmap, SetClearIsActive) {
     soa.set_active(cc);
     EXPECT_TRUE(soa.is_active(cc));
   }
-  soa.clear_active(64);
+  soa.clear_active(64, 0, 256);
   EXPECT_FALSE(soa.is_active(64));
   EXPECT_TRUE(soa.is_active(63));   // same-word neighbour bit survives
   EXPECT_TRUE(soa.is_active(127));
@@ -222,12 +226,14 @@ TEST(CellSoABitmap, SweepSkipsClearedWords) {
   EXPECT_EQ(soa.count_active(300, 301), 1u);
 }
 
-// The summary level against a std::set reference: random sets, clears,
-// sweeps, and pruning sweeps over a 12 345-cell bitmap (193 words, so four
-// summary words and a ragged tail). Spans start and end mid-word and cross
-// the 4096-cell summary boundaries; every sweep must return exactly the
-// reference's cells in the span, ascending, and no prune may ever leave a
-// word with a set bit unsummarised.
+// The summary level against a std::set reference: random sets, owner
+// clears, sweeps and cycle boundaries over a 12 345-cell bitmap (193 words,
+// so four summary words and a ragged tail), split into random stripes whose
+// boundaries fall mid-word and move at every cycle boundary, as
+// rebalancing moves them. Every sweep must return exactly the reference's
+// cells in the span, ascending — so no clear may hide a live word — and at
+// every cycle boundary, once the words two stripes share are pruned, the
+// summary must be exact.
 TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
   constexpr std::uint32_t kCells = 12'345;
   CellSoA soa;
@@ -240,19 +246,41 @@ TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
     return std::vector<std::uint32_t>(ref.lower_bound(begin),
                                       ref.lower_bound(end));
   };
-  const auto pruning_sweep = [&soa](std::uint32_t begin, std::uint32_t end) {
-    std::vector<std::uint32_t> out;
-    soa.for_each_active_pruning(
-        begin, end, [&out](std::uint32_t cc) { out.push_back(cc); });
-    return out;
+  // Stripe starts, ascending from 0: stripe i is [starts[i], starts[i+1]),
+  // the last one ending at kCells. One to eight stripes; some are shorter
+  // than a word, so a word can straddle several boundaries.
+  std::vector<std::uint32_t> starts;
+  const auto split = [&] {
+    std::set<std::uint32_t> cuts = {0};
+    std::uint32_t at = 0;
+    for (auto n = rng.below(8); n > 0; --n) {
+      // Every other cut lands within two words of the previous one.
+      at = static_cast<std::uint32_t>(
+          rng.below(2) == 0 ? rng.below(kCells) : at + 1 + rng.below(128));
+      if (at > 0 && at < kCells) cuts.insert(at);
+    }
+    starts.assign(cuts.begin(), cuts.end());
   };
+  const auto owner_clear = [&](std::uint32_t cc) {
+    const auto it = std::upper_bound(starts.begin(), starts.end(), cc);
+    const std::uint32_t end = it == starts.end() ? kCells : *it;
+    soa.clear_active(cc, *(it - 1), end);
+  };
+  const auto cycle_boundary = [&] {
+    for (std::size_t p = 1; p < starts.size(); ++p) {
+      soa.prune_summary(starts[p]);
+    }
+    ASSERT_TRUE(soa.summary_exact());
+    split();
+  };
+  split();
   // Fixed spans first (summary-boundary straddles, single-cell and
   // word-edge spans), then random ones.
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> fixed = {
       {4'090, 4'100}, {4'000, 8'200},   {63, 8'257},      {8'191, 8'193},
       {1, kCells - 1}, {4'095, 4'097}, {12'287, 12'289}, {0, kCells}};
   // Clustered cells, so whole words fill and empty and their summary bits
-  // go stale and get pruned.
+  // are cleared by the owner or at the cycle boundary.
   const auto random_cell = [&rng]() -> std::uint32_t {
     const auto hub = static_cast<std::uint32_t>(rng.below(6)) * 2'300;
     const auto off = static_cast<std::uint32_t>(rng.below(300));
@@ -267,9 +295,9 @@ TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
       ref.insert(cc);
     } else if (op < 8) {
       const std::uint32_t cc = random_cell();
-      soa.clear_active(cc);
+      owner_clear(cc);
       ref.erase(cc);
-    } else {
+    } else if (op == 8) {
       std::uint32_t begin = 0, end = 0;
       if (step % 7 == 0) {
         const auto& span = fixed[static_cast<std::size_t>(step / 7) %
@@ -282,24 +310,20 @@ TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
             kCells, begin + static_cast<std::uint32_t>(rng.below(9'000)));
       }
       const auto want = expected(begin, end);
-      if (op == 8) {
-        ASSERT_EQ(sweep(soa, begin, end), want) << begin << ".." << end;
-      } else {
-        ASSERT_EQ(pruning_sweep(begin, end), want) << begin << ".." << end;
-        ASSERT_TRUE(soa.summary_covers_live_words())
-            << "prune dropped a live word";
-      }
+      ASSERT_EQ(sweep(soa, begin, end), want) << begin << ".." << end;
       ASSERT_EQ(soa.count_active(begin, end), want.size());
+    } else {
+      ASSERT_NO_FATAL_FAILURE(cycle_boundary()) << "step " << step;
     }
     const std::uint32_t probe = random_cell();
     ASSERT_EQ(soa.is_active(probe), ref.count(probe) == 1) << probe;
   }
   for (const std::uint32_t cc : ref) ASSERT_TRUE(soa.summary_bit(cc)) << cc;
 
-  // Emptied words really are pruned: clear everything, one pruning sweep
-  // over the whole bitmap, and no summary bit survives.
-  for (const std::uint32_t cc : ref) soa.clear_active(cc);
-  EXPECT_TRUE(pruning_sweep(0, kCells).empty());
+  // Emptied words really are pruned: clear everything by owner, cross one
+  // cycle boundary, and no summary bit survives.
+  for (const std::uint32_t cc : ref) owner_clear(cc);
+  cycle_boundary();
   for (std::uint32_t cc = 0; cc < kCells; cc += 64) {
     EXPECT_FALSE(soa.summary_bit(cc)) << cc;
   }

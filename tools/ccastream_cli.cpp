@@ -374,7 +374,14 @@ int main(int argc, char** argv) {
   if (o.serve) {
     // No synthetic schedule: increments come framed from the log.
   } else if (!o.edges_file.empty()) {
-    auto edges = io::read_edgelist_file(o.edges_file);
+    std::vector<StreamEdge> edges;
+    try {
+      edges = io::read_edgelist_file(o.edges_file);
+    } catch (const std::runtime_error& e) {
+      // An unreadable file or a malformed line, named by its number.
+      std::fprintf(stderr, "ccastream_cli: %s\n", e.what());
+      return 2;
+    }
     std::uint64_t max_vid = 0;
     for (const auto& e : edges) max_vid = std::max({max_vid, e.src, e.dst});
     o.vertices = max_vid + 1;
