@@ -45,7 +45,7 @@ int main() {
     const auto& inc = sched.increments[i];
 
     const auto t0 = std::chrono::steady_clock::now();
-    dyn.insert_increment(inc);
+    dyn.apply_increment(inc);
     const double incr_ms = ms_since(t0);
 
     const auto t1 = std::chrono::steady_clock::now();

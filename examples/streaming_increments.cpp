@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
     // Verify the final levels against the sequential oracle.
     base::DynamicBfs oracle(verts, source);
-    for (const auto& inc : sched.increments) oracle.insert_increment(inc);
+    for (const auto& inc : sched.increments) oracle.apply_increment(inc);
     std::uint64_t mismatches = 0;
     for (std::uint64_t v = 0; v < verts; ++v) {
       const rt::Word want = oracle.level_of(v) == base::kUnreached

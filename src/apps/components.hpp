@@ -14,7 +14,8 @@
 // symmetrized stream that equals the undirected component minimum, but a
 // sliding window can expire the two arcs of a pair in different
 // increments, so windowed runs are checked against the directed oracle
-// (base::DynamicComponents), not union-find.
+// (base::min_reaching_labels, maintained incrementally by
+// base::DynamicComponents), not union-find.
 #pragma once
 
 #include <cstdint>

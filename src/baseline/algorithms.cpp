@@ -84,6 +84,30 @@ std::vector<std::uint64_t> component_min_labels(const RefGraph& g) {
   return label;
 }
 
+// Ascending-id BFS sweeps: vertex v seeds a sweep only if nothing smaller
+// reached it; the sweep prunes at already-labelled vertices (their closure
+// was labelled by a smaller seed). Each vertex is visited once — O(V + E).
+std::vector<std::uint64_t> min_reaching_labels(const RefGraph& g) {
+  std::vector<std::uint64_t> label(g.num_vertices(), kUnreached);
+  std::deque<std::uint64_t> q;
+  for (std::uint64_t v = 0; v < g.num_vertices(); ++v) {
+    if (label[v] != kUnreached) continue;
+    label[v] = v;
+    q.push_back(v);
+    while (!q.empty()) {
+      const std::uint64_t u = q.front();
+      q.pop_front();
+      for (const auto& arc : g.out(u)) {
+        if (label[arc.dst] == kUnreached) {
+          label[arc.dst] = v;
+          q.push_back(arc.dst);
+        }
+      }
+    }
+  }
+  return label;
+}
+
 std::uint64_t closed_wedges(const RefGraph& g) {
   // Adjacency sets for O(1) membership tests.
   std::vector<std::unordered_set<std::uint64_t>> nbr(g.num_vertices());

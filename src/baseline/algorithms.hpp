@@ -24,6 +24,13 @@ inline constexpr std::uint64_t kUnreached = std::numeric_limits<std::uint64_t>::
 /// (edges treated as bidirectional; union-find).
 [[nodiscard]] std::vector<std::uint64_t> component_min_labels(const RefGraph& g);
 
+/// Directed min-reaching labels: label(v) = min{ u : u reaches v along
+/// arcs }, and every vertex reaches itself. This is the fixed point the
+/// streamed components app computes. On a symmetric graph it equals
+/// component_min_labels, but a sliding window can expire the two arcs of a
+/// pair in different increments, so windowed runs are checked against it.
+[[nodiscard]] std::vector<std::uint64_t> min_reaching_labels(const RefGraph& g);
+
 /// Closed wedges: sum over u of unordered neighbour pairs {v, w} of u with
 /// an edge between v and w. On a simple undirected graph (both arc
 /// directions present) this equals 3x the triangle count — the exact

@@ -50,9 +50,7 @@
 #include "workload/sliding_window.hpp"
 
 #include "baseline/algorithms.hpp"
-#include "baseline/dynamic_bfs.hpp"
-#include "baseline/dynamic_components.hpp"
-#include "baseline/dynamic_sssp.hpp"
+#include "baseline/dynamic_monotone.hpp"
 #include "baseline/graph.hpp"
 
 #include "io/csv.hpp"

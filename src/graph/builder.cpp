@@ -1,7 +1,9 @@
 #include "graph/builder.hpp"
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/check.hpp"
 #include "runtime/rng.hpp"
@@ -15,6 +17,24 @@ StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg)
       cfg_(cfg),
       rhizomes_(cfg.rhizomes == 0 ? 1 : cfg.rhizomes) {
   const std::uint32_t cells = chip_.geometry().cell_count();
+  // Every root fragment has the same footprint, so a graph with more roots
+  // than the scratchpads hold between them cannot fit. Refuse it before
+  // reserving host tables sized by the root count (which can also wrap).
+  const std::size_t root_bytes =
+      VertexFragment(0, /*as_root=*/true, proto_.rpvo_config(), cfg_.root_init)
+          .logical_bytes();
+  const std::uint64_t cell_roots = chip_.config().cc_memory_bytes / root_bytes;
+  constexpr std::uint64_t kMaxRoots = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t chip_roots =
+      cells != 0 && cell_roots > kMaxRoots / cells ? kMaxRoots : cell_roots * cells;
+  if (cfg_.num_vertices > chip_roots / rhizomes_) {
+    throw std::runtime_error(
+        "StreamingGraph: scratchpads of " + std::to_string(cells) +
+        " cells hold at most " + std::to_string(chip_roots) + " root fragments, " +
+        "not " + std::to_string(cfg_.num_vertices) + " vertices x " +
+        std::to_string(rhizomes_) + " rhizomes; raise " +
+        "ChipConfig::cc_memory_bytes or shrink the graph");
+  }
   const std::uint64_t total_roots = cfg_.num_vertices * rhizomes_;
   roots_.reserve(total_roots);
   root_to_vid_.reserve(total_roots);

@@ -14,8 +14,8 @@
 // on the calling thread, re-dispatching the pool only when the frontier
 // widens again. The syncs() counter makes that mode switch observable (a
 // serially executed cycle performs zero barrier arrivals). The barrier
-// schedule itself — snapshot | route | apply+io+compute | merge, one sync
-// after each — is what the determinism invariant rests on: every
+// schedule itself — route | settle (apply+io+compute) | end-of-cycle step,
+// one sync after each — is what the determinism invariant rests on: every
 // cross-partition read happens against state settled behind the previous
 // barrier (docs/ARCHITECTURE.md, "The cycle lifecycle").
 #pragma once
@@ -45,8 +45,8 @@ class PartitionPool {
   /// have finished. The job must call sync() an identical number of times
   /// from every partition (the barrier counts all of them) — the chip's
   /// cycle loop satisfies this because every partition executes the same
-  /// four-phase schedule and the batch-stop decision is itself published
-  /// behind a sync.
+  /// two-stage, three-sync schedule and the batch-stop decision is itself
+  /// published behind a sync.
   void run(const std::function<void(std::uint32_t)>& job);
 
   /// Phase barrier: blocks until every partition thread has arrived.
@@ -61,7 +61,7 @@ class PartitionPool {
   /// Barrier arrivals over the pool's lifetime, summed across all threads
   /// — telemetry for the engine's sparse fast path (cycles executed on the
   /// calling thread bypass the pool entirely, so sparse runs show far
-  /// fewer arrivals than 4 × threads × cycles).
+  /// fewer arrivals than 3 × threads × cycles).
   [[nodiscard]] std::uint64_t syncs() const noexcept {
     return syncs_.load(std::memory_order_relaxed);
   }

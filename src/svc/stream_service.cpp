@@ -27,7 +27,6 @@
 #include <utility>
 
 #include "baseline/algorithms.hpp"
-#include "baseline/dynamic_components.hpp"
 
 namespace ccastream::svc {
 
@@ -265,13 +264,7 @@ QueryResult StreamService::query(const QueryRequest& req) const {
       break;
     }
     case QueryKind::kComponents: {
-      // Directed min-reaching labels — the semantics the streamed
-      // components app computes (see base::DynamicComponents).
-      base::DynamicComponents oracle(n);
-      for (std::uint64_t v = 0; v < n; ++v) {
-        for (const auto& arc : view->out(v)) oracle.insert_edge(v, arc.dst);
-      }
-      res.values = oracle.recompute();
+      res.values = base::min_reaching_labels(view->ref_graph());
       break;
     }
     case QueryKind::kPagerank: {

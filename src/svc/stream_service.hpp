@@ -142,7 +142,7 @@ class SnapshotView {
 enum class QueryKind : std::uint8_t {
   kBfs,         ///< BFS levels from `source` (base::bfs_levels).
   kSssp,        ///< Dijkstra distances from `source` (base::sssp_distances).
-  kComponents,  ///< Directed min-reaching labels (base::DynamicComponents).
+  kComponents,  ///< Directed min-reaching labels (base::min_reaching_labels).
   kPagerank,    ///< Delta-push PageRank (base::pagerank).
   kAppWord,     ///< The installed app's own latched word per vertex.
 };

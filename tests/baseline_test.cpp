@@ -178,6 +178,20 @@ TEST(DynamicBfs, NonTreeEdgeDeletionLeavesLevelsAlone) {
   EXPECT_EQ(d.levels(), before);
 }
 
+TEST(DynamicSssp, ZeroWeightCycleThroughTheSourceKeepsItSettled) {
+  // Regression: the source sits at distance 0, so a zero-weight arc from
+  // another distance-0 vertex looked like it carried the source's value.
+  // Deleting it invalidated the source itself, and nothing could re-settle
+  // it. The source holds its reset value, so no arc carries it.
+  DynamicSssp d(2, 0);
+  d.insert_edge(0, 1, 0);
+  d.insert_edge(1, 0, 0);
+  d.delete_edge(1, 0);
+  EXPECT_EQ(d.vertices_invalidated(), 0u);
+  EXPECT_EQ(d.distances(), (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_EQ(d.distances(), d.recompute());
+}
+
 class DynamicEqualsRecompute : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DynamicEqualsRecompute, AfterEveryIncrement) {
@@ -187,7 +201,7 @@ TEST_P(DynamicEqualsRecompute, AfterEveryIncrement) {
   for (int inc = 0; inc < 8; ++inc) {
     std::vector<StreamEdge> edges;
     for (int i = 0; i < 40; ++i) edges.push_back({rng.below(n), rng.below(n), 1});
-    d.insert_increment(edges);
+    d.apply_increment(edges);
     ASSERT_EQ(d.levels(), d.recompute()) << "increment " << inc;
   }
   EXPECT_GT(d.vertices_resettled(), 0u);
@@ -233,6 +247,61 @@ TEST_P(DynamicDeletionsEqualRecompute, AfterEveryIncrement) {
 // invalidation cascade (84 deleted only non-tree edges and is skipped).
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicDeletionsEqualRecompute,
                          ::testing::Values(81, 82, 83, 85, 86));
+
+// The four counters of each dynamic oracle, plus a checksum of its values,
+// on one seeded windowed schedule. The counters measure the repair's work,
+// not its result, so a rewrite that visits vertices in another order (or
+// invalidates more than it must) moves them even where the values still
+// equal recompute(). An intended change re-pins from the failure message.
+struct PinnedCounters {
+  std::uint64_t resettled, invalidated, deleted, rejected, checksum;
+};
+
+template <typename Oracle, typename Values>
+void expect_pinned(Oracle& d, const std::vector<std::vector<StreamEdge>>& incs,
+                   Values values, const PinnedCounters& want) {
+  for (std::size_t i = 0; i < incs.size(); ++i) {
+    d.apply_increment(incs[i]);
+    ASSERT_EQ(values(d), d.recompute()) << "increment " << i;
+  }
+  std::uint64_t checksum = 0;
+  for (const std::uint64_t x : values(d)) checksum = checksum * 1'000'003 + x;
+  EXPECT_EQ(d.vertices_resettled(), want.resettled);
+  EXPECT_EQ(d.vertices_invalidated(), want.invalidated);
+  EXPECT_EQ(d.edges_deleted(), want.deleted);
+  EXPECT_EQ(d.edges_rejected(), want.rejected);
+  EXPECT_EQ(checksum, want.checksum);
+}
+
+TEST(DynamicOracles, CountersArePinned) {
+  constexpr std::uint64_t kVertices = 300;
+  wl::StreamSchedule sched = wl::apply_sliding_window(
+      wl::make_graphchallenge_like(kVertices, 3000, wl::SamplingKind::kEdge,
+                                   10, 21),
+      3);
+  // Weights 1..7 drawn from the pair, so every observation of a pair
+  // weighs the same (BFS and components ignore them).
+  for (auto& inc : sched.increments) {
+    for (auto& e : inc) {
+      e.weight = 1 + static_cast<std::uint32_t>((e.src * 31 + e.dst * 17) % 7);
+    }
+  }
+  sched.increments[sched.increments.size() / 2].push_back(
+      make_insert_edge(kVertices, 0));
+
+  DynamicBfs bfs(kVertices, 0);
+  expect_pinned(bfs, sched.increments,
+                [](const DynamicBfs& d) -> const auto& { return d.levels(); },
+                {9023, 5019, 2092, 1, 7970055587193970023u});
+  DynamicSssp sssp(kVertices, 0);
+  expect_pinned(sssp, sched.increments,
+                [](const DynamicSssp& d) -> const auto& { return d.distances(); },
+                {10267, 4203, 2092, 1, 10667574692670405325u});
+  DynamicComponents comps(kVertices);
+  expect_pinned(comps, sched.increments,
+                [](const DynamicComponents& d) -> const auto& { return d.labels(); },
+                {830824, 389663, 2092, 1, 3433766460501174751u});
+}
 
 }  // namespace
 }  // namespace ccastream::base

@@ -155,7 +155,7 @@ TEST_P(BfsEquivalence, MatchesOracleAfterEveryIncrement) {
   const std::vector<StreamEdge> inc2(all.begin() + half, all.end());
   for (const auto& inc : {inc1, inc2}) {
     f.g->stream_increment(inc);
-    oracle.insert_increment(inc);
+    oracle.apply_increment(inc);
     ASSERT_TRUE(f.chip->quiescent());
     for (std::uint64_t v = 0; v < p.vertices; ++v) {
       const rt::Word want = oracle.level_of(v) == base::kUnreached
@@ -202,7 +202,7 @@ TEST(StreamingBfs, SbmScheduleBothSamplings) {
     base::DynamicBfs oracle(300, source);
     for (const auto& inc : sched.increments) {
       f.g->stream_increment(inc);
-      oracle.insert_increment(inc);
+      oracle.apply_increment(inc);
     }
     for (std::uint64_t v = 0; v < 300; ++v) {
       const rt::Word want = oracle.level_of(v) == base::kUnreached

@@ -44,7 +44,7 @@ TEST(Integration, FullStreamingBfsRunWithReports) {
   std::uint64_t total_cycles = 0;
   for (const auto& inc : sched.increments) {
     const auto report = p.g->stream_increment(inc);
-    oracle.insert_increment(inc);
+    oracle.apply_increment(inc);
     EXPECT_EQ(report.edges, inc.size());
     EXPECT_GT(report.cycles, 0u);
     total_cycles += report.cycles;

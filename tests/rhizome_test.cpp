@@ -116,7 +116,7 @@ TEST_P(RhizomeBfs, LevelsMatchOracle) {
        {std::vector<StreamEdge>(all.begin(), all.begin() + half),
         std::vector<StreamEdge>(all.begin() + half, all.end())}) {
     f.g->stream_increment(inc);
-    oracle.insert_increment(inc);
+    oracle.apply_increment(inc);
     for (std::uint64_t v = 0; v < p.vertices; ++v) {
       const rt::Word want = oracle.level_of(v) == base::kUnreached
                                 ? apps::StreamingBfs::kUnreached

@@ -317,16 +317,12 @@ std::vector<rt::Word> oracle_values(const std::string& app,
                                     std::uint64_t vertices,
                                     const wl::StreamSchedule& sched,
                                     std::uint64_t source) {
-  if (app == "components") {
-    // The streamed fixed point is the *directed* min-reaching label (the
-    // CLI does not symmetrize the stream), so compare against the directed
-    // oracle's from-scratch sweep, not undirected union-find.
-    base::DynamicComponents oracle(vertices);
-    for (const auto& inc : sched.increments) oracle.apply_increment(inc);
-    return oracle.recompute();
-  }
   base::RefGraph ref(vertices);
   for (const auto& inc : sched.increments) ref.add_edges(inc);
+  // The streamed components fixed point is the *directed* min-reaching
+  // label (the CLI does not symmetrize the stream), not undirected
+  // union-find.
+  if (app == "components") return base::min_reaching_labels(ref);
   return app == "bfs" ? base::bfs_levels(ref, source)
                       : base::sssp_distances(ref, source);
 }
@@ -384,6 +380,14 @@ int main(int argc, char** argv) {
     }
     std::uint64_t max_vid = 0;
     for (const auto& e : edges) max_vid = std::max({max_vid, e.src, e.dst});
+    if (max_vid == std::numeric_limits<std::uint64_t>::max()) {
+      // The vertex count, max_vid + 1, would wrap to 0.
+      std::fprintf(stderr,
+                   "ccastream_cli: %s: vertex id %lu is out of range (ids "
+                   "must be below %lu)\n",
+                   o.edges_file.c_str(), max_vid, max_vid);
+      return 2;
+    }
     o.vertices = max_vid + 1;
     sched = o.sampling == wl::SamplingKind::kSnowball
                 ? wl::snowball_sampling(edges, o.vertices, o.increments, o.seed)
@@ -448,7 +452,16 @@ int main(int argc, char** argv) {
   gc.num_vertices = o.vertices;
   gc.rhizomes = o.rhizomes;
   gc.root_init = proto.hooks().ghost_init;  // roots start like ghosts
-  graph::StreamingGraph g(proto, gc);
+  // Batch and serve both stop here on a graph the chip cannot hold (serve
+  // takes the vertex count from the log header).
+  std::optional<graph::StreamingGraph> graph_slot;
+  try {
+    graph_slot.emplace(proto, gc);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "ccastream_cli: %s\n", e.what());
+    return 2;
+  }
+  graph::StreamingGraph& g = *graph_slot;
   if (o.app == "components") {
     static_cast<const apps::StreamingComponents&>(*app).seed_labels(g);
   } else if (app) {

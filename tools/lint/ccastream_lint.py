@@ -283,6 +283,11 @@ SELF_TEST_SEEDS: dict[str, tuple[str, str, str]] = {
         "static std::mutex guard;\n",
         "threading primitive",
     ),
+    "oracle-independence": (
+        "src/baseline/bad_oracle.hpp",
+        '#include "apps/monotone.hpp"\n',
+        "includes a layer it is the oracle for",
+    ),
     "env-docs": (
         "src/sim/bad_env.cpp",
         'const char* v = std::getenv("CCASTREAM_SELFTEST_BOGUS");\n',
