@@ -11,7 +11,8 @@
 //   - wall-clock must beat the committed pre-refactor (array-of-structs
 //     ComputeCell) baseline, and
 //   - peak resident bytes per cell must drop vs the same baseline
-//     (slab FIFOs + SoA hot words replace per-cell heap containers).
+//     (SoA hot words and pooled message slots replace per-cell heap
+//     containers).
 //
 // Pre-refactor baselines (array-of-structs ComputeCell with per-cell heap
 // containers), measured on a 1-core host (Release, serial, rows, active

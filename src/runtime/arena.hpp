@@ -25,18 +25,18 @@ namespace ccastream::rt {
 
 /// Chip-lifetime bump allocator for the struct-of-arrays cell state: one
 /// zero-initialised byte slab carved into typed, cache-line-aligned
-/// parallel arrays (hot words, FIFO message lanes, snapshot latches — see
-/// sim/cell_soa.hpp). Two properties matter at the million-cell scale the
-/// slab exists for:
+/// parallel arrays (hot words, lane head/tail pairs, snapshot latches —
+/// see sim/cell_soa.hpp). Two properties matter:
 ///
-///   * the backing store comes from calloc, so the kernel hands out
-///     copy-on-write zero pages — a 1024x1024 mesh *reserves* its worst
-///     case FIFO storage up front but only pages in what traffic actually
-///     touches, and the first touch happens on the worker that owns the
-///     cell (the NUMA-friendly placement the SoA layout was built for);
+///   * the backing store comes from calloc, so all-zero is the initial
+///     state of every span. A slab above glibc's mmap threshold gets fresh
+///     zero pages, paged in on first touch; but the threshold rises after
+///     the first free of a large mapped block, and from then on a slab of
+///     up to 32 MiB comes from recycled heap that calloc memsets. Untouched
+///     spans are therefore not guaranteed to cost no resident memory;
 ///   * every span is allocated exactly once, before the first cycle, and
 ///     never moves — so raw pointers into the slab are stable for the
-///     chip's lifetime (the property the FIFO views rely on).
+///     chip's lifetime (the property the lane views rely on).
 ///
 /// All spans must be reserved before the first allocate() (reserve() sums
 /// span_bytes() for the planned layout); exceeding the reservation is a
@@ -60,8 +60,7 @@ class SlabArena {
   }
 
   /// (Re)establishes the slab at `bytes` capacity, discarding any previous
-  /// contents. Zero-page-backed: untouched spans cost address space, not
-  /// resident memory.
+  /// contents; every byte reads zero.
   void reserve(std::size_t bytes) {
     buf_.reset(static_cast<std::byte*>(std::calloc(bytes, 1)));
     if (bytes != 0 && buf_ == nullptr) {

@@ -10,9 +10,8 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   const std::size_t words = (n + 63) / 64;
   const std::size_t summary_words = (words + 63) / 64;
 
-  // One reservation for the whole layout; the slab is calloc-backed, so
-  // the worst-case message storage below is address space until traffic
-  // actually touches it.
+  // One reservation for the whole layout. The lanes are head/tail slot
+  // pairs: their messages live in the caller's slot pools, not here.
   std::size_t bytes = 0;
   bytes += rt::SlabArena::span_bytes<std::uint64_t>(n);               // hot_
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(n);               // fifo_msgs_
@@ -20,8 +19,7 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   bytes += rt::SlabArena::span_bytes<std::uint8_t>(n);                // arb_next_
   bytes += rt::SlabArena::span_bytes<std::uint64_t>(words);           // active_
   bytes += rt::SlabArena::span_bytes<std::uint64_t>(summary_words);   // summary_
-  bytes += rt::SlabArena::span_bytes<Message>(lanes * fifo_depth);    // lanes_
-  bytes += rt::SlabArena::span_bytes<std::uint32_t>(lanes);           // lane_head_
+  bytes += rt::SlabArena::span_bytes<SlotList>(lanes);                // lane_lists_
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(lanes);           // lane_size_
   slab_.reserve(bytes);
 
@@ -31,8 +29,7 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   arb_next_ = slab_.allocate<std::uint8_t>(n);
   active_ = slab_.allocate<std::uint64_t>(words);
   summary_ = slab_.allocate<std::uint64_t>(summary_words);
-  lanes_ = slab_.allocate<Message>(lanes * fifo_depth);
-  lane_head_ = slab_.allocate<std::uint32_t>(lanes);
+  lane_lists_ = slab_.allocate<SlotList>(lanes);
   lane_size_ = slab_.allocate<std::uint32_t>(lanes);
   if (slab_.bytes_used() != slab_.bytes_capacity()) {
     rt::fatal_misuse("CellSoA::init slab layout mismatch", __FILE__, __LINE__);

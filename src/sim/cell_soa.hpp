@@ -5,7 +5,7 @@
 // line the engines touch; at 512x512-1024x1024 meshes the phase walks
 // and per-cycle idle sweeps were memory-bound on state they never read.
 // CellSoA splits the *hot* per-cell state into parallel arrays carved out
-// of one rt::SlabArena:
+// of one rt::SlabArena, about 150 B per cell:
 //
 //   hot_       one packed word per cell: busy cycles in the high half,
 //              total queued work items (FIFO messages + staged + task +
@@ -27,11 +27,14 @@
 //              is set iff active_ word w is non-zero. Sweeps skip a clear
 //              summary bit's 64 cells without loading them, so an idle
 //              4096-cell block costs one load.
-//   lanes_ / lane_head_ / lane_size_
+//   lane_lists_ / lane_size_
 //              the six per-cell message FIFOs (4 router ports, the IO
-//              port, the local outport) as slab storage indexed by
-//              (cell, lane), mutated only through FifoView — per-object
-//              heap ring buffers are gone entirely.
+//              port, the local outport), indexed by (cell, lane): a
+//              head/tail SlotList and an occupancy word each, mutated only
+//              through Lane views. The messages themselves sit in pool
+//              slots (sim/fifo.hpp), which the caller supplies — the Chip
+//              passes the cell's row pool — so the slab holds no message
+//              storage and fifo_depth only bounds a lane's occupancy.
 //
 // Concurrency: every array except the two bitmap levels is single-writer
 // — only the partition that owns a cell writes its words, and cross-phase
@@ -45,11 +48,9 @@
 // follows a set/prune protocol that keeps it race-free without ordering
 // (see "The activity bitmap" below and docs/ARCHITECTURE.md).
 //
-// All-zero is the idle state of every array, so the slab's calloc zero
-// pages ARE the initial state: a fresh million-cell mesh reserves its
-// worst-case FIFO storage without paging any of it in, and each page is
-// first touched by the worker that owns the cell (NUMA-friendly first
-// touch; see docs/ARCHITECTURE.md "Memory layout").
+// All-zero is the idle state of every array (an all-zero SlotList is
+// empty), so the slab's calloc fill IS the initial state; see
+// docs/ARCHITECTURE.md "Memory layout".
 #pragma once
 
 #include <atomic>
@@ -77,8 +78,8 @@ class CellSoA {
   CellSoA(const CellSoA&) = delete;
   CellSoA& operator=(const CellSoA&) = delete;
 
-  /// Reserves and carves the slab for `cell_count` cells with
-  /// `fifo_depth`-deep lanes. Called exactly once, from the Chip
+  /// Reserves and carves the slab for `cell_count` cells whose lanes hold
+  /// at most `fifo_depth` messages. Called exactly once, from the Chip
   /// constructor, before any cell exists; the returned spans never move.
   void init(std::uint32_t cell_count, std::uint32_t fifo_depth);
 
@@ -275,23 +276,21 @@ class CellSoA {
     return true;
   }
 
-  // --- The FIFO lane slab --------------------------------------------------
+  // --- The FIFO lanes -----------------------------------------------------
 
-  /// The (cell, lane) ring-buffer view; lane in [0, kLanes) follows the
-  /// arbitration order above. All mutation goes through ComputeCell's
-  /// sanctioned helpers, which maintain fifo_msgs_ and the hot word.
-  [[nodiscard]] FifoView<Message> lane(std::uint32_t cc,
-                                       std::size_t l) const noexcept {
+  /// The (cell, lane) view; lane in [0, kLanes) follows the arbitration
+  /// order above. All mutation goes through ComputeCell's sanctioned
+  /// helpers, which maintain fifo_msgs_ and the hot word.
+  [[nodiscard]] Lane lane(std::uint32_t cc, std::size_t l) const noexcept {
     const std::size_t li = static_cast<std::size_t>(cc) * kLanes + l;
-    return FifoView<Message>(lanes_ + li * depth_, &lane_head_[li],
-                             &lane_size_[li], depth_);
+    return Lane(&lane_lists_[li], &lane_size_[li], depth_);
   }
 
   /// True iff `view` is one of cell `cc`'s six lanes — the cheap-level
   /// guard that pop_input is not handed a neighbour's lane (which would
   /// silently desynchronise two fifo_msgs counters).
   [[nodiscard]] bool owns_lane(std::uint32_t cc,
-                               const FifoView<Message>& view) const noexcept {
+                               const Lane& view) const noexcept {
     const std::uint32_t* base =
         &lane_size_[static_cast<std::size_t>(cc) * kLanes];
     return view.size_word() >= base && view.size_word() < base + kLanes;
@@ -359,8 +358,7 @@ class CellSoA {
   std::uint8_t* arb_next_ = nullptr;
   std::uint64_t* active_ = nullptr;
   std::uint64_t* summary_ = nullptr;
-  Message* lanes_ = nullptr;
-  std::uint32_t* lane_head_ = nullptr;
+  SlotList* lane_lists_ = nullptr;
   std::uint32_t* lane_size_ = nullptr;
 };
 

@@ -199,14 +199,15 @@ Chip::Chip(ChipConfig cfg)
       alloc_policy_(rt::make_alloc_policy(cfg.alloc_policy, cfg.vicinity_radius)),
       io_(mesh_, cfg.io_sides) {
   check_level_ = rt::resolve_check_level(cfg_.check_level);
-  // The SoA slab first (the cells hold a pointer into it), then the cell
-  // array — both sized exactly once from the config dimensions; neither
-  // ever grows or relocates.
+  // The SoA slab and the row pools first (the cells hold pointers into
+  // both), then the cell array — all sized exactly once from the config
+  // dimensions; none ever relocates.
   soa_.init(mesh_.cell_count(), cfg.fifo_depth);
+  pools_ = std::vector<SlotPool>(cfg.height);
   rt::SplitMix64 seeder(cfg.seed);
   cells_.build(mesh_.cell_count(), [&](ComputeCell* slot, std::uint32_t i) {
-    new (slot) ComputeCell(i, cfg.cc_memory_bytes, &soa_, seeder.next(),
-                           check_level_);
+    new (slot) ComputeCell(i, cfg.cc_memory_bytes, &soa_,
+                           &pools_[i / cfg.width], seeder.next(), check_level_);
   });
   trace_.set_enabled(cfg.record_activation);
   cell_load_.assign(mesh_.cell_count(), 0);
@@ -359,6 +360,12 @@ std::vector<HandlerProfile> Chip::handler_profile() const {
 std::uint64_t Chip::active_cells() const noexcept {
   std::uint64_t n = 0;
   for (const PartitionState& st : parts_) n += st.active_count;
+  return n;
+}
+
+std::uint64_t Chip::message_slots() const noexcept {
+  std::uint64_t n = 0;
+  for (const SlotPool& pool : pools_) n += pool.slots();
   return n;
 }
 
@@ -530,7 +537,7 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
     // messages that hopped in this phase. Any other lane still has a
     // phase-start message at its front: only this cell pops it, once.
     if (src_idx < kMeshDirections && snap[src_idx] == 0) continue;
-    FifoView<Message> src = soa_.lane(idx, src_idx);
+    const Lane src = soa_.lane(idx, src_idx);
     if (src.empty()) continue;
 
     const Message& m = src.front();

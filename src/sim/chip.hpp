@@ -33,6 +33,7 @@
 #include "sim/cell_soa.hpp"
 #include "sim/compute_cell.hpp"
 #include "sim/energy.hpp"
+#include "sim/fifo.hpp"
 #include "sim/io_channel.hpp"
 #include "sim/message.hpp"
 #include "sim/parallel.hpp"
@@ -150,10 +151,10 @@ class Chip {
 
   explicit Chip(ChipConfig cfg = {});
 
-  // A chip never relocates: the SoA block, the FIFO lane views, and the
-  // partition workers all hold raw pointers and cell indices into storage
-  // reserved exactly once, from the ChipConfig dimensions, in the
-  // constructor. Callers that need to hand a chip around hold it behind
+  // A chip never relocates: the SoA block, the FIFO lane views, the row
+  // pools and the partition workers all hold raw pointers and cell indices
+  // into storage reserved exactly once, from the ChipConfig dimensions, in
+  // the constructor. Callers that need to hand a chip around hold it behind
   // unique_ptr (as the bench/test experiment harness does).
   Chip(const Chip&) = delete;
   Chip& operator=(const Chip&) = delete;
@@ -284,6 +285,14 @@ class Chip {
   /// Live cells across all partitions right now: the summed per-partition
   /// counts of set activity bits, O(partitions) under both engines.
   [[nodiscard]] std::uint64_t active_cells() const noexcept;
+
+  /// Message slots held by all the row pools, free or in use: each pool
+  /// holds its row's peak live lane and queue messages so far, rounded up
+  /// to a block. When a stripe boundary sits between two rows, a hop
+  /// across it takes its slot a stage later than one inside a stripe, so
+  /// like cell_visits() this count is outside ChipStats: it moves with the
+  /// partitioning, while simulated results do not.
+  [[nodiscard]] std::uint64_t message_slots() const noexcept;
 
   /// Barrier arrivals performed by the worker pool so far (0 on
   /// single-partition chips). A pooled cycle costs three per partition; a
@@ -503,6 +512,11 @@ class Chip {
   /// reserved) before the cells are built, since every cell holds a
   /// pointer to it.
   CellSoA soa_;
+  /// One slot pool per mesh row, holding every message the row's lanes and
+  /// queues buffer (see sim/fifo.hpp). A row never straddles two stripes
+  /// and changes owner only between cycles, so each pool has one writer at
+  /// a time: the row's owner, or the host between cycles.
+  std::vector<SlotPool> pools_;
   CellArray cells_;
   rt::HandlerRegistry registry_;
   std::unordered_map<rt::ObjectKind, ObjectFactory> factories_;

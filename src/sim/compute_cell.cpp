@@ -12,8 +12,7 @@ bool ComputeCell::idle() const noexcept {
   // the work count against the containers it summarises.
   assert(fifo_msgs() == router_occupancy());
   assert(soa_->work_items(index_) ==
-         fifo_msgs() + staged_.size() + task_queue_.size() +
-             action_queue_.size());
+         fifo_msgs() + staged_count_ + task_count_ + action_count_);
   return soa_->hot_word(index_) == 0;
 }
 

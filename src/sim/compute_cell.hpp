@@ -11,10 +11,11 @@
 // themselves — lives in the chip's struct-of-arrays block (sim/cell_soa.hpp),
 // keyed by this cell's index. What remains here is what only the compute
 // phase of THIS cell ever touches: the scratchpad arena, the RNG, and the
-// unbounded action/task/staging queues. Every mutation of the hot state
-// still goes through this class's sanctioned helpers, which keep the SoA
-// words (the packed hot word and the exact fifo_msgs counter) in lockstep
-// with the containers.
+// unbounded action/task/staging queues. Lanes and queues are SlotLists
+// whose messages sit in slots of the cell's mesh-row SlotPool
+// (sim/fifo.hpp). Every mutation of the hot state still goes through this
+// class's sanctioned helpers, which keep the SoA words (the packed hot
+// word and the exact fifo_msgs counter) in lockstep with the containers.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +33,14 @@ namespace ccastream::sim {
 
 class ComputeCell {
  public:
+  /// `pool` is the slot pool of the cell's mesh row: every message this
+  /// cell's lanes and queues take a slot for comes from it, and every slot
+  /// they drain goes back to it.
   ComputeCell(std::uint32_t index, std::size_t memory_bytes, CellSoA* soa,
-              std::uint64_t rng_seed,
+              SlotPool* pool, std::uint64_t rng_seed,
               rt::CheckLevel check_level = rt::CheckLevel::off)
-      : arena(memory_bytes), rng(rng_seed), soa_(soa), index_(index),
-        check_level_(check_level) {}
+      : arena(memory_bytes), rng(rng_seed), soa_(soa), pool_(pool),
+        index_(index), check_level_(check_level) {}
 
   // Cells are pinned: the SoA block and the partition workers hold the
   // cell's index as an identity, and the chip builds the cell array in
@@ -78,13 +82,13 @@ class ComputeCell {
   // Non-owning views over this cell's slab lanes; mutation only through
   // the sanctioned helpers below.
 
-  [[nodiscard]] FifoView<Message> router_in(std::size_t port) const noexcept {
+  [[nodiscard]] Lane router_in(std::size_t port) const noexcept {
     return soa_->lane(index_, port);
   }
-  [[nodiscard]] FifoView<Message> io_in() const noexcept {
+  [[nodiscard]] Lane io_in() const noexcept {
     return soa_->lane(index_, CellSoA::kIoLane);
   }
-  [[nodiscard]] FifoView<Message> local_out() const noexcept {
+  [[nodiscard]] Lane local_out() const noexcept {
     return soa_->lane(index_, CellSoA::kLocalOutLane);
   }
 
@@ -95,24 +99,28 @@ class ComputeCell {
   // counter — and through it the packed hot word — in lockstep with the
   // lanes and, at check level `cheap` and above, cross-checks the counter
   // after every mutation — the runtime side of the same invariant.
+  //
+  // Every push copies the message into a slot of this cell's row pool,
+  // and every pop returns the slot to it, so a message that hops to
+  // another row leaves its slot at home and each pool stays balanced.
 
   /// Pushes a message arriving from a neighbour into router port `port`.
   void push_router(std::size_t port, const Message& m) {
-    router_in(port).push(m);
+    router_in(port).push(*pool_, m);
     soa_->inc_fifo_msgs(index_);
     CCA_CHECK(cheap, fifo_msgs() == router_occupancy());
   }
 
   /// Pushes a message injected by the attached IO cell.
   void push_io(const Message& m) {
-    io_in().push(m);
+    io_in().push(*pool_, m);
     soa_->inc_fifo_msgs(index_);
     CCA_CHECK(cheap, fifo_msgs() == router_occupancy());
   }
 
   /// Stages one locally created message into the network outport.
   void push_local_out(const Message& m) {
-    local_out().push(m);
+    local_out().push(*pool_, m);
     soa_->inc_fifo_msgs(index_);
     CCA_CHECK(cheap, fifo_msgs() == router_occupancy());
   }
@@ -120,9 +128,9 @@ class ComputeCell {
   /// Pops the front of one of this cell's own input FIFOs (router port,
   /// IO port, or local outport — the router phase selects the source
   /// dynamically, so the helper takes the lane view itself).
-  void pop_input(FifoView<Message> src) {
+  void pop_input(Lane src) {
     CCA_CHECK(cheap, soa_->owns_lane(index_, src));
-    src.pop();
+    src.pop(*pool_);
     soa_->dec_fifo_msgs(index_);
     CCA_CHECK(cheap, fifo_msgs() == router_occupancy());
   }
@@ -135,49 +143,54 @@ class ComputeCell {
   // --- Sanctioned queue mutation helpers ----------------------------------
   // Same contract as the FIFO helpers, for the unbounded queues this class
   // still owns: every push/pop maintains the work count in the hot word,
-  // so `idle()` stays a single load.
+  // so `idle()` stays a single load. Each queue keeps its length beside
+  // it (a SlotList holds none), so the counts stay O(1) for the audits.
 
   void push_action(const rt::Action& a) {
-    action_queue_.push_back(a);
+    action_queue_.push(*pool_, Message{a, 0});
+    ++action_count_;
     soa_->add_work(index_);
   }
   [[nodiscard]] const rt::Action& front_action() const {
-    return action_queue_.front();
+    return action_queue_.front().action;
   }
   void pop_action() {
-    action_queue_.pop_front();
+    action_queue_.pop(*pool_);
+    --action_count_;
     soa_->sub_work(index_);
   }
   [[nodiscard]] std::size_t action_count() const noexcept {
-    return action_queue_.size();
+    return action_count_;
   }
 
   void push_task(const rt::Action& a) {
-    task_queue_.push_back(a);
+    task_queue_.push(*pool_, Message{a, 0});
+    ++task_count_;
     soa_->add_work(index_);
   }
   [[nodiscard]] const rt::Action& front_task() const {
-    return task_queue_.front();
+    return task_queue_.front().action;
   }
   void pop_task() {
-    task_queue_.pop_front();
+    task_queue_.pop(*pool_);
+    --task_count_;
     soa_->sub_work(index_);
   }
-  [[nodiscard]] std::size_t task_count() const noexcept {
-    return task_queue_.size();
-  }
+  [[nodiscard]] std::size_t task_count() const noexcept { return task_count_; }
 
   void push_staged(const Message& m) {
-    staged_.push_back(m);
+    staged_.push(*pool_, m);
+    ++staged_count_;
     soa_->add_work(index_);
   }
   [[nodiscard]] const Message& front_staged() const { return staged_.front(); }
   void pop_staged() {
-    staged_.pop_front();
+    staged_.pop(*pool_);
+    --staged_count_;
     soa_->sub_work(index_);
   }
   [[nodiscard]] std::size_t staged_count() const noexcept {
-    return staged_.size();
+    return staged_count_;
   }
 
   // --- Scratchpad ---------------------------------------------------------
@@ -193,14 +206,19 @@ class ComputeCell {
     return check_level_;
   }
 
-  /// Actions delivered to this cell, awaiting dispatch.
-  RingQueue<rt::Action> action_queue_;
+  /// Actions delivered to this cell, awaiting dispatch (a slot's
+  /// birth_cycle is not read here).
+  SlotList action_queue_;
   /// Deferred local tasks (future LCO drains); dispatched before new actions.
-  RingQueue<rt::Action> task_queue_;
+  SlotList task_queue_;
   /// Messages created by handlers, not yet staged into the network.
-  RingQueue<Message> staged_;
+  SlotList staged_;
+  std::uint32_t action_count_ = 0;
+  std::uint32_t task_count_ = 0;
+  std::uint32_t staged_count_ = 0;
 
   CellSoA* soa_;
+  SlotPool* pool_;
   std::uint32_t index_;
   rt::CheckLevel check_level_;
 };

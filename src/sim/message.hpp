@@ -15,9 +15,10 @@ struct Message {
   std::uint64_t birth_cycle = 0;  ///< Cycle the message was created.
 };
 
-// Message sizes the lane slab (cells × 6 × fifo_depth × sizeof(Message)),
-// every staged RingQueue and every cross-partition PendingPush: keep it
-// within one cache line, so a re-added field cannot silently regrow them.
+// Message sizes every pooled QueueSlot — the one buffer of every lane and
+// queue message, a Message plus its link in one 64-byte line (pinned in
+// sim/fifo.hpp) — and every cross-partition PendingPush: keep it within
+// one cache line, so a re-added field cannot silently regrow them.
 static_assert(sizeof(Message) <= 64, "sim::Message must fit one cache line");
 
 }  // namespace ccastream::sim

@@ -350,6 +350,55 @@ TEST(Chip, ActivationTraceRecordsWhenEnabled) {
   EXPECT_GT(chip.activation().peak_active_fraction(64), 0.0);
 }
 
+// Chip memory follows live traffic, not history: every lane and queue
+// message sits in a slot of its mesh row's pool, and a message leaving the
+// row (a north/south hop, an APPLY) is copied into a slot of the
+// destination row's pool while the source slot goes home. Ten identical
+// bursts, each run to quiescence, then grow the pools by less than a block
+// per row between the fifth and the tenth — a pool that lent slots to
+// another row would carve fresh blocks every burst — and the pools stay
+// under a tenth of the lane storage a per-cell reservation of the
+// (deep) fifo_depth would take.
+TEST(Chip, MessageSlotsTrackLiveTrafficNotHistory) {
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    ChipConfig cfg = small_chip_config(32);
+    cfg.threads = threads;
+    cfg.fifo_depth = 16;
+    Chip chip(cfg);
+    const std::uint32_t cells = chip.geometry().cell_count();
+    // Each action hops on to a cell drawn from its payload until its count
+    // runs out: an IO action heads a chain of 3 propagates.
+    const rt::HandlerId hop = chip.handlers().register_handler(
+        "hop", [cells](rt::Context& ctx, const Action& a) {
+          if (a.args[0] == 0) return;
+          const Word next =
+              a.args[1] * 6364136223846793005ull + 1442695040888963407ull;
+          const auto cc = static_cast<std::uint32_t>((next >> 33) % cells);
+          ctx.propagate(make_action(a.handler, GlobalAddress{cc, 0},
+                                    a.args[0] - 1, next));
+        });
+    std::uint64_t slots_round5 = 0;
+    for (int round = 1; round <= 10; ++round) {
+      for (std::uint32_t i = 0; i < 4000; ++i) {
+        chip.io_enqueue(make_action(hop, GlobalAddress{(i * 613) % cells, 0},
+                                    Word{3}, Word{i}));
+      }
+      chip.run_until_quiescent();
+      ASSERT_TRUE(chip.quiescent());
+      if (round == 5) slots_round5 = chip.message_slots();
+    }
+    EXPECT_EQ(chip.stats().actions_executed, 10u * 4000u * 4u);
+    EXPECT_LT(chip.message_slots() - slots_round5,
+              SlotPool::kBlockSlots * cfg.height);
+    EXPECT_LT(chip.message_slots(),
+              std::uint64_t{cells} * CellSoA::kLanes * cfg.fifo_depth / 10);
+    if (threads > 1) {
+      EXPECT_GT(chip.barrier_syncs(), 0u);
+    }
+  }
+}
+
 TEST(Chip, ActivityLevelsShapeMatchesMesh) {
   Chip chip(small_chip_config(4));
   const auto levels = chip.activity_levels();

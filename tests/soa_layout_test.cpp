@@ -14,8 +14,9 @@
 //     word) never hides a live word and is exact once the words stripes
 //     share are pruned, across set/owner-clear/sweep/prune sequences
 //     checked against a std::set reference;
-//   * lane geometry: arbitration order, per-lane isolation in the slab,
-//     the owns_lane ownership guard, and the snapshot latches.
+//   * lane geometry: arbitration order, per-lane isolation in the slab
+//     (the standalone cases supply their own slot pool), the owns_lane
+//     ownership guard, and the snapshot latches.
 //
 // Low-level tests drive a standalone CellSoA; the agreement tests go
 // through a real Chip so the sanctioned helpers are exercised exactly as
@@ -91,11 +92,13 @@ TEST(CellSoALayout, PackedHotWordHalves) {
 TEST(CellSoALayout, LanesAreIsolatedPerCellAndLane) {
   CellSoA soa;
   soa.init(16, 3);
+  SlotPool pool;
   // One distinct message in every lane of two adjacent cells: no lane may
   // alias another's slab slice.
   for (std::uint32_t cc : {6u, 7u}) {
     for (std::size_t l = 0; l < CellSoA::kLanes; ++l) {
-      soa.lane(cc, l).push(make_msg(cc * 10 + static_cast<std::uint32_t>(l)));
+      soa.lane(cc, l).push(pool,
+                           make_msg(cc * 10 + static_cast<std::uint32_t>(l)));
     }
   }
   for (std::uint32_t cc : {6u, 7u}) {
@@ -136,22 +139,23 @@ TEST(CellSoALayout, ArbitrationPointerWrapsOverAllLanes) {
 TEST(CellSoALayout, SnapshotLatchesRouterLanesOnly) {
   CellSoA soa;
   soa.init(8, 4);
-  soa.lane(2, 0).push(make_msg(0));
-  soa.lane(2, 0).push(make_msg(0));
-  soa.lane(2, 3).push(make_msg(0));
-  soa.lane(2, CellSoA::kIoLane).push(make_msg(0));        // not latched
-  soa.lane(2, CellSoA::kLocalOutLane).push(make_msg(0));  // not latched
+  SlotPool pool;
+  soa.lane(2, 0).push(pool, make_msg(0));
+  soa.lane(2, 0).push(pool, make_msg(0));
+  soa.lane(2, 3).push(pool, make_msg(0));
+  soa.lane(2, CellSoA::kIoLane).push(pool, make_msg(0));        // not latched
+  soa.lane(2, CellSoA::kLocalOutLane).push(pool, make_msg(0));  // not latched
   soa.latch_snapshot(2);
   EXPECT_EQ(soa.snapshot(2)[0], 2u);
   EXPECT_EQ(soa.snapshot(2)[1], 0u);
   EXPECT_EQ(soa.snapshot(2)[2], 0u);
   EXPECT_EQ(soa.snapshot(2)[3], 1u);
   // The latch is a copy: draining the lane afterwards must not move it.
-  soa.lane(2, 0).pop();
+  soa.lane(2, 0).pop(pool);
   EXPECT_EQ(soa.snapshot(2)[0], 2u);
   // Emptied router lanes latch zeros.
-  soa.lane(2, 0).pop();
-  soa.lane(2, 3).pop();
+  soa.lane(2, 0).pop(pool);
+  soa.lane(2, 3).pop(pool);
   soa.latch_snapshot(2);
   for (std::size_t d = 0; d < kMeshDirections; ++d) {
     EXPECT_EQ(soa.snapshot(2)[d], 0u);

@@ -260,7 +260,7 @@ def run_rules(
 SELF_TEST_SEEDS: dict[str, tuple[str, str, str]] = {
     "fifo-discipline": (
         "src/sim/bad_fifo.cpp",
-        "void f(FifoView<Message> lane, const Message& m) { lane.push(m); }\n",
+        "void f(Lane lane, SlotPool& pool, const Message& m) { lane.push(pool, m); }\n",
         "sanctioned ComputeCell helpers",
     ),
     "determinism": (
