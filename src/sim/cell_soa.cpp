@@ -7,8 +7,6 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   depth_ = fifo_depth;
   const std::size_t n = cell_count;
   const std::size_t lanes = n * kLanes;
-  const std::size_t words = (n + 63) / 64;
-  const std::size_t summary_words = (words + 63) / 64;
 
   // One reservation for the whole layout. The lanes are head/tail slot
   // pairs: their messages live in the caller's slot pools, not here.
@@ -17,8 +15,6 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(n);               // fifo_msgs_
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(n * kMeshDirections);
   bytes += rt::SlabArena::span_bytes<std::uint8_t>(n);                // arb_next_
-  bytes += rt::SlabArena::span_bytes<std::uint64_t>(words);           // active_
-  bytes += rt::SlabArena::span_bytes<std::uint64_t>(summary_words);   // summary_
   bytes += rt::SlabArena::span_bytes<SlotList>(lanes);                // lane_lists_
   bytes += rt::SlabArena::span_bytes<std::uint32_t>(lanes);           // lane_size_
   slab_.reserve(bytes);
@@ -27,8 +23,6 @@ void CellSoA::init(std::uint32_t cell_count, std::uint32_t fifo_depth) {
   fifo_msgs_ = slab_.allocate<std::uint32_t>(n);
   snapshot_ = slab_.allocate<std::uint32_t>(n * kMeshDirections);
   arb_next_ = slab_.allocate<std::uint8_t>(n);
-  active_ = slab_.allocate<std::uint64_t>(words);
-  summary_ = slab_.allocate<std::uint64_t>(summary_words);
   lane_lists_ = slab_.allocate<SlotList>(lanes);
   lane_size_ = slab_.allocate<std::uint32_t>(lanes);
   if (slab_.bytes_used() != slab_.bytes_capacity()) {

@@ -238,19 +238,20 @@ void Chip::apply_layout() {
   // still cover the mesh exactly — catches splitter bugs before the first
   // cycle runs on the new stripes.
   CCA_CHECK(full, layout_.exact_cover());
-  for (std::uint32_t p = 0; p < num_parts_; ++p) {
-    parts_[p].span = layout_.span(p);
-    parts_[p].io_cells.clear();
+  // Carry each set bit to its cell's new owner rather than recompute the
+  // bits from has_work(), so a drifted bit still reaches the audit.
+  std::vector<std::uint32_t> live;
+  for (const PartitionState& st : parts_) {
+    st.active.for_each([&live](std::uint32_t idx) { live.push_back(idx); });
   }
+  for (PartitionState& st : parts_) {
+    st.span = layout_.span(st.index);
+    st.active = ActiveSet(st.span);
+    st.io_cells.clear();
+  }
+  for (const std::uint32_t idx : live) active_set(idx).insert(idx);
   for (std::size_t i = 0; i < io_.cell_count(); ++i) {
     parts_[layout_.owner(io_.cell(i).attached_cc)].io_cells.push_back(i);
-  }
-  recount_active_cells();
-}
-
-void Chip::recount_active_cells() {
-  for (PartitionState& st : parts_) {
-    st.active_count = soa_.count_active(st.span.begin, st.span.end);
   }
 }
 
@@ -313,7 +314,7 @@ void Chip::inject_local(const rt::Action& action) {
   require_on_mesh(action.target.cc, cells_.size(), kOffMeshTarget);
   cells_[action.target.cc].push_action(action);
   ++parts_.front().stats.actions_created;
-  activate_cell(action.target.cc);
+  active_set(action.target.cc).insert(action.target.cc);
 }
 
 void Chip::inject_via(std::uint32_t at_cc, const rt::Action& action) {
@@ -322,7 +323,7 @@ void Chip::inject_via(std::uint32_t at_cc, const rt::Action& action) {
   require_on_mesh(action.target.cc, cells_.size(), kOffMeshTarget);
   cells_[at_cc].push_staged(Message{action, cycle_});
   ++parts_.front().stats.actions_created;
-  activate_cell(at_cc);
+  active_set(at_cc).insert(at_cc);
 }
 
 bool Chip::quiescent() const {
@@ -359,7 +360,7 @@ std::vector<HandlerProfile> Chip::handler_profile() const {
 
 std::uint64_t Chip::active_cells() const noexcept {
   std::uint64_t n = 0;
-  for (const PartitionState& st : parts_) n += st.active_count;
+  for (const PartitionState& st : parts_) n += st.active.size();
   return n;
 }
 
@@ -395,8 +396,7 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
       &Chip::cycle_route, &Chip::cycle_settle};
 
   // The end-of-cycle step both modes share: count the cycle, sample the
-  // trace, prune the summary bits of the words two stripes share, decide
-  // whether the run is done.
+  // trace, decide whether the run is done.
   std::uint64_t ran = 0;
   bool done = false;
   const auto end_cycle = [&] {
@@ -454,15 +454,15 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
 
 template <typename F>
 void Chip::sweep(PartitionState& st, F&& f) {
-  const auto [begin, end] = st.span;
   if (!engine_active_) {
     // Scan: every cell, without reading the bitmap — an oracle for which
     // cells run that does not trust the flags.
+    const auto [begin, end] = st.span;
     st.cell_visits += end - begin;
     for (std::uint32_t idx = begin; idx < end; ++idx) f(idx);
     return;
   }
-  soa_.for_each_active(begin, end, [&](std::uint32_t idx) {
+  st.active.for_each([&](std::uint32_t idx) {
     ++st.cell_visits;
     f(idx);
   });
@@ -570,7 +570,7 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
 
     if (next_idx >= st.span.begin && next_idx < st.span.end) {
       cells_[next_idx].push_router(port, m);
-      mark_active(st, next_idx);
+      st.active.insert(next_idx);
     } else {
       // Off the stripe, one hop lands in the stripe directly above or
       // below, which applies the push behind the route barrier.
@@ -598,7 +598,7 @@ void Chip::cycle_apply(PartitionState& st) {
   const auto drain = [&](PartitionState::Outbox& box) {
     for (const PendingPush& p : box.pushes) {
       cells_[p.target_cc].push_router(p.port, p.msg);
-      mark_active(st, p.target_cc);
+      st.active.insert(p.target_cc);
     }
     box.pushes.clear();
   };
@@ -613,7 +613,7 @@ void Chip::cycle_io(PartitionState& st) {
     ComputeCell& cc = cells_[ioc.attached_cc];
     if (!cc.io_in().has_room()) continue;
     cc.push_io(Message{ioc.pending.front(), cycle_});
-    mark_active(st, ioc.attached_cc);
+    st.active.insert(ioc.attached_cc);
     ioc.pending.pop_front();
     ++st.stats.io_injections;
   }
@@ -628,26 +628,18 @@ void Chip::cycle_compute(PartitionState& st) {
   // same ascending order. The compute phase never activates a cell other
   // than the one executing (propagate/schedule_local target the executing
   // cell), so no flag appears ahead of the sweep.
-  std::uint64_t live = 0;
   sweep(st, [&](std::uint32_t idx) {
-    if (compute_one(st, idx, tracing)) {
-      ++live;
-    } else if (soa_.is_active(idx)) {
-      // Only this partition writes its cells' bits in this stage, so the
-      // test is exact; it always holds under active, and under scan it
-      // spares the never-active cells the atomic clear.
-      soa_.clear_active(idx, st.span.begin, st.span.end);
-    } else {
-      // Idle all cycle (only the scan visits it): it keeps the zero latch
-      // it took when it last went idle.
-      return;
+    if (!compute_one(st, idx, tracing)) {
+      // A cell idle all cycle (only the scan visits one) keeps the zero
+      // latch it took when it last went idle.
+      if (!st.active.contains(idx)) return;
+      st.active.erase(idx);
     }
     // The router lanes are final for this cycle: only ROUTE and APPLY
     // write them, both earlier and both on this partition. So this latch
     // is the next ROUTE's phase-start view; an emptied cell latches zeros.
     soa_.latch_snapshot(idx);
   });
-  st.active_count = live;
 }
 
 bool Chip::compute_one(PartitionState& st, std::uint32_t idx, bool tracing) {
@@ -703,11 +695,6 @@ void Chip::merge_partitions() {
   }
   ++cycle_;
   if (trace_.enabled()) trace_.record(active, live);
-  // The words two stripes share: neither owner may prune one in COMPUTE
-  // (see CellSoA::clear_active), and no partition writes the bitmap here.
-  for (std::uint32_t p = 1; p < num_parts_; ++p) {
-    soa_.prune_summary(parts_[p].span.begin);
-  }
   // Checked build, full level: sweep every structural invariant at this
   // barrier point. This step runs on partition 0's thread while all other
   // workers are parked at the cycle barrier (their writes are published by
@@ -717,34 +704,34 @@ void Chip::merge_partitions() {
 }
 
 void Chip::verify_cycle_invariants() const {
-  // 1. Per-cell: the cached counter equals real lane occupancy, the packed
-  //    hot word sums exactly the containers it caches, the bitmap flags
-  //    are exactly the activity predicate (the invariant every active
-  //    sweep trusts when it skips a cell, and quiescent() reads), and the
-  //    latches equal the router-lane sizes the next ROUTE starts from.
-  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
-    const ComputeCell& c = cells_[i];
-    CCA_CHECK(full, c.fifo_msgs() == c.router_occupancy());
-    CCA_CHECK(full, soa_.work_items(i) ==
-                        c.fifo_msgs() + c.staged_count() + c.task_count() +
-                            c.action_count());
-    CCA_CHECK(full, soa_.is_active(i) == c.has_work());
-    for (std::size_t d = 0; d < kMeshDirections; ++d) {
-      CCA_CHECK(full, soa_.snapshot(i)[d] == c.router_in(d).size());
-    }
-  }
-  // 2. The summary level is exact: a clear bit lets a sweep skip the
-  //    word's 64 cells unread, and no bit outlives its word's last cell.
-  CCA_CHECK(full, soa_.summary_exact());
   for (const PartitionState& st : parts_) {
+    // 1. Per-cell: the cached counter equals real lane occupancy, the
+    //    packed hot word sums exactly the containers it caches, the
+    //    owner's bitmap holds the cell exactly when it has work (the
+    //    invariant every active sweep trusts when it skips a cell, and
+    //    quiescent() reads), and the latches equal the router-lane sizes
+    //    the next ROUTE starts from.
+    for (std::uint32_t i = st.span.begin; i < st.span.end; ++i) {
+      const ComputeCell& c = cells_[i];
+      CCA_CHECK(full, c.fifo_msgs() == c.router_occupancy());
+      CCA_CHECK(full, soa_.work_items(i) ==
+                          c.fifo_msgs() + c.staged_count() + c.task_count() +
+                              c.action_count());
+      CCA_CHECK(full, st.active.contains(i) == c.has_work());
+      for (std::size_t d = 0; d < kMeshDirections; ++d) {
+        CCA_CHECK(full, soa_.snapshot(i)[d] == c.router_in(d).size());
+      }
+    }
+    // 2. The bitmap is exact: a clear summary bit lets a sweep skip its
+    //    word's 64 cells unread, no summary bit outlives its word's last
+    //    cell, no bit lies outside the stripe, and the size is the
+    //    popcount.
+    CCA_CHECK(full, st.active.exact());
     // 3. Cross-partition plumbing drained: the neighbours' APPLY emptied
     //    both outboxes.
     CCA_CHECK(full, st.north.pushes.empty() && st.south.pushes.empty());
-    // 4. The partition's live count is the flag popcount of its span.
-    CCA_CHECK(full, st.active_count ==
-                        soa_.count_active(st.span.begin, st.span.end));
   }
-  // 5. The decomposition itself: non-empty stripes covering every row.
+  // 4. The decomposition itself: non-empty stripes covering every row.
   CCA_CHECK(full, layout_.exact_cover());
 }
 

@@ -30,6 +30,7 @@
 #include "runtime/context.hpp"
 #include "runtime/geometry.hpp"
 #include "runtime/handler_registry.hpp"
+#include "sim/active_set.hpp"
 #include "sim/cell_soa.hpp"
 #include "sim/compute_cell.hpp"
 #include "sim/energy.hpp"
@@ -48,9 +49,10 @@ namespace ccastream::sim {
 /// identical — same cycles, counters, energy, traces, results — for every
 /// workload, partition, and thread count; they differ only in the
 /// cells a stage's sweep visits, and so in host cost per simulated cycle.
-/// Both keep the CellSoA activity bitmap: a cell's bit is set at every
-/// point work is created and cleared when the compute stage leaves it
-/// idle, so it is set iff the cell has work (see ComputeCell::has_work).
+/// Both keep each partition's activity bitmap (sim/active_set.hpp): a
+/// cell's bit is set at every point work is created and cleared when the
+/// compute stage leaves it idle, so it is set iff the cell has work (see
+/// ComputeCell::has_work).
 ///
 ///   * kScan   — the paper-literal engine: every sweep walks every cell of
 ///               its partition's span without reading the bitmap,
@@ -235,6 +237,12 @@ class Chip {
   /// backdoors to prove the full-level invariant sweeps have teeth.
   [[nodiscard]] CellSoA& cell_state() noexcept { return soa_; }
   [[nodiscard]] const CellSoA& cell_state() const noexcept { return soa_; }
+  /// The activity bitmap of the partition owning cell `cc` (see
+  /// sim/active_set.hpp), for host-side use between cycles. Tests also use
+  /// its corruption backdoors, as they do cell_state()'s.
+  [[nodiscard]] ActiveSet& active_set(std::uint32_t cc) {
+    return parts_[layout_.owner(cc)].active;
+  }
   [[nodiscard]] IoSystem& io() noexcept { return io_; }
 
   /// Total energy of the run so far, in picojoules, under the configured
@@ -273,17 +281,17 @@ class Chip {
   /// Cells visited by the two per-cell phase sweeps (route, compute) over
   /// the whole run — the host-cost metric the engines differ in. The scan
   /// engine visits every cell of the mesh in each sweep, 2 × width ×
-  /// height per cycle. The active engine visits the set bits of
-  /// the activity bitmap: each cell active at a sweep's start, plus any a
-  /// route push flags in a word the sweep has not reached yet (see
-  /// CellSoA::for_each_active). The count is deterministic for a given
+  /// height per cycle. The active engine visits the set bits of each
+  /// partition's activity bitmap: each cell active at a sweep's start,
+  /// plus any a route push flags in a word the sweep has not reached yet
+  /// (see ActiveSet::for_each). The count is deterministic for a given
   /// configuration. Simulated results are engine-invariant; this counter
   /// is deliberately *outside* ChipStats so stats comparisons stay
   /// engine-agnostic. Summed over the partitions when read.
   [[nodiscard]] std::uint64_t cell_visits() const noexcept;
 
-  /// Live cells across all partitions right now: the summed per-partition
-  /// counts of set activity bits, O(partitions) under both engines.
+  /// Live cells across all partitions right now: the summed sizes of the
+  /// partitions' activity bitmaps, O(partitions) under both engines.
   [[nodiscard]] std::uint64_t active_cells() const noexcept;
 
   /// Message slots held by all the row pools, free or in use: each pool
@@ -412,12 +420,15 @@ class Chip {
     };
     Outbox north, south;
 
-    /// Flagged cells of the span (membership itself is the CellSoA
-    /// activity bitmap). Invariant between cycles: exactly the owned cells
-    /// for which ComputeCell::has_work() holds. Bumped at every activation,
-    /// recounted by the compute sweep; read by quiescent(), active_cells()
-    /// and the sparse serial fast path, so none of them sweeps the mesh.
-    std::uint64_t active_count = 0;
+    /// The span's activity bitmap. Invariant between cycles: exactly the
+    /// owned cells for which ComputeCell::has_work() holds. A bit is set
+    /// at every point work is created — a same-partition router push, an
+    /// inbound apply, an IO injection, a host injection — and cleared
+    /// when COMPUTE leaves the cell idle. Only this partition's worker
+    /// writes it, or the host between cycles. Its size is read by
+    /// quiescent(), active_cells() and the sparse serial fast path, so
+    /// none of them sweeps the mesh.
+    ActiveSet active;
     /// Cells visited by the per-cell sweeps (route, compute).
     std::uint64_t cell_visits = 0;
   };
@@ -425,15 +436,15 @@ class Chip {
   /// The cycle loop: runs up to `max_cycles` cycles (optionally stopping
   /// at global quiescence) and returns how many were executed. Each cycle
   /// runs one stage table (ROUTE, SETTLE) and one end-of-cycle step
-  /// (count, trace sample, boundary prune, stop decision), either
-  /// phase-major on the calling thread or on the pool with a barrier after
-  /// each stage and after the end-of-cycle step.
+  /// (count, trace sample, stop decision), either phase-major on the
+  /// calling thread or on the pool with a barrier after each stage and
+  /// after the end-of-cycle step.
   std::uint64_t run_cycles(std::uint64_t max_cycles, bool until_quiescent);
 
-  /// Points every PartitionState at its layout_ span and reassigns IO
-  /// cells to the partition owning their attached cell. Only called
-  /// between cycles (construction and rebalancing), when every outbox is
-  /// drained.
+  /// Points every PartitionState at its layout_ span, carries each set
+  /// activity bit to its cell's new owner, and reassigns IO cells to the
+  /// partition owning their attached cell. Only called between cycles
+  /// (construction and rebalancing), when every outbox is drained.
   void apply_layout();
 
   // The cycle's stages (worker-thread side), each over one partition's
@@ -451,23 +462,22 @@ class Chip {
   void cycle_compute(PartitionState& st);
   /// The one place the engines differ: calls `f(idx)` in ascending cell
   /// index for every cell of `st`'s span (scan, never reading the
-  /// bitmap) or for every set bitmap bit of it (active). Bills each visit
-  /// to cell_visits.
+  /// bitmap) or for every set bit of `st.active` (active). Bills each
+  /// visit to cell_visits.
   template <typename F>
   void sweep(PartitionState& st, F&& f);
   /// End-of-cycle step (single-threaded, behind the barrier): counts the
-  /// cycle, samples the activation trace, prunes the summary bits of the
-  /// words two stripes share and runs the full-level audit.
+  /// cycle, samples the activation trace and runs the full-level audit.
   void merge_partitions();
   /// Full-level barrier-point sweep (CCASTREAM_CHECK=full), run at the end
   /// of every cycle while the worker pool is parked at the cycle barrier:
   /// verifies the invariants the lint cannot see statically — every cell's
-  /// cached fifo_msgs equals its real FIFO occupancy, bitmap membership
-  /// exactly equals has_work(), its latches equal its router-lane sizes,
-  /// the summary level is exact, the per-partition counts equal the flag
-  /// popcount, all cross-partition outboxes are drained, and the partition
-  /// stripes exactly cover the mesh. O(mesh) per cycle by design, under
-  /// both engines; a failure aborts via CCA_CHECK.
+  /// cached fifo_msgs equals its real FIFO occupancy, its owner's bitmap
+  /// holds it exactly when has_work(), its latches equal its router-lane
+  /// sizes, every partition's bitmap is exact (ActiveSet::exact), all
+  /// cross-partition outboxes are drained, and the partition stripes
+  /// exactly cover the mesh. O(mesh) per cycle by design, under both
+  /// engines; a failure aborts via CCA_CHECK.
   void verify_cycle_invariants() const;
 
   // Shared per-cell phase bodies.
@@ -475,29 +485,6 @@ class Chip {
   /// One compute-phase visit; returns whether the cell still has work
   /// (its activity bit stays set iff it does).
   bool compute_one(PartitionState& st, std::uint32_t idx, bool tracing);
-
-  // --- Activity-bitmap maintenance (both engines) -------------------------
-  /// Flags `idx` (owned by `st`) and counts it; the compute sweep will find
-  /// the flag. Called at every point work is created: same-partition
-  /// router pushes, inbound cross-partition applies, IO injection.
-  void mark_active(PartitionState& st, std::uint32_t idx) {
-    // Only the owning partition's worker marks a cell (route pushes stay
-    // same-partition, inbound applies run on the destination, IO cells
-    // belong to their attached cell's owner), so the test-then-set pair
-    // cannot race on a bit; the atomics inside CellSoA only arbitrate
-    // *words* straddling a partition boundary.
-    if (!soa_.is_active(idx)) {
-      soa_.set_active(idx);
-      ++st.active_count;
-    }
-  }
-  /// Host-side activation (between cycles), used by the injection APIs.
-  void activate_cell(std::uint32_t idx) {
-    mark_active(parts_[layout_.owner(idx)], idx);
-  }
-  /// Recounts every partition's active_count from the bitmap after a
-  /// layout change (construction, rebalancing). Between cycles only.
-  void recount_active_cells();
 
   void execute_action(PartitionState& st, ComputeCell& cell, const rt::Action& action);
   void deliver(PartitionState& st, ComputeCell& cell, const Message& msg);

@@ -17,7 +17,10 @@
 // schedule itself — route | settle (apply+io+compute) | end-of-cycle step,
 // one sync after each — is what the determinism invariant rests on: every
 // cross-partition read happens against state settled behind the previous
-// barrier (docs/ARCHITECTURE.md, "The cycle lifecycle").
+// barrier (docs/ARCHITECTURE.md, "The cycle lifecycle"). Within a stage no
+// two partitions write the same word: each owns its cells' SoA words, its
+// rows' slot pools and its own activity bitmap (sim/active_set.hpp), so
+// the barriers are the only synchronisation the engine needs.
 #pragma once
 
 #include <atomic>

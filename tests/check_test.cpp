@@ -8,11 +8,12 @@
 //     cycle-for-cycle and counter-for-counter identical to an unchecked
 //     run, on both engines (the checks observe, never steer);
 //   * teeth — corrupting the invariants the sweeps guard (the fifo_msgs
-//     cached counter, the activity-bitmap membership flag, its summary
-//     bit in either direction and the router-input latches — all in the
-//     chip's SoA block, reached via Chip::cell_state()) turns the next
-//     cycle into a diagnosed abort instead of silent divergence, under
-//     both engines (both keep the bitmap).
+//     cached counter and the router-input latches in the chip's SoA block,
+//     reached via Chip::cell_state(); the activity-bitmap membership flag
+//     and its summary bit in either direction in the owning partition's
+//     bitmap, reached via Chip::active_set()) turns the next cycle into a
+//     diagnosed abort instead of silent divergence, under both engines
+//     (both keep the bitmap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -169,10 +170,10 @@ TEST(CheckDeathTest, CorruptedFifoCounterDiesInMutationHelper) {
 }
 
 // Membership corruption: a cleared flag on a cell that still holds work
-// breaks is_active == has_work(), the invariant every active sweep trusts
+// breaks contains == has_work(), the invariant every active sweep trusts
 // when it skips cells and quiescent() reads under both engines. (A flag
-// set on an idle cell would not do: the next compute sweep visits it and
-// clears it — the engine heals that one by itself.)
+// set on an idle cell would test something else: COMPUTE clears the flag
+// of any cell it visits that has no work.)
 TEST(CheckDeathTest, CorruptedActiveFlagDiesAtBarrier) {
   for (const auto engine : {sim::EngineKind::kActive, sim::EngineKind::kScan}) {
     SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
@@ -182,9 +183,9 @@ TEST(CheckDeathTest, CorruptedActiveFlagDiesAtBarrier) {
     const auto spin = install_spin(chip);
     seed_spinner(chip, spin, 7, 50);
     chip.step();
-    ASSERT_TRUE(chip.cell_state().is_active(7));
-    chip.cell_state().corrupt_active_flag(7, false);
-    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.is_active");
+    ASSERT_TRUE(chip.active_set(7).contains(7));
+    chip.active_set(7).corrupt_active_flag(7, false);
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: st.active.contains");
   }
 }
 
@@ -200,16 +201,16 @@ TEST(CheckDeathTest, ClearedSummaryBitDiesAtBarrier) {
     const auto spin = install_spin(chip);
     seed_spinner(chip, spin, 7, 50);
     chip.step();
-    ASSERT_TRUE(chip.cell_state().summary_bit(7));
-    chip.cell_state().corrupt_summary_flag(7, false);
-    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.summary_exact");
+    ASSERT_TRUE(chip.active_set(7).summary_bit(7));
+    chip.active_set(7).corrupt_summary_flag(7, false);
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: st.active.exact");
   }
 }
 
-// The other direction: a summary bit left set over an empty word. Every
-// word of the serial chip has one owner, whose clears prune as they empty
-// a word, so nothing in the cycle clears this bit; the audit, which holds
-// the summary exact at every cycle boundary, catches it.
+// The other direction: a summary bit left set over an empty word. A
+// bitmap clears a summary bit only as a clear empties its word, so nothing
+// in the cycle clears this one; the audit, which holds the summary exact,
+// catches it.
 TEST(CheckDeathTest, StaleSummaryBitDiesAtBarrier) {
   for (const auto engine : {sim::EngineKind::kActive, sim::EngineKind::kScan}) {
     SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
@@ -217,9 +218,9 @@ TEST(CheckDeathTest, StaleSummaryBitDiesAtBarrier) {
     cfg.engine = engine;
     sim::Chip chip(cfg);
     chip.step();
-    ASSERT_FALSE(chip.cell_state().summary_bit(7));
-    chip.cell_state().corrupt_summary_flag(7, true);
-    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.summary_exact");
+    ASSERT_FALSE(chip.active_set(7).summary_bit(7));
+    chip.active_set(7).corrupt_summary_flag(7, true);
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: st.active.exact");
   }
 }
 
@@ -237,7 +238,7 @@ TEST(CheckDeathTest, CorruptedLatchDiesAtBarrier) {
     const auto spin = install_spin(chip);
     seed_spinner(chip, spin, 7, 50);
     chip.step();
-    ASSERT_FALSE(chip.cell_state().is_active(5));
+    ASSERT_FALSE(chip.active_set(5).contains(5));
     chip.cell_state().snapshot(5)[2] = 1;
     EXPECT_DEATH(chip.step(), "CCA_CHECK failed: soa_.snapshot");
   }

@@ -5,7 +5,7 @@
 // thread count × io_sides matrix, while visiting strictly fewer cells per
 // cycle whenever the mesh is not saturated. Shallow FIFOs and a single
 // ejection per cycle keep the mesh congested, where a set-maintenance bug
-// (a cell activated late, a stale snapshot latch, a summary bit pruned
+// (a cell activated late, a stale snapshot latch, a summary bit cleared
 // under a live word) would surface as a divergent counter. Also here: a
 // workload that swings between a saturated and a nearly idle mesh, a
 // rebalancing run, and the engine's resolution order.
@@ -131,19 +131,25 @@ TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
 
 // cell_visits is the host-cost currency, so it must not depend on thread
 // timing: which cells a sweep visits follows only the sweeping
-// partition's own program order (see CellSoA::for_each_active). Repeated
+// partition's own program order (see ActiveSet::for_each). Repeated
 // threaded runs whose bitmap words straddle partition boundaries must bill
 // the same visits: four stripes of the 12x12 chip start at cells 36, 72
-// and 108, all mid-word, and rebalancing moves them.
+// and 108, all mid-word, so two stripes share word 0 and three share
+// word 1, and rebalancing moves them. The absolute counts are pinned too:
+// they rest on each stripe keeping the chip's global word alignment,
+// which decides whether a bit set mid-sweep lies in a later word.
 TEST(EngineEquivalence, ActiveVisitCountIsDeterministic) {
   const auto io_sides =
       static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth);
-  for (const char* partition : {"rows", "rows+rebalance"}) {
+  for (const auto& [partition, pinned] :
+       {std::pair{"rows", std::uint64_t{185'142}},
+        std::pair{"rows+rebalance", std::uint64_t{185'103}}}) {
     SCOPED_TRACE(std::string("partition = ") + partition);
     const auto visits = [&] {
       return run_bfs(EngineKind::kActive, partition, 4, io_sides).cell_visits;
     };
     const std::uint64_t first = visits();
+    EXPECT_EQ(first, pinned);
     for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(visits(), first);
   }
 }
@@ -151,7 +157,7 @@ TEST(EngineEquivalence, ActiveVisitCountIsDeterministic) {
 // The large-mesh leg: the active engine's phases are 64-cell bitmap word
 // sweeps over spans gated by a 4096-cell summary level, so meshes whose
 // partition stripes start and end mid-word — and span several summary
-// words — are where a masking or pruning bug would live, unreachable on
+// words — are where a masking or alignment bug would live, unreachable on
 // the 12x12 matrix above. 120x120 (225 bitmap words, 4 summary words; a
 // width that is not a multiple of 64, so threaded stripes start and end
 // mid-word, where a 128-wide stripe always starts on a word) runs in the
@@ -224,7 +230,7 @@ struct OscResult {
 
 /// Alternates full-mesh bursts (every cell live, so whole summary words
 /// fill) with three-cell trickles reached through the network (nearly
-/// every word empties, and its summary bit must be pruned without ever
+/// every word empties, and its summary bit must be cleared without ever
 /// dropping a live one).
 OscResult run_oscillation(EngineKind engine, std::uint32_t threads) {
   sim::ChipConfig cfg;
@@ -262,11 +268,13 @@ TEST(EngineEquivalence, OscillationIsCycleIdenticalToScanOracle) {
   }
 }
 
-// The summary level is exact at every cycle boundary, over the words two
-// stripes share too, which only the end-of-cycle step may prune. On 12x12
-// at 4 threads the stripes start at cells 36, 72 and 108, all mid-word:
-// word 0 straddles one boundary, word 1 two. Spinners on every cell keep
-// the first cycles pooled; the ones that enter at cell 0 cross stripes.
+// Every partition's bitmap is exact after every cycle (ActiveSet::exact:
+// summary bits match their words, no bit outside the stripe, the size is
+// the popcount), over the words two stripes split too. On 12x12 at 4
+// threads the stripes start at cells 36, 72 and 108, all mid-word: word 0
+// straddles one boundary, word 1 two, and each stripe keeps its own copy
+// of them. Spinners on every cell keep the first cycles pooled; the ones
+// that enter at cell 0 cross stripes.
 TEST(EngineEquivalence, SummaryIsExactWhereStripesSplitWords) {
   for (const auto engine : {EngineKind::kActive, EngineKind::kScan}) {
     SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
@@ -287,15 +295,19 @@ TEST(EngineEquivalence, SummaryIsExactWhereStripesSplitWords) {
     }
     while (!chip.quiescent()) {
       chip.step();
-      ASSERT_TRUE(chip.cell_state().summary_exact()) << "cycle " << chip.now();
+      for (std::uint32_t p = 0; p < 4; ++p) {
+        const std::uint32_t first = chip.partition_layout().span(p).begin;
+        ASSERT_TRUE(chip.active_set(first).exact())
+            << "cycle " << chip.now() << ", partition " << p;
+      }
     }
     EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
   }
 }
 
-// Rebalancing moves cells between partitions between runs; the
-// per-partition live counts are recounted from the bitmap at every
-// relayout, and results — and the rebalance schedule — stay identical.
+// Rebalancing moves cells between partitions between runs; every set
+// activity bit is carried to its cell's new owner at each relayout, and
+// results — and the rebalance schedule — stay identical.
 TEST(EngineEquivalence, SurvivesRebalancingLayoutsUnchanged) {
   auto run = [](EngineKind engine) {
     sim::ChipConfig cfg;

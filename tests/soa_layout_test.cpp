@@ -7,20 +7,21 @@
 //   * the cached fifo_msgs counter equals real lane occupancy after every
 //     sanctioned mutation (push_router/push_io/push_local_out/pop_input),
 //     including a randomized interleaving of all of them;
-//   * the activity bitmap's span sweep (for_each_active) visits exactly
-//     the set bits of a half-open span in ascending order, with correct
-//     masking at every 64-bit word boundary — the core of every phase of
-//     the active engine — and its summary level (one bit per 64-cell
-//     word) never hides a live word and is exact once the words stripes
-//     share are pruned, across set/owner-clear/sweep/prune sequences
-//     checked against a std::set reference;
+//   * a partition's activity bitmap (sim/active_set.hpp) sweeps exactly
+//     its set bits in ascending order — the core of every phase of the
+//     active engine — including a stripe that starts and ends mid-word,
+//     whose words keep the chip's alignment; bits set mid-sweep follow
+//     the sweep's program order; its summary level (one bit per 64-cell
+//     word) is exact after every insert, erase and relayout, checked
+//     against a std::set reference; and its exactness check catches a
+//     bit outside the stripe and a miscount;
 //   * lane geometry: arbitration order, per-lane isolation in the slab
 //     (the standalone cases supply their own slot pool), the owns_lane
 //     ownership guard, and the snapshot latches.
 //
-// Low-level tests drive a standalone CellSoA; the agreement tests go
-// through a real Chip so the sanctioned helpers are exercised exactly as
-// the engines use them.
+// Low-level tests drive a standalone CellSoA or ActiveSet; the agreement
+// tests go through a real Chip so the sanctioned helpers are exercised
+// exactly as the engines use them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,7 +44,7 @@ Message make_msg(std::uint64_t tag) {
 }
 
 // ---------------------------------------------------------------------------
-// Standalone CellSoA: layout, lanes, arbitration, snapshots, bitmap.
+// Standalone CellSoA: layout, lanes, arbitration, snapshots.
 
 TEST(CellSoALayout, InitCarvesAllZeroIdleState) {
   CellSoA soa;
@@ -56,7 +57,6 @@ TEST(CellSoALayout, InitCarvesAllZeroIdleState) {
     EXPECT_EQ(soa.fifo_msgs(cc), 0u);
     EXPECT_EQ(soa.lane_occupancy(cc), 0u);
     EXPECT_EQ(soa.arb_next(cc), 0u);
-    EXPECT_FALSE(soa.is_active(cc));
     for (std::size_t d = 0; d < kMeshDirections; ++d) {
       EXPECT_EQ(soa.snapshot(cc)[d], 0u);
     }
@@ -163,98 +163,137 @@ TEST(CellSoALayout, SnapshotLatchesRouterLanesOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// The activity bitmap and its span sweep.
+// The activity bitmap of one partition (sim/active_set.hpp) and its sweep.
 
-std::vector<std::uint32_t> sweep(const CellSoA& soa, std::uint32_t begin,
-                                 std::uint32_t end) {
+std::vector<std::uint32_t> sweep(const ActiveSet& set) {
   std::vector<std::uint32_t> out;
-  soa.for_each_active(begin, end, [&out](std::uint32_t cc) { out.push_back(cc); });
+  set.for_each([&out](std::uint32_t cc) { out.push_back(cc); });
   return out;
 }
 
-TEST(CellSoABitmap, SetClearIsActive) {
-  CellSoA soa;
-  soa.init(256, 2);
-  for (std::uint32_t cc : {0u, 63u, 64u, 127u, 128u, 255u}) {
-    EXPECT_FALSE(soa.is_active(cc));
-    soa.set_active(cc);
-    EXPECT_TRUE(soa.is_active(cc));
+TEST(ActiveSetBitmap, SweepVisitsSetBitsAscending) {
+  ActiveSet set(CellSpan{0, 512});
+  std::vector<std::uint32_t> bits = {0,   1,   62,  63,  64, 100,
+                                     127, 191, 192, 255, 300};
+  for (const auto cc : bits) {
+    EXPECT_FALSE(set.contains(cc));
+    set.insert(cc);
+    set.insert(cc);  // a no-op once set
+    EXPECT_TRUE(set.contains(cc));
   }
-  soa.clear_active(64, 0, 256);
-  EXPECT_FALSE(soa.is_active(64));
-  EXPECT_TRUE(soa.is_active(63));   // same-word neighbour bit survives
-  EXPECT_TRUE(soa.is_active(127));
+  EXPECT_EQ(sweep(set), bits);
+  EXPECT_EQ(set.size(), bits.size());
+  EXPECT_TRUE(set.exact());
+
+  set.erase(64);
+  set.erase(64);  // a no-op once clear
+  EXPECT_FALSE(set.contains(64));
+  EXPECT_TRUE(set.contains(63));  // same-word neighbour bits survive
+  EXPECT_TRUE(set.contains(127));
+  bits.erase(std::find(bits.begin(), bits.end(), 64u));
+  EXPECT_EQ(sweep(set), bits);
+  EXPECT_EQ(set.size(), bits.size());
+  EXPECT_TRUE(set.exact());
+
+  // A word that empties drops its summary bit at once; the sweep skips it.
+  set.erase(300);
+  EXPECT_FALSE(set.summary_bit(300));
+  EXPECT_TRUE(set.summary_bit(255));
+  EXPECT_TRUE(set.exact());
 }
 
-TEST(CellSoABitmap, SweepVisitsSetBitsAscending) {
-  CellSoA soa;
-  soa.init(256, 2);
-  const std::vector<std::uint32_t> bits = {0, 1, 62, 63, 64, 100, 191, 192, 255};
-  for (const auto cc : bits) soa.set_active(cc);
-  EXPECT_EQ(sweep(soa, 0, 256), bits);
-  EXPECT_EQ(soa.count_active(0, 256), bits.size());
+// A stripe that starts and ends mid-word keeps its own copies of its two
+// edge words, globally aligned: its first word holds cells 0..63, of which
+// it owns 36..63, and its last holds 192..255, of which it owns 192..199.
+TEST(ActiveSetBitmap, StripeEndsMidWord) {
+  ActiveSet set(CellSpan{36, 200});
+  EXPECT_TRUE(sweep(set).empty());
+  EXPECT_TRUE(set.exact());
+  for (std::uint32_t cc = 36; cc < 200; ++cc) set.insert(cc);
+  const auto all = sweep(set);
+  ASSERT_EQ(all.size(), 164u);
+  EXPECT_EQ(all.front(), 36u);
+  EXPECT_EQ(all.back(), 199u);
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end()));
+  EXPECT_TRUE(set.exact());
+
+  // Emptying the stripe's part of an edge word clears its summary bit.
+  for (std::uint32_t cc = 36; cc < 64; ++cc) set.erase(cc);
+  EXPECT_FALSE(set.summary_bit(36));
+  for (std::uint32_t cc = 192; cc < 200; ++cc) set.erase(cc);
+  EXPECT_FALSE(set.summary_bit(199));
+  EXPECT_TRUE(set.summary_bit(64));
+  EXPECT_EQ(set.size(), 128u);
+  EXPECT_EQ(sweep(set).front(), 64u);
+  EXPECT_EQ(sweep(set).back(), 191u);
+  EXPECT_TRUE(set.exact());
+
+  // A stripe inside one word, and one ending on a word boundary.
+  ActiveSet inner(CellSpan{5, 9});
+  for (std::uint32_t cc = 5; cc < 9; ++cc) inner.insert(cc);
+  EXPECT_EQ(sweep(inner), (std::vector<std::uint32_t>{5, 6, 7, 8}));
+  EXPECT_TRUE(inner.exact());
+  ActiveSet aligned(CellSpan{64, 128});
+  aligned.insert(64);
+  aligned.insert(127);
+  EXPECT_EQ(sweep(aligned), (std::vector<std::uint32_t>{64, 127}));
+  EXPECT_TRUE(aligned.exact());
 }
 
-TEST(CellSoABitmap, SpanMaskingAtWordBoundaries) {
-  CellSoA soa;
-  soa.init(256, 2);
-  for (std::uint32_t cc = 0; cc < 256; ++cc) soa.set_active(cc);
+// The exactness check's teeth beyond the summary drift the chip's death
+// tests seed (tests/check_test.cpp): a bit outside the stripe, in a word
+// it shares with a neighbour, with the word's summary bit and the count
+// otherwise consistent; and a count off the popcount.
+TEST(ActiveSetBitmap, ExactnessCatchesStrayBitsAndMiscounts) {
+  ActiveSet low(CellSpan{36, 200});
+  low.insert(40);
+  ASSERT_TRUE(low.exact());
+  low.corrupt_active_flag(40, false);
+  low.corrupt_active_flag(20, true);  // below the stripe's first cell
+  EXPECT_FALSE(low.exact());
 
-  // Empty and degenerate spans.
-  EXPECT_TRUE(sweep(soa, 17, 17).empty());
-  EXPECT_TRUE(sweep(soa, 100, 50).empty());
-  // Span inside one word.
-  EXPECT_EQ(sweep(soa, 5, 9), (std::vector<std::uint32_t>{5, 6, 7, 8}));
-  // First/last cell of a word.
-  EXPECT_EQ(sweep(soa, 63, 65), (std::vector<std::uint32_t>{63, 64}));
-  // end on a word boundary (end & 63 == 0) must not shift by 64.
-  EXPECT_EQ(soa.count_active(0, 64), 64u);
-  EXPECT_EQ(soa.count_active(32, 128), 96u);
-  EXPECT_EQ(soa.count_active(0, 256), 256u);
-  // begin on a word boundary.
-  EXPECT_EQ(soa.count_active(64, 67), 3u);
-  // A span is a half-open interval: end is excluded, begin included.
-  const auto span = sweep(soa, 60, 70);
-  EXPECT_EQ(span.front(), 60u);
-  EXPECT_EQ(span.back(), 69u);
-  EXPECT_EQ(span.size(), 10u);
+  ActiveSet high(CellSpan{36, 200});
+  high.insert(195);
+  ASSERT_TRUE(high.exact());
+  high.corrupt_active_flag(195, false);
+  high.corrupt_active_flag(210, true);  // at or past the stripe's end
+  EXPECT_FALSE(high.exact());
+
+  ActiveSet counted(CellSpan{36, 200});
+  counted.insert(100);
+  counted.corrupt_active_flag(101, true);  // same word, so no summary drift
+  EXPECT_FALSE(counted.exact());
 }
 
-TEST(CellSoABitmap, SweepSkipsClearedWords) {
-  CellSoA soa;
-  soa.init(512, 2);
-  soa.set_active(300);
-  EXPECT_EQ(sweep(soa, 0, 512), (std::vector<std::uint32_t>{300}));
-  EXPECT_EQ(soa.count_active(0, 300), 0u);
-  EXPECT_EQ(soa.count_active(301, 512), 0u);
-  EXPECT_EQ(soa.count_active(300, 301), 1u);
-}
-
-// The summary level against a std::set reference: random sets, owner
-// clears, sweeps and cycle boundaries over a 12 345-cell bitmap (193 words,
-// so four summary words and a ragged tail), split into random stripes whose
-// boundaries fall mid-word and move at every cycle boundary, as
-// rebalancing moves them. Every sweep must return exactly the reference's
-// cells in the span, ascending — so no clear may hide a live word — and at
-// every cycle boundary, once the words two stripes share are pruned, the
-// summary must be exact.
-TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
+// The set against a std::set reference: random inserts, owner erases,
+// sweeps and relayouts over a 12 345-cell mesh (193 words, so four summary
+// words and a ragged tail), split into random stripes whose boundaries
+// fall mid-word. Each relayout carries every set bit to its cell's new
+// owner, as Chip::apply_layout does. Every sweep must return exactly the
+// reference's cells in the stripe, ascending, and every set must be exact
+// after every operation.
+TEST(ActiveSetBitmap, MatchesReferenceSetAcrossRelayouts) {
   constexpr std::uint32_t kCells = 12'345;
-  CellSoA soa;
-  soa.init(kCells, 1);
   std::set<std::uint32_t> ref;
   rt::Xoshiro256 rng(0x5EED5);
 
-  const auto expected = [&ref](std::uint32_t begin, std::uint32_t end) {
-    if (begin >= end) return std::vector<std::uint32_t>{};
-    return std::vector<std::uint32_t>(ref.lower_bound(begin),
-                                      ref.lower_bound(end));
-  };
   // Stripe starts, ascending from 0: stripe i is [starts[i], starts[i+1]),
   // the last one ending at kCells. One to eight stripes; some are shorter
   // than a word, so a word can straddle several boundaries.
   std::vector<std::uint32_t> starts;
-  const auto split = [&] {
+  std::vector<ActiveSet> sets;
+  const auto stripe = [&](std::size_t i) {
+    return CellSpan{starts[i], i + 1 < starts.size() ? starts[i + 1] : kCells};
+  };
+  const auto owner = [&](std::uint32_t cc) -> ActiveSet& {
+    const auto it = std::upper_bound(starts.begin(), starts.end(), cc);
+    return sets[static_cast<std::size_t>(it - starts.begin()) - 1];
+  };
+  const auto relayout = [&] {
+    std::vector<std::uint32_t> live;
+    for (const ActiveSet& set : sets) {
+      set.for_each([&live](std::uint32_t cc) { live.push_back(cc); });
+    }
     std::set<std::uint32_t> cuts = {0};
     std::uint32_t at = 0;
     for (auto n = rng.below(8); n > 0; --n) {
@@ -264,27 +303,22 @@ TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
       if (at > 0 && at < kCells) cuts.insert(at);
     }
     starts.assign(cuts.begin(), cuts.end());
-  };
-  const auto owner_clear = [&](std::uint32_t cc) {
-    const auto it = std::upper_bound(starts.begin(), starts.end(), cc);
-    const std::uint32_t end = it == starts.end() ? kCells : *it;
-    soa.clear_active(cc, *(it - 1), end);
-  };
-  const auto cycle_boundary = [&] {
-    for (std::size_t p = 1; p < starts.size(); ++p) {
-      soa.prune_summary(starts[p]);
+    sets.clear();
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      sets.emplace_back(stripe(i));
     }
-    ASSERT_TRUE(soa.summary_exact());
-    split();
+    for (const std::uint32_t cc : live) owner(cc).insert(cc);
   };
-  split();
-  // Fixed spans first (summary-boundary straddles, single-cell and
-  // word-edge spans), then random ones.
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>> fixed = {
-      {4'090, 4'100}, {4'000, 8'200},   {63, 8'257},      {8'191, 8'193},
-      {1, kCells - 1}, {4'095, 4'097}, {12'287, 12'289}, {0, kCells}};
-  // Clustered cells, so whole words fill and empty and their summary bits
-  // are cleared by the owner or at the cycle boundary.
+  const auto all_exact = [&] {
+    std::uint64_t total = 0;
+    for (const ActiveSet& set : sets) {
+      if (!set.exact()) return false;
+      total += set.size();
+    }
+    return total == ref.size();
+  };
+  relayout();
+  // Clustered cells, so whole words fill and empty.
   const auto random_cell = [&rng]() -> std::uint32_t {
     const auto hub = static_cast<std::uint32_t>(rng.below(6)) * 2'300;
     const auto off = static_cast<std::uint32_t>(rng.below(300));
@@ -295,62 +329,62 @@ TEST(CellSoABitmap, SummaryLevelMatchesReferenceSet) {
     const std::uint64_t op = rng.below(10);
     if (op < 4) {
       const std::uint32_t cc = random_cell();
-      soa.set_active(cc);
+      owner(cc).insert(cc);
       ref.insert(cc);
     } else if (op < 8) {
       const std::uint32_t cc = random_cell();
-      owner_clear(cc);
+      owner(cc).erase(cc);
       ref.erase(cc);
     } else if (op == 8) {
-      std::uint32_t begin = 0, end = 0;
-      if (step % 7 == 0) {
-        const auto& span = fixed[static_cast<std::size_t>(step / 7) %
-                                 fixed.size()];
-        begin = span.first;
-        end = span.second;
-      } else {
-        begin = static_cast<std::uint32_t>(rng.below(kCells));
-        end = std::min<std::uint32_t>(
-            kCells, begin + static_cast<std::uint32_t>(rng.below(9'000)));
-      }
-      const auto want = expected(begin, end);
-      ASSERT_EQ(sweep(soa, begin, end), want) << begin << ".." << end;
-      ASSERT_EQ(soa.count_active(begin, end), want.size());
+      const auto i = static_cast<std::size_t>(rng.below(sets.size()));
+      const CellSpan span = stripe(i);
+      const std::vector<std::uint32_t> want(ref.lower_bound(span.begin),
+                                            ref.lower_bound(span.end));
+      ASSERT_EQ(sweep(sets[i]), want) << span.begin << ".." << span.end;
+      ASSERT_EQ(sets[i].size(), want.size());
     } else {
-      ASSERT_NO_FATAL_FAILURE(cycle_boundary()) << "step " << step;
+      relayout();
     }
+    ASSERT_TRUE(all_exact()) << "step " << step;
     const std::uint32_t probe = random_cell();
-    ASSERT_EQ(soa.is_active(probe), ref.count(probe) == 1) << probe;
+    ASSERT_EQ(owner(probe).contains(probe), ref.count(probe) == 1) << probe;
   }
-  for (const std::uint32_t cc : ref) ASSERT_TRUE(soa.summary_bit(cc)) << cc;
+  for (const std::uint32_t cc : ref) {
+    ASSERT_TRUE(owner(cc).summary_bit(cc)) << cc;
+  }
 
-  // Emptied words really are pruned: clear everything by owner, cross one
-  // cycle boundary, and no summary bit survives.
-  for (const std::uint32_t cc : ref) owner_clear(cc);
-  cycle_boundary();
-  for (std::uint32_t cc = 0; cc < kCells; cc += 64) {
-    EXPECT_FALSE(soa.summary_bit(cc)) << cc;
+  // Emptied words really are dropped: erase everything by owner and no
+  // summary bit survives.
+  for (const std::uint32_t cc : ref) owner(cc).erase(cc);
+  ref.clear();
+  ASSERT_TRUE(all_exact());
+  for (std::uint32_t cc = 0; cc < kCells; ++cc) {
+    EXPECT_FALSE(owner(cc).summary_bit(cc)) << cc;
   }
 }
 
 // A sweep's view of bits set while it runs follows the sweeping code's own
 // program order: a bit `f` sets in a later word — even one whose summary
-// bit was clear when the sweep began — is visited; a bit set in the word
-// being visited is not.
-TEST(CellSoABitmap, BitsSetMidSweepFollowProgramOrder) {
-  CellSoA soa;
-  soa.init(4'096, 1);
-  soa.set_active(10);
+// bit was clear when the sweep began, or in a later summary block — is
+// visited; a bit set in the word being visited is not. Words are the
+// chip's, not rebased at the stripe: in a stripe starting at cell 36, cell
+// 64 lies in a later word than cell 40, so a bit set there is visited.
+TEST(ActiveSetBitmap, BitsSetMidSweepFollowProgramOrder) {
+  ActiveSet set(CellSpan{36, 8'192});
+  set.insert(40);
   std::vector<std::uint32_t> seen;
-  soa.for_each_active(0, 4'096, [&](std::uint32_t cc) {
+  set.for_each([&](std::uint32_t cc) {
     seen.push_back(cc);
-    if (cc == 10) {
-      soa.set_active(20);     // same word as 10: already loaded, not visited
-      soa.set_active(3'000);  // later word, summary bit clear until now
+    if (cc == 40) {
+      set.insert(50);     // same word as 40: already loaded, not visited
+      set.insert(64);     // the next word of the chip
+      set.insert(3'000);  // later word, summary bit clear until now
+      set.insert(5'000);  // later summary block
     }
   });
-  EXPECT_EQ(seen, (std::vector<std::uint32_t>{10, 3'000}));
-  EXPECT_TRUE(soa.is_active(20));
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{40, 64, 3'000, 5'000}));
+  EXPECT_TRUE(set.contains(50));
+  EXPECT_TRUE(set.exact());
 }
 
 // ---------------------------------------------------------------------------

@@ -271,11 +271,11 @@ SELF_TEST_SEEDS: dict[str, tuple[str, str, str]] = {
     "soa-atomics": (
         "src/sim/bad_atomic.cpp",
         "void f(std::uint64_t& w) { std::atomic_ref<std::uint64_t>(w).store(1); }\n",
-        "atomic_ref outside the CellSoA activity bitmap",
+        "one writer per word",
     ),
     "soa-backdoor": (
         "src/sim/bad_backdoor.cpp",
-        "void f(CellSoA& s) { s.corrupt_summary_flag(3, false); }\n",
+        "void f(ActiveSet& s) { s.corrupt_summary_flag(3, false); }\n",
         "corruption backdoor",
     ),
     "thread-primitives": (
