@@ -1,5 +1,6 @@
 #include "graph/builder.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -20,10 +21,8 @@ StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg)
   // Every root fragment has the same footprint, so a graph with more roots
   // than the scratchpads hold between them cannot fit. Refuse it before
   // reserving host tables sized by the root count (which can also wrap).
-  const std::size_t root_bytes =
-      VertexFragment(0, /*as_root=*/true, proto_.rpvo_config(), cfg_.root_init)
-          .logical_bytes();
-  const std::uint64_t cell_roots = chip_.config().cc_memory_bytes / root_bytes;
+  const std::uint64_t cell_roots =
+      chip_.config().cc_memory_bytes / VertexFragment::footprint(proto_.rpvo_config());
   constexpr std::uint64_t kMaxRoots = std::numeric_limits<std::uint64_t>::max();
   const std::uint64_t chip_roots =
       cells != 0 && cell_roots > kMaxRoots / cells ? kMaxRoots : cell_roots * cells;
@@ -37,7 +36,6 @@ StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg)
   }
   const std::uint64_t total_roots = cfg_.num_vertices * rhizomes_;
   roots_.reserve(total_roots);
-  root_to_vid_.reserve(total_roots);
 
   rt::Xoshiro256 rng(cfg_.placement_seed);
   const std::uint64_t per_cell =
@@ -58,10 +56,9 @@ StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg)
         cc = static_cast<std::uint32_t>(rng.below(cells));
         break;
     }
-    auto frag = std::make_unique<VertexFragment>(vid, /*as_root=*/true,
-                                                 proto_.rpvo_config(),
-                                                 cfg_.root_init);
-    const auto addr = chip_.host_allocate(cc, std::move(frag));
+    const auto addr = chip_.host_allocate(
+        cc, VertexFragment::make(vid, /*as_root=*/true, proto_.rpvo_config(),
+                                 cfg_.root_init));
     if (!addr) {
       throw std::runtime_error(
           "StreamingGraph: scratchpad of cell " + std::to_string(cc) +
@@ -70,7 +67,10 @@ StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg)
     }
     chip_.as<VertexFragment>(*addr)->root = *addr;
     roots_.push_back(*addr);
-    root_to_vid_.emplace(*addr, vid);
+  }
+  if (!index_.build(roots_, rhizomes_, cells)) {
+    rt::fatal_misuse("StreamingGraph: a cell's roots do not hold consecutive slots",
+                     __FILE__, __LINE__);
   }
 
   // Link each vertex's rhizome roots into a ring so monotone applications
@@ -220,8 +220,7 @@ std::vector<std::pair<std::uint64_t, std::uint32_t>> StreamingGraph::neighbors(
   for (const auto addr : fragments_of(vid)) {
     const auto* frag = const_cast<sim::Chip&>(chip_).as<VertexFragment>(addr);
     for (const EdgeRecord& e : frag->edges) {
-      const auto it = root_to_vid_.find(e.dst);
-      if (it != root_to_vid_.end()) out.emplace_back(it->second, e.weight);
+      if (const auto dst = index_.find(e.dst)) out.emplace_back(*dst, e.weight);
     }
   }
   return out;
@@ -240,10 +239,32 @@ rt::Word StreamingGraph::app_word_chain_sum(std::uint64_t vid,
   return sum;
 }
 
-std::optional<std::uint64_t> StreamingGraph::vid_of_root(rt::GlobalAddress a) const {
-  const auto it = root_to_vid_.find(a);
-  if (it == root_to_vid_.end()) return std::nullopt;
-  return it->second;
+bool StreamingGraph::RootIndex::build(std::span<const rt::GlobalAddress> roots,
+                                      std::uint32_t rhizomes, std::uint32_t cells) {
+  constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::uint64_t kNoVid = std::numeric_limits<std::uint64_t>::max();
+  cells_.assign(cells, Cell{kNoSlot, 0, 0});
+  for (const rt::GlobalAddress a : roots) {
+    if (a.cc >= cells) return false;
+    Cell& c = cells_[a.cc];
+    c.first_slot = std::min(c.first_slot, a.slot);
+    ++c.count;
+  }
+  std::uint64_t base = 0;
+  for (Cell& c : cells_) {
+    c.base = base;
+    base += c.count;
+  }
+  vids_.assign(roots.size(), kNoVid);
+  for (std::uint64_t r = 0; r < roots.size(); ++r) {
+    const Cell& c = cells_[roots[r].cc];
+    const std::uint64_t offset = roots[r].slot - c.first_slot;
+    // Past the cell's range, or a second root on one slot (which leaves a
+    // hole in the range): either way the slots are not consecutive.
+    if (offset >= c.count || vids_[c.base + offset] != kNoVid) return false;
+    vids_[c.base + offset] = r / rhizomes;
+  }
+  return true;
 }
 
 }  // namespace ccastream::graph

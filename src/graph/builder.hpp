@@ -8,7 +8,6 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/fragment.hpp"
@@ -94,8 +93,9 @@ struct SnapshotDigest {
 };
 
 /// Parses a save_snapshot stream (v2 or legacy v1) into the saved graph's
-/// SnapshotDigest. Shares its text readers with load_snapshot, and also
-/// rejects edges to non-roots and broken chain links. Throws
+/// SnapshotDigest. Shares its text readers and chain checks with
+/// load_snapshot: edges to non-roots and broken chain links (dangling,
+/// crossing vertices, or reaching a fragment twice) are rejected. Throws
 /// std::runtime_error on malformed input.
 [[nodiscard]] SnapshotDigest parse_snapshot_digest(std::istream& in);
 
@@ -186,8 +186,11 @@ class StreamingGraph {
   /// that accumulate per-fragment, e.g. triangle counting).
   [[nodiscard]] rt::Word app_word_chain_sum(std::uint64_t vid, std::size_t word) const;
 
-  /// Maps a root fragment address back to its vertex id.
-  [[nodiscard]] std::optional<std::uint64_t> vid_of_root(rt::GlobalAddress a) const;
+  /// Maps a root fragment address back to its vertex id; std::nullopt for
+  /// any other address (a ghost, null, or off the chip).
+  [[nodiscard]] std::optional<std::uint64_t> vid_of_root(rt::GlobalAddress a) const {
+    return index_.find(a);
+  }
 
   // --- Checkpoint / restore ---------------------------------------------------
 
@@ -205,7 +208,10 @@ class StreamingGraph {
   /// Reconstructs a graph from a snapshot onto a *fresh* chip (same
   /// geometry and RPVO configuration as at save time; validated). The
   /// restored graph continues streaming exactly where the saved one
-  /// stopped. Throws std::runtime_error on format or config mismatch.
+  /// stopped. Throws std::runtime_error on format or config mismatch, and
+  /// before placing any fragment on the chain faults parse_snapshot_digest
+  /// rejects or on a roots table whose roots do not hold consecutive slots
+  /// of their cell.
   [[nodiscard]] static std::unique_ptr<StreamingGraph> load_snapshot(
       GraphProtocol& protocol, std::istream& in);
 
@@ -220,6 +226,37 @@ class StreamingGraph {
 
  private:
   struct RestoreTag {};
+
+  /// The inverse of roots_, with no per-root allocation. A cell's roots
+  /// hold consecutive arena slots (they are placed in one pass before
+  /// anything else can land between them), so (cc, slot) -> vid is one
+  /// {first_slot, count, base} entry per cell plus an offset into one vid
+  /// array holding each cell's vids by slot.
+  class RootIndex {
+   public:
+    /// Rebuilds the index of `roots` (vid-major, `rhizomes` per vertex)
+    /// over a chip of `cells` cells, in O(roots + cells). Returns false if
+    /// a root is off the chip or a cell's roots do not hold consecutive
+    /// slots; the index is then unusable.
+    [[nodiscard]] bool build(std::span<const rt::GlobalAddress> roots,
+                             std::uint32_t rhizomes, std::uint32_t cells);
+    [[nodiscard]] std::optional<std::uint64_t> find(rt::GlobalAddress a) const noexcept {
+      if (a.cc >= cells_.size()) return std::nullopt;  // null has cc kNullCc
+      const Cell& c = cells_[a.cc];
+      if (a.slot < c.first_slot || a.slot - c.first_slot >= c.count) return std::nullopt;
+      return vids_[c.base + (a.slot - c.first_slot)];
+    }
+
+   private:
+    struct Cell {
+      std::uint32_t first_slot = 0;
+      std::uint32_t count = 0;
+      std::uint64_t base = 0;  ///< Offset of the cell's first vid in vids_.
+    };
+    std::vector<Cell> cells_;
+    std::vector<std::uint64_t> vids_;
+  };
+
   [[noreturn]] void throw_no_such_vertex(std::uint64_t vid) const;
   /// Restore constructor: adopts already-placed roots instead of allocating.
   StreamingGraph(GraphProtocol& protocol, GraphConfig cfg, RestoreTag);
@@ -230,7 +267,7 @@ class StreamingGraph {
   std::uint32_t rhizomes_ = 1;
   /// vid-major: roots_[vid * rhizomes_ + i] is vertex vid's i-th root.
   std::vector<rt::GlobalAddress> roots_;
-  std::unordered_map<rt::GlobalAddress, std::uint64_t> root_to_vid_;
+  RootIndex index_;  ///< roots_ inverted.
   std::uint64_t src_rr_ = 0;  ///< round-robin cursors for edge streaming
   std::uint64_t dst_rr_ = 0;
 };

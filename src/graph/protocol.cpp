@@ -15,8 +15,8 @@ GraphProtocol::GraphProtocol(sim::Chip& chip, RpvoConfig cfg)
   // Ghost fragments are created remotely by the allocate system action; the
   // factory produces a blank ghost (identity arrives via init-ghost).
   chip_.register_object_kind(kFragmentKind, [this]() {
-    return std::make_unique<VertexFragment>(/*vertex_id=*/0, /*root=*/false, cfg_,
-                                            hooks_.ghost_init);
+    return VertexFragment::make(/*vertex_id=*/0, /*as_root=*/false, cfg_,
+                                hooks_.ghost_init);
   });
 
   h_insert_ = chip_.handlers().register_handler(
@@ -159,19 +159,13 @@ void GraphProtocol::handle_delete(rt::Context& ctx, const rt::Action& a) {
   // Scan-and-erase is charged like the scan the real cell would do.
   ctx.charge(static_cast<std::uint32_t>(1 + frag->edges.size()));
 
-  std::uint64_t removed = 0;
   if (hooks_.on_edge_deleted && !hooks_suppressed_) {
     for (const EdgeRecord& e : frag->edges) {
       if (e.dst == dst) hooks_.on_edge_deleted(ctx, *frag, e);
     }
   }
-  std::erase_if(frag->edges, [&](const EdgeRecord& e) {
-    if (e.dst == dst) {
-      ++removed;
-      return true;
-    }
-    return false;
-  });
+  const std::size_t removed =
+      frag->edges.erase_if([&](const EdgeRecord& e) { return e.dst == dst; });
   ps.edges_deleted += removed;
 
   const ChainForward fwd = forward_down_chain(ctx, *frag, a);

@@ -5,9 +5,10 @@
 // edge records (as global addresses), ghost link values, rhizome links, and
 // application words — so a restored chip is bit-identical as far as the
 // graph protocol and the applications are concerned, and streaming can
-// continue seamlessly. Both text readers share one header reader and one
-// fragment-block reader; both digests come from one builder over the one
-// RPVO chain walk (which fragments_of uses too).
+// continue seamlessly. Both text readers share one header reader, one
+// fragment-block reader and one set of chain checks, which load_snapshot
+// applies before it places anything; both digests come from one builder
+// over the one RPVO chain walk (which fragments_of uses too).
 //
 // Only quiescent chips can be checkpointed or digested: a pending ghost
 // future has an allocation continuation in flight, which has no meaningful
@@ -27,12 +28,14 @@
 //
 // v1 snapshots (no <deletes_seen> on the frag line) still load; the
 // counter restores as 0.
+#include <algorithm>
 #include <istream>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "graph/builder.hpp"
@@ -71,7 +74,6 @@ struct Header {
   std::uint32_t rhizomes = 0;
   std::uint64_t src_rr = 0, dst_rr = 0;
   std::vector<rt::GlobalAddress> roots;  ///< vid-major, as StreamingGraph's.
-  std::unordered_map<rt::GlobalAddress, std::uint64_t> root_to_vid;
 };
 
 Header read_header(std::istream& in) {
@@ -102,7 +104,6 @@ Header read_header(std::istream& in) {
     rt::Word w = 0;
     if (!(in >> w)) fail("truncated roots table");
     h.roots.push_back(rt::GlobalAddress::unpack(w));
-    h.root_to_vid.emplace(h.roots.back(), i / h.rhizomes);
   }
   return h;
 }
@@ -192,14 +193,61 @@ void walk_chain(std::span<const rt::GlobalAddress> roots, At&& at, Visit&& visit
   }
 }
 
+/// Every fragment block of the stream, in stream order.
+std::vector<FragmentBlock> read_blocks(std::istream& in, const Header& h) {
+  std::vector<FragmentBlock> blocks;
+  while (auto b = read_block(in, h)) blocks.push_back(std::move(*b));
+  return blocks;
+}
+
+/// The chain checks both text readers apply before they trust a block:
+/// every edge record targets an address in the roots table, a block is
+/// flagged root exactly when the table lists it (for its own vertex), and
+/// every ready ghost link reaches a block of the same vertex, no block
+/// twice (a second visit is a corrupt link and, unchecked, a cycle every
+/// chain walk would follow forever), with no link dangling. `vid_of_root`
+/// maps an address to the table's vid, or std::nullopt. Returns the
+/// blocks by address.
+template <typename VidOfRoot>
+std::unordered_map<rt::GlobalAddress, const FragmentBlock*> check_chains(
+    const Header& h, const std::vector<FragmentBlock>& blocks,
+    VidOfRoot&& vid_of_root) {
+  std::unordered_map<rt::GlobalAddress, const FragmentBlock*> at;
+  for (const FragmentBlock& b : blocks) {
+    for (const EdgeRecord& e : b.edges) {
+      if (!vid_of_root(e.dst)) fail("edge record targets a non-root");
+    }
+    const rt::GlobalAddress addr{b.cc, b.slot};
+    const std::optional<std::uint64_t> root_vid = vid_of_root(addr);
+    if (b.is_root != root_vid.has_value() || (b.is_root && *root_vid != b.vid)) {
+      fail("root flag of fragment (cell " + std::to_string(b.cc) +
+           ") disagrees with the roots table");
+    }
+    if (!at.emplace(addr, &b).second) fail("two fragment blocks at one address");
+  }
+  std::unordered_set<rt::GlobalAddress> seen;
+  for (std::uint64_t vid = 0; vid < h.num_vertices; ++vid) {
+    walk_chain(
+        std::span(h.roots).subspan(vid * h.rhizomes, h.rhizomes),
+        [&](rt::GlobalAddress a) {
+          const auto it = at.find(a);
+          if (it == at.end()) fail("chain link to a missing fragment");
+          if (!seen.insert(a).second) fail("chain link revisits a fragment");
+          return it->second;
+        },
+        [&](rt::GlobalAddress, const FragmentBlock& f) {
+          if (f.vid != vid) fail("chain link crosses vertices");
+        });
+  }
+  return at;
+}
+
 /// The one digest builder; adjacency follows walk_chain's order, which is
-/// neighbors()'s.
-template <typename At>
-SnapshotDigest build_digest(
-    std::uint64_t num_vertices, std::uint32_t rhizomes,
-    std::span<const rt::GlobalAddress> roots,
-    const std::unordered_map<rt::GlobalAddress, std::uint64_t>& root_to_vid,
-    At&& at) {
+/// neighbors()'s. `vid_of_root` is check_chains's.
+template <typename VidOfRoot, typename At>
+SnapshotDigest build_digest(std::uint64_t num_vertices, std::uint32_t rhizomes,
+                            std::span<const rt::GlobalAddress> roots,
+                            VidOfRoot&& vid_of_root, At&& at) {
   SnapshotDigest d;
   d.num_vertices = num_vertices;
   d.rhizomes = rhizomes;
@@ -210,15 +258,12 @@ SnapshotDigest build_digest(
     bool first = true;
     walk_chain(roots.subspan(vid * rhizomes, rhizomes), at,
                [&](rt::GlobalAddress, const auto& f) {
-                 if (f.vid != vid) fail("chain link crosses vertices");
                  if (first) {
-                   if (!f.is_root) fail("roots table points at a non-root");
                    d.app_words[vid] = f.app;  // primary root carries the result words
                    first = false;
                  }
                  for (const EdgeRecord& e : f.edges) {
-                   const auto it = root_to_vid.find(e.dst);
-                   if (it != root_to_vid.end()) arcs.push_back({it->second, e.weight});
+                   if (const auto dst = vid_of_root(e.dst)) arcs.push_back({*dst, e.weight});
                  }
                });
     d.num_edges += arcs.size();
@@ -292,8 +337,10 @@ std::vector<rt::GlobalAddress> StreamingGraph::fragments_of(std::uint64_t vid) c
 SnapshotDigest StreamingGraph::digest() const {
   require_quiescent(chip_);
   sim::Chip& chip = const_cast<sim::Chip&>(chip_);
-  return build_digest(cfg_.num_vertices, rhizomes_, roots_, root_to_vid_,
-                      [&](rt::GlobalAddress a) { return chip.as<VertexFragment>(a); });
+  return build_digest(
+      cfg_.num_vertices, rhizomes_, roots_,
+      [&](rt::GlobalAddress a) { return index_.find(a); },
+      [&](rt::GlobalAddress a) { return chip.as<VertexFragment>(a); });
 }
 
 StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg,
@@ -321,57 +368,51 @@ std::unique_ptr<StreamingGraph> StreamingGraph::load_snapshot(
       protocol, {.num_vertices = h.num_vertices, .rhizomes = h.rhizomes}, RestoreTag{}));
   g->src_rr_ = h.src_rr;
   g->dst_rr_ = h.dst_rr;
-  g->roots_ = std::move(h.roots);
-  g->root_to_vid_ = std::move(h.root_to_vid);
+  if (!g->index_.build(h.roots, h.rhizomes, chip.geometry().cell_count())) {
+    fail("roots table places a root off the chip, or a cell's roots on "
+         "non-consecutive slots");
+  }
 
-  while (auto b = read_block(in, h)) {
-    auto frag = std::make_unique<VertexFragment>(b->vid, b->is_root, rpvo, b->app);
-    frag->root = b->root;
-    frag->rhizome_next = b->rhizome_next;
-    frag->inserts_seen = b->inserts_seen;
-    frag->deletes_seen = b->deletes_seen;
-    frag->edges.assign(b->edges.begin(), b->edges.end());  // keeps the reserve
-    frag->ghosts = std::move(b->ghosts);
+  // Nothing is placed until every chain checks out: a corrupt link would
+  // otherwise leave a cycle that every chain walk follows forever.
+  const std::vector<FragmentBlock> blocks = read_blocks(in, h);
+  check_chains(h, blocks, [&](rt::GlobalAddress a) { return g->index_.find(a); });
+  for (const FragmentBlock& b : blocks) {
+    auto frag = VertexFragment::make(b.vid, b.is_root, rpvo, b.app);
+    frag->root = b.root;
+    frag->rhizome_next = b.rhizome_next;
+    frag->inserts_seen = b.inserts_seen;
+    frag->deletes_seen = b.deletes_seen;
+    frag->edges.assign(b.edges.begin(), b.edges.end());
+    std::ranges::copy(b.ghosts, frag->ghosts.begin());
 
-    const auto addr = chip.host_allocate(b->cc, std::move(frag));
-    if (!addr || addr->slot != b->slot) {
-      fail("fragment placement diverged (cell " + std::to_string(b->cc) +
+    const auto addr = chip.host_allocate(b.cc, std::move(frag));
+    if (!addr || addr->slot != b.slot) {
+      fail("fragment placement diverged (cell " + std::to_string(b.cc) +
            "): restore requires a fresh chip");
     }
-    if (b->is_root) {
-      const auto it = g->root_to_vid_.find(*addr);
-      if (it == g->root_to_vid_.end() || it->second != b->vid) {
-        fail("root fragment not present in the roots table");
-      }
-    }
   }
-
-  for (const auto a : g->roots_) {
-    const auto* frag = chip.as<VertexFragment>(a);
-    if (frag == nullptr || !frag->is_root) fail("roots table points at a non-root");
-  }
+  g->roots_ = std::move(h.roots);
   return g;
 }
 
 SnapshotDigest parse_snapshot_digest(std::istream& in) {
   const Header h = read_header(in);
-  std::unordered_map<rt::GlobalAddress, FragmentBlock> blocks;
-  while (auto b = read_block(in, h)) {
-    for (const EdgeRecord& e : b->edges) {
-      if (!h.root_to_vid.contains(e.dst)) fail("edge record targets a non-root");
-    }
-    const rt::GlobalAddress addr{b->cc, b->slot};
-    blocks.emplace(addr, std::move(*b));
+  // The parser's own roots table: the text need not come from a chip whose
+  // roots sit on consecutive slots, which the graph's index assumes.
+  std::unordered_map<rt::GlobalAddress, std::uint64_t> root_to_vid;
+  for (std::uint64_t i = 0; i < h.roots.size(); ++i) {
+    root_to_vid.emplace(h.roots[i], i / h.rhizomes);
   }
-  // Every fragment is on exactly one chain, so a second visit is a corrupt
-  // link (and, unchecked, a cycle the walk would never leave).
-  std::unordered_set<rt::GlobalAddress> seen;
-  return build_digest(h.num_vertices, h.rhizomes, h.roots, h.root_to_vid, [&](auto a) {
-    const auto it = blocks.find(a);
-    if (it == blocks.end()) fail("chain link to a missing fragment");
-    if (!seen.insert(a).second) fail("chain link revisits a fragment");
-    return &it->second;
-  });
+  const auto vid_of_root = [&](rt::GlobalAddress a) -> std::optional<std::uint64_t> {
+    const auto it = root_to_vid.find(a);
+    if (it == root_to_vid.end()) return std::nullopt;
+    return it->second;
+  };
+  const std::vector<FragmentBlock> blocks = read_blocks(in, h);
+  const auto at = check_chains(h, blocks, vid_of_root);
+  return build_digest(h.num_vertices, h.rhizomes, h.roots, vid_of_root,
+                      [&](rt::GlobalAddress a) { return at.find(a)->second; });
 }
 
 }  // namespace ccastream::graph

@@ -5,7 +5,10 @@
 // unsupported apps refuse loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "test_util.hpp"
@@ -190,6 +193,67 @@ TEST(Rhizomes, ZeroRhizomesClampedToOne) {
   gc.rhizomes = 0;
   StreamingGraph g(proto, gc);
   EXPECT_EQ(g.rhizome_count(), 1u);
+}
+
+/// An object the graph does not own. Placed before the graph is built, it
+/// shifts its cell's roots off slot 0.
+class Unrelated final : public rt::ArenaObject {
+ public:
+  [[nodiscard]] std::size_t logical_bytes() const noexcept override { return 8; }
+};
+
+TEST(Rhizomes, VidOfRootInvertsTheRootsTable) {
+  constexpr std::uint64_t kVertices = 40;
+  for (const std::uint32_t rhizomes : {1u, 3u}) {
+    for (const PlacementPolicy placement :
+         {PlacementPolicy::kRoundRobin, PlacementPolicy::kBlocked,
+          PlacementPolicy::kRandom}) {
+      SCOPED_TRACE("rhizomes " + std::to_string(rhizomes) + ", placement " +
+                   std::to_string(static_cast<int>(placement)));
+      GraphConfig gc;
+      gc.num_vertices = kVertices;
+      gc.rhizomes = rhizomes;
+      gc.placement = placement;
+      const RpvoConfig rc{.edge_capacity = 2};
+      // Placement does not depend on what the cells hold, so a dry build
+      // names the cell of vertex 0's first root.
+      const std::uint32_t shared_cc = [&] {
+        sim::Chip dry(small_chip_config());
+        GraphProtocol proto(dry, rc);
+        return StreamingGraph(proto, gc).root_of(0).cc;
+      }();
+      sim::Chip chip(small_chip_config());
+      const auto other = chip.host_allocate(shared_cc, std::make_unique<Unrelated>());
+      ASSERT_TRUE(other.has_value());
+      GraphProtocol proto(chip, rc);
+      StreamingGraph g(proto, gc);
+      ASSERT_EQ(g.root_of(0), (rt::GlobalAddress{shared_cc, 1}));
+      std::vector<StreamEdge> edges;
+      for (std::uint64_t i = 0; i < 12; ++i) edges.push_back({0, 1 + i, 1});
+      g.stream_increment(edges);  // every root of vertex 0 overflows into a ghost
+
+      const std::uint32_t cells = chip.geometry().cell_count();
+      std::vector<std::uint32_t> past_roots(cells, 0);  // per cell: last root slot + 1
+      for (std::uint64_t v = 0; v < kVertices; ++v) {
+        for (const rt::GlobalAddress a : g.rhizome_roots(v)) {
+          EXPECT_EQ(g.vid_of_root(a), v);
+          past_roots[a.cc] = std::max(past_roots[a.cc], a.slot + 1);
+        }
+      }
+      for (std::uint32_t cc = 0; cc < cells; ++cc) {
+        EXPECT_EQ(g.vid_of_root({cc, past_roots[cc]}), std::nullopt) << "cell " << cc;
+      }
+      EXPECT_EQ(g.vid_of_root(*other), std::nullopt);
+      const auto chain = g.fragments_of(0);
+      ASSERT_GT(chain.size(), rhizomes);
+      for (std::size_t i = rhizomes; i < chain.size(); ++i) {
+        EXPECT_EQ(g.vid_of_root(chain[i]), std::nullopt) << "ghost " << i;
+      }
+      EXPECT_EQ(g.vid_of_root(rt::kNullAddress), std::nullopt);
+      EXPECT_EQ(g.vid_of_root({cells, 0}), std::nullopt);
+      EXPECT_EQ(g.vid_of_root({cells, 1}), std::nullopt);
+    }
+  }
 }
 
 }  // namespace

@@ -293,26 +293,60 @@ TEST(SnapshotDigest, BothReadersRejectMalformedText) {
   }
 }
 
+TEST(SnapshotDigest, LoaderRejectsRootsOnNonConsecutiveSlots) {
+  // Cell 0 holds vertex 0's root, its ghost, then vertex 1's root. The
+  // chains are sound, so the parser (which keeps its own roots table)
+  // reads it, but a graph built on a chip places every root before any
+  // ghost, and the loader's root index relies on that.
+  const std::string null = std::to_string(rt::kNullAddress.pack());
+  const std::string frag_tail = " " + null + " 0 0\napp 0 0 0 0\nedges 0\n";
+  const std::string text =
+      "ccastream-snapshot v2\nchip 8 8\nrpvo 2 1\ngraph 2 1 0 0\nroots 2 0 2\n"
+      "frag 0 0 0 1 0" + frag_tail + "ghosts 1 R 1\nend\n"
+      "frag 0 1 0 0 0" + frag_tail + "ghosts 1 E\nend\n"
+      "frag 0 2 1 1 2" + frag_tail + "ghosts 1 E\nend\n";
+  EXPECT_EQ(parse(text).num_vertices, 2u);
+  Rig b = Rig(2, /*rhizomes=*/1, /*edge_capacity=*/2).clone_empty();
+  std::istringstream in(text);
+  EXPECT_THROW((void)StreamingGraph::load_snapshot(*b.proto, in), std::runtime_error);
+}
+
 TEST(SnapshotDigest, ParserRejectsBrokenChains) {
-  // load_snapshot restores fragments as the text lays them out and does not
-  // check chain integrity or edge targets; the digest parser does.
+  // Both readers check chain integrity and edge targets before trusting a
+  // block; load_snapshot does so before it places anything, since a
+  // restored cycle would hang every later chain walk and stream.
   const MalformedRig m;
   const auto [root, ghost] = m.root_then_ghost();
+  const auto expect_both_reject = [&](const std::string& bad) {
+    EXPECT_THROW((void)parse(bad), std::runtime_error);
+    std::istringstream in(bad);
+    Rig b = m.a.clone_empty();
+    EXPECT_THROW((void)StreamingGraph::load_snapshot(*b.proto, in),
+                 std::runtime_error);
+    EXPECT_EQ(b.chip->cell(root.cc).arena.object_count(), 0u)
+        << "load_snapshot placed fragments before its checks";
+  };
 
   // An edge record pointing at a ghost fragment instead of a root.
   const auto edges = m.text.find("\nedges 2 ") + std::string("\nedges 2 ").size();
   std::string to_ghost = m.text;
   to_ghost.replace(edges, m.text.find(' ', edges) - edges, std::to_string(ghost.pack()));
-  EXPECT_THROW((void)parse(to_ghost), std::runtime_error);
-
-  // Cut after the root's block, before its ghost's: the link dangles.
-  EXPECT_THROW((void)parse(m.text.substr(0, m.block_at(ghost))), std::runtime_error);
-
-  // The root's ghost link points back at the root: a cycle.
-  const std::string to_self =
-      replace_first(m.text, "R " + std::to_string(ghost.pack()),
-                    "R " + std::to_string(root.pack()), m.block_at(root));
-  EXPECT_THROW((void)parse(to_self), std::runtime_error);
+  {
+    SCOPED_TRACE("edge to a ghost");
+    expect_both_reject(to_ghost);
+  }
+  {
+    // Cut after the root's block, before its ghost's: the link dangles.
+    SCOPED_TRACE("dangling link");
+    expect_both_reject(m.text.substr(0, m.block_at(ghost)));
+  }
+  {
+    // The root's ghost link points back at the root: a cycle.
+    SCOPED_TRACE("cycle");
+    expect_both_reject(replace_first(m.text, "R " + std::to_string(ghost.pack()),
+                                     "R " + std::to_string(root.pack()),
+                                     m.block_at(root)));
+  }
 }
 
 }  // namespace
