@@ -8,8 +8,8 @@
 // corresponding action ... and sends it to its connected CC").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "runtime/action.hpp"
@@ -25,10 +25,48 @@ enum IoSide : std::uint8_t {
   kIoSouth = 1 << 3,
 };
 
+/// The actions waiting in one IO cell, oldest first. The host appends
+/// while the chip is stopped; during IO the partition that owns the
+/// attached cell takes from the front. Taking only moves a cursor, so the
+/// storage is allocated and freed on the host's thread alone, and holds
+/// the largest batch queued so far. (A std::deque freed each drained block
+/// on whichever partition thread popped it; glibc files such a free in the
+/// host's heap at a moment that varies from run to run, and with it the
+/// heap's layout and the process's peak RSS.)
+class IoQueue {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return items_.size() - head_; }
+  [[nodiscard]] const rt::Action& front() const noexcept { return items_[head_]; }
+
+  /// Partition side; the caller checked !empty(). An emptied queue starts
+  /// over at the front of its storage.
+  void pop_front() noexcept {
+    if (++head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    }
+  }
+
+  /// Host side. Drops the taken prefix once it is at least as long as the
+  /// rest, so the storage stays within twice the waiting actions.
+  void push_back(const rt::Action& a) {
+    if (head_ != 0 && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    items_.push_back(a);
+  }
+
+ private:
+  std::vector<rt::Action> items_;
+  std::size_t head_ = 0;  ///< items_[head_..] are waiting.
+};
+
 /// One IO cell: a queue of pending actions feeding one border compute cell.
 struct IoCell {
   std::uint32_t attached_cc = 0;
-  std::deque<rt::Action> pending;
+  IoQueue pending;
 };
 
 /// The set of IO cells on the configured chip borders.

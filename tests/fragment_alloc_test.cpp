@@ -1,9 +1,10 @@
-// Heap blocks of graph construction. A root fragment is one block (header,
-// edge slots and ghost futures together), and the roots-to-vid index adds
-// none per root, so building a graph costs one allocation per root plus
-// the cells' arena slot tables, which grow by doubling. A counting global
-// operator new sees every allocation, which is why this suite is its own
-// binary.
+// Heap blocks of graph construction and of the IO queues. A root fragment
+// is one block (header, edge slots and ghost futures together), and the
+// roots-to-vid index adds none per root, so building a graph costs one
+// allocation per root plus the cells' arena slot tables, which grow by
+// doubling. Draining an IO queue, which a partition thread does, frees
+// nothing. A counting global operator new and delete see every block,
+// which is why this suite is its own binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,10 +13,17 @@
 #include <cstdlib>
 #include <new>
 
+#include "sim/io_channel.hpp"
 #include "test_util.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_frees{0};
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t bytes) {
@@ -23,8 +31,8 @@ void* operator new(std::size_t bytes) {
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace ccastream::graph {
 namespace {
@@ -53,3 +61,31 @@ TEST(FragmentAllocations, OneHeapBlockPerRoot) {
 
 }  // namespace
 }  // namespace ccastream::graph
+
+namespace ccastream::sim {
+namespace {
+
+// The host fills an IO queue and the partition that owns its border cell
+// drains it. A block the partition freed would land in the host thread's
+// heap at a moment that varies from run to run (glibc files a free in the
+// block's own arena), and the heap's layout, hence the peak RSS, with it.
+// So draining frees nothing, and the next batch of the same size reuses
+// the storage. A std::deque freed a block per 10 actions drained.
+TEST(IoQueueAllocations, DrainingFreesNothingAndRefillsReuseTheStorage) {
+  constexpr int kActions = 1'000;
+  IoSystem io(rt::MeshGeometry(4, 4), kIoWest);
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t allocations = g_allocations.load();
+    for (int i = 0; i < kActions; ++i) io.enqueue_at(0, rt::Action{});
+    if (round > 0) {
+      EXPECT_EQ(g_allocations.load() - allocations, 0u) << "round " << round;
+    }
+
+    const std::uint64_t frees = g_frees.load();
+    while (!io.cell(0).pending.empty()) io.cell(0).pending.pop_front();
+    EXPECT_EQ(g_frees.load() - frees, 0u) << "round " << round;
+  }
+}
+
+}  // namespace
+}  // namespace ccastream::sim

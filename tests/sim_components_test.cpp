@@ -57,6 +57,34 @@ TEST(IoSystem, EnqueueAtTargetsSpecificCell) {
   EXPECT_EQ(io.cell(2).pending.size(), 2u);
 }
 
+// The host tops a queue up between runs that did not drain it; the taken
+// prefix is compacted away on a later push, and the order must survive.
+TEST(IoSystem, QueueKeepsOrderAcrossPartialDrainsAndRefills) {
+  const rt::MeshGeometry mesh(4, 4);
+  IoSystem io(mesh, kIoWest);
+  auto tagged = [](std::uint64_t tag) {
+    rt::Action a;
+    a.args[0] = tag;
+    return a;
+  };
+  std::uint64_t pushed = 0, popped = 0;
+  for (const int burst : {5, 3, 9, 1, 4}) {
+    for (int i = 0; i < burst; ++i) io.enqueue_at(1, tagged(pushed++));
+    // Take all but two, so each refill lands behind a taken prefix.
+    while (io.cell(1).pending.size() > 2) {
+      EXPECT_EQ(io.cell(1).pending.front().args[0], popped++);
+      io.cell(1).pending.pop_front();
+    }
+    EXPECT_EQ(io.pending(), pushed - popped);
+  }
+  while (!io.cell(1).pending.empty()) {
+    EXPECT_EQ(io.cell(1).pending.front().args[0], popped++);
+    io.cell(1).pending.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+  EXPECT_TRUE(io.drained());
+}
+
 TEST(EnergyModel, TotalIsLinearInEvents) {
   EnergyModel m;
   EnergyEvents e;
