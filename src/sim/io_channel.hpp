@@ -29,10 +29,9 @@ enum IoSide : std::uint8_t {
 /// while the chip is stopped; during IO the partition that owns the
 /// attached cell takes from the front. Taking only moves a cursor, so the
 /// storage is allocated and freed on the host's thread alone, and holds
-/// the largest batch queued so far. (A std::deque freed each drained block
-/// on whichever partition thread popped it; glibc files such a free in the
-/// host's heap at a moment that varies from run to run, and with it the
-/// heap's layout and the process's peak RSS.)
+/// the largest batch queued so far. A block freed on a partition thread
+/// would go back to the host's heap at a moment that varies from run to
+/// run, and the heap's layout and the process's peak RSS would vary too.
 class IoQueue {
  public:
   [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }

@@ -3,8 +3,9 @@
 // roots-to-vid index adds none per root, so building a graph costs one
 // allocation per root plus the cells' arena slot tables, which grow by
 // doubling. Draining an IO queue, which a partition thread does, frees
-// nothing. A counting global operator new and delete see every block,
-// which is why this suite is its own binary.
+// nothing, and steady IO traffic stops allocating. A counting global
+// operator new and delete see every block, which is why this suite is its
+// own binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -70,7 +71,8 @@ namespace {
 // heap at a moment that varies from run to run (glibc files a free in the
 // block's own arena), and the heap's layout, hence the peak RSS, with it.
 // So draining frees nothing, and the next batch of the same size reuses
-// the storage. A std::deque freed a block per 10 actions drained.
+// the storage. A std::deque, which frees a block per 10 actions drained,
+// fails both checks.
 TEST(IoQueueAllocations, DrainingFreesNothingAndRefillsReuseTheStorage) {
   constexpr int kActions = 1'000;
   IoSystem io(rt::MeshGeometry(4, 4), kIoWest);
@@ -85,6 +87,23 @@ TEST(IoQueueAllocations, DrainingFreesNothingAndRefillsReuseTheStorage) {
     while (!io.cell(0).pending.empty()) io.cell(0).pending.pop_front();
     EXPECT_EQ(g_frees.load() - frees, 0u) << "round " << round;
   }
+}
+
+// A queue the host tops up before it is drained drops the taken prefix,
+// so steady traffic stops allocating once the storage has grown to fit it.
+TEST(IoQueueAllocations, PartialDrainsStopAllocatingOnceWarm) {
+  constexpr int kBurst = 8;
+  IoSystem io(rt::MeshGeometry(4, 4), kIoWest);
+  for (int i = 0; i < 2; ++i) io.enqueue_at(0, rt::Action{});  // always waiting
+  std::uint64_t warm_allocations = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::uint64_t before = g_allocations.load();
+    for (int i = 0; i < kBurst; ++i) io.enqueue_at(0, rt::Action{});
+    for (int i = 0; i < kBurst; ++i) io.cell(0).pending.pop_front();
+    if (round >= 10) warm_allocations += g_allocations.load() - before;
+  }
+  EXPECT_EQ(warm_allocations, 0u);
+  EXPECT_EQ(io.cell(0).pending.size(), 2u);
 }
 
 }  // namespace
