@@ -226,8 +226,12 @@ std::vector<std::pair<std::uint64_t, std::uint32_t>> StreamingGraph::neighbors(
   return out;
 }
 
+const AppState& StreamingGraph::app_words(std::uint64_t vid) const {
+  return const_cast<sim::Chip&>(chip_).as<VertexFragment>(root_of(vid))->app;
+}
+
 rt::Word StreamingGraph::app_word(std::uint64_t vid, std::size_t word) const {
-  return const_cast<sim::Chip&>(chip_).as<VertexFragment>(root_of(vid))->app[word];
+  return app_words(vid)[word];
 }
 
 rt::Word StreamingGraph::app_word_chain_sum(std::uint64_t vid,

@@ -72,9 +72,8 @@ struct IncrementReport {
 /// out-arcs as vertex ids) plus each vertex's primary-root application
 /// words, built by StreamingGraph::digest() from the live fragments or by
 /// parse_snapshot_digest from a save_snapshot text, without a chip. The
-/// streaming service's query front-end latches one between increments
-/// (svc/stream_service.hpp): queries read it while the chip executes the
-/// next increment.
+/// streaming service latches the same rows between increments
+/// (StreamingGraph::digest_row and app_words; svc/stream_service.hpp).
 struct SnapshotDigest {
   struct Arc {
     std::uint64_t dst = 0;
@@ -159,6 +158,13 @@ class StreamingGraph {
   /// structural streaming (no app installed) still gets plain
   /// structure-only deletion.
   /// The report's cycle/energy deltas span all phases.
+  ///
+  /// An increment changes the stored adjacency of its ops' sources only:
+  /// every op targets a root of its `src`, and only graph/protocol.cpp's
+  /// insert and delete handlers write edge slots, each on the chain of the
+  /// fragment it reached (ghosts included). So every other vertex's
+  /// digest_row arcs read as before; app words may change anywhere. The
+  /// streaming service's copy-on-write views rest on this.
   IncrementReport stream_increment(std::span<const StreamEdge> edges,
                                    std::uint64_t max_cycles = sim::Chip::kNoLimit);
 
@@ -181,6 +187,14 @@ class StreamingGraph {
 
   /// Root fragment's app word (where monotone apps keep their result).
   [[nodiscard]] rt::Word app_word(std::uint64_t vid, std::size_t word) const;
+
+  /// Root fragment's app words: digest().app_words[vid].
+  [[nodiscard]] const AppState& app_words(std::uint64_t vid) const;
+
+  /// Vertex vid's row of digest(), read without touching any other vertex:
+  /// appends digest().adjacency[vid] (its out-arcs in chain order) to
+  /// `arcs` and returns digest().app_words[vid].
+  AppState digest_row(std::uint64_t vid, std::vector<SnapshotDigest::Arc>& arcs) const;
 
   /// Sum of an app word over *all* fragments of the vertex (used by apps
   /// that accumulate per-fragment, e.g. triangle counting).

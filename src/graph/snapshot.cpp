@@ -242,8 +242,29 @@ std::unordered_map<rt::GlobalAddress, const FragmentBlock*> check_chains(
   return at;
 }
 
-/// The one digest builder; adjacency follows walk_chain's order, which is
-/// neighbors()'s. `vid_of_root` is check_chains's.
+/// One vertex's digest row: appends the out-arcs of the chain rooted at
+/// `vertex_roots` to `arcs` in walk_chain's order, which is neighbors()'s,
+/// and returns the primary root's app words. `vid_of_root` is
+/// check_chains's.
+template <typename VidOfRoot, typename At>
+AppState read_row(std::span<const rt::GlobalAddress> vertex_roots,
+                  VidOfRoot&& vid_of_root, At&& at,
+                  std::vector<SnapshotDigest::Arc>& arcs) {
+  AppState app{};
+  bool first = true;
+  walk_chain(vertex_roots, at, [&](rt::GlobalAddress, const auto& f) {
+    if (first) {
+      app = f.app;  // primary root carries the result words
+      first = false;
+    }
+    for (const EdgeRecord& e : f.edges) {
+      if (const auto dst = vid_of_root(e.dst)) arcs.push_back({*dst, e.weight});
+    }
+  });
+  return app;
+}
+
+/// The one digest builder: read_row for every vertex.
 template <typename VidOfRoot, typename At>
 SnapshotDigest build_digest(std::uint64_t num_vertices, std::uint32_t rhizomes,
                             std::span<const rt::GlobalAddress> roots,
@@ -254,19 +275,9 @@ SnapshotDigest build_digest(std::uint64_t num_vertices, std::uint32_t rhizomes,
   d.adjacency.resize(num_vertices);
   d.app_words.resize(num_vertices);
   for (std::uint64_t vid = 0; vid < num_vertices; ++vid) {
-    auto& arcs = d.adjacency[vid];
-    bool first = true;
-    walk_chain(roots.subspan(vid * rhizomes, rhizomes), at,
-               [&](rt::GlobalAddress, const auto& f) {
-                 if (first) {
-                   d.app_words[vid] = f.app;  // primary root carries the result words
-                   first = false;
-                 }
-                 for (const EdgeRecord& e : f.edges) {
-                   if (const auto dst = vid_of_root(e.dst)) arcs.push_back({*dst, e.weight});
-                 }
-               });
-    d.num_edges += arcs.size();
+    d.app_words[vid] = read_row(roots.subspan(vid * rhizomes, rhizomes),
+                                vid_of_root, at, d.adjacency[vid]);
+    d.num_edges += d.adjacency[vid].size();
   }
   return d;
 }
@@ -341,6 +352,14 @@ SnapshotDigest StreamingGraph::digest() const {
       cfg_.num_vertices, rhizomes_, roots_,
       [&](rt::GlobalAddress a) { return index_.find(a); },
       [&](rt::GlobalAddress a) { return chip.as<VertexFragment>(a); });
+}
+
+AppState StreamingGraph::digest_row(std::uint64_t vid,
+                                    std::vector<SnapshotDigest::Arc>& arcs) const {
+  sim::Chip& chip = const_cast<sim::Chip&>(chip_);
+  return read_row(
+      rhizome_roots(vid), [&](rt::GlobalAddress a) { return index_.find(a); },
+      [&](rt::GlobalAddress a) { return chip.as<VertexFragment>(a); }, arcs);
 }
 
 StreamingGraph::StreamingGraph(GraphProtocol& protocol, GraphConfig cfg,

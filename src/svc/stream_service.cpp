@@ -11,11 +11,12 @@
 //     thread against the immutable view.
 //
 // An exception escaping the engine (DeletionRhizomeError, out-of-range
-// endpoint ids, digest failures) is captured as the service's terminal
+// endpoint ids, latch failures) is captured as the service's terminal
 // failure: the engine parks, and every subsequent submit()/flush()
 // rethrows it on the caller's thread.
 #include "svc/stream_service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <condition_variable>
@@ -80,6 +81,78 @@ QueueSpec resolve_queue_spec(std::optional<QueueSpec> requested) {
   return QueueSpec{};
 }
 
+static_assert(base::ArcGraph<SnapshotView>);
+
+SnapshotView::SnapshotView(graph::SnapshotDigest digest, std::uint64_t seq)
+    : rows_(digest.num_vertices),
+      app_words_(std::move(digest.app_words)),
+      seq_(seq) {
+  for (std::uint64_t v = 0; v < rows_.size(); ++v) set_row(v, digest.adjacency[v]);
+}
+
+SnapshotView::SnapshotView(const graph::StreamingGraph& g, std::uint64_t seq,
+                           const SnapshotView* prev,
+                           std::span<const StreamEdge> batch)
+    : seq_(seq) {
+  if (!g.chip().quiescent()) {
+    throw std::logic_error("SnapshotView: the chip must be quiescent");
+  }
+  const std::uint64_t n = g.num_vertices();
+  app_words_.reserve(n);
+  std::vector<Arc> arcs;
+  if (prev == nullptr) {
+    rows_.resize(n);
+    for (std::uint64_t v = 0; v < n; ++v) {
+      arcs.clear();
+      app_words_.push_back(g.digest_row(v, arcs));
+      set_row(v, arcs);
+    }
+    return;
+  }
+  if (prev->num_vertices() != n) {
+    throw std::invalid_argument("SnapshotView: previous view has another vertex count");
+  }
+  for (std::uint64_t v = 0; v < n; ++v) app_words_.push_back(g.app_words(v));
+  // Only a source's chain changes (StreamingGraph::stream_increment), so
+  // every other row is the previous view's array, shared as it is.
+  rows_ = prev->rows_;
+  num_edges_ = prev->num_edges_;
+  std::vector<std::uint64_t> sources;
+  sources.reserve(batch.size());
+  for (const StreamEdge& e : batch) sources.push_back(e.src);
+  std::ranges::sort(sources);
+  sources.erase(std::ranges::unique(sources).begin(), sources.end());
+  for (const std::uint64_t v : sources) {
+    arcs.clear();
+    (void)g.digest_row(v, arcs);
+    set_row(v, arcs);
+  }
+}
+
+void SnapshotView::set_row(std::uint64_t vid, std::span<const Arc> arcs) {
+  Row& row = rows_[vid];
+  num_edges_ = num_edges_ - row.size + arcs.size();
+  row.size = arcs.size();
+  if (arcs.empty()) {
+    row.arcs.reset();
+    return;
+  }
+  std::shared_ptr<Arc[]> fresh = std::make_shared_for_overwrite<Arc[]>(arcs.size());
+  std::ranges::copy(arcs, fresh.get());
+  row.arcs = std::move(fresh);
+}
+
+bool SnapshotView::matches(const graph::SnapshotDigest& d) const {
+  if (d.num_vertices != num_vertices() || d.num_edges != num_edges_ ||
+      d.adjacency.size() != rows_.size() || d.app_words != app_words_) {
+    return false;
+  }
+  for (std::uint64_t v = 0; v < rows_.size(); ++v) {
+    if (!std::ranges::equal(out(v), d.adjacency[v])) return false;
+  }
+  return true;
+}
+
 base::RefGraph SnapshotView::ref_graph() const {
   base::RefGraph g(num_vertices());
   for (std::uint64_t v = 0; v < num_vertices(); ++v) {
@@ -121,17 +194,20 @@ StreamService::StreamService(graph::StreamingGraph& g, Config cfg)
   }
   // Latch the pre-stream view (seq 0) before the engine exists, so queries
   // have an answerable snapshot from the first instant.
-  latch_snapshot_locked(0);
+  latch_snapshot(0, {});
   st_->stats.snapshots_latched = 1;
   st_->engine = std::thread([this] { engine_loop(); });
 }
 
 StreamService::~StreamService() { stop(); }
 
-void StreamService::latch_snapshot_locked(std::uint64_t seq) {
+void StreamService::latch_snapshot(std::uint64_t seq,
+                                   std::span<const StreamEdge> batch) {
   // Caller guarantees exclusive graph access (constructor, or the engine
-  // thread between increments). Only the publish itself needs the mutex.
-  auto view = std::make_shared<const SnapshotView>(graph_.digest(), seq);
+  // thread between increments). Only reading and publishing the pointer
+  // need the mutex.
+  std::shared_ptr<const SnapshotView> prev = snapshot();
+  auto view = std::make_shared<const SnapshotView>(graph_, seq, prev.get(), batch);
   const std::lock_guard<std::mutex> lock(st_->m);
   st_->view = std::move(view);
 }
@@ -157,7 +233,7 @@ void StreamService::engine_loop() {
 
     try {
       const graph::IncrementReport rep = graph_.stream_increment(batch);
-      latch_snapshot_locked(seq);
+      latch_snapshot(seq, batch);
       const std::lock_guard<std::mutex> lock(st_->m);
       st_->stats.batches_executed = seq;
       st_->stats.ops_executed += rep.edges;
@@ -255,20 +331,20 @@ QueryResult StreamService::query(const QueryRequest& req) const {
   switch (req.kind) {
     case QueryKind::kBfs: {
       if (req.source >= n) throw std::out_of_range("query source out of range");
-      res.values = base::bfs_levels(view->ref_graph(), req.source);
+      res.values = base::bfs_levels(*view, req.source);
       break;
     }
     case QueryKind::kSssp: {
       if (req.source >= n) throw std::out_of_range("query source out of range");
-      res.values = base::sssp_distances(view->ref_graph(), req.source);
+      res.values = base::sssp_distances(*view, req.source);
       break;
     }
     case QueryKind::kComponents: {
-      res.values = base::min_reaching_labels(view->ref_graph());
+      res.values = base::min_reaching_labels(*view);
       break;
     }
     case QueryKind::kPagerank: {
-      res.ranks = base::pagerank(view->ref_graph(), req.damping, req.epsilon);
+      res.ranks = base::pagerank(*view, req.damping, req.epsilon);
       break;
     }
     case QueryKind::kAppWord: {

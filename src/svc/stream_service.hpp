@@ -9,8 +9,10 @@
 //                           block / drop / flush        │ StreamingGraph::
 //                           backpressure policy         │ stream_increment
 //                                                       ▼
-//   readers  ◄──query()──── latched SnapshotView ◄── latch (StreamingGraph::
-//                           (immutable, shared_ptr)     digest())
+//   readers  ◄──query()──── latched SnapshotView ◄── latch: the batch's
+//                           (immutable, shared_ptr;     sources' arcs and
+//                           arc arrays shared with      every app word
+//                           the previous view)          (copy-on-write)
 //
 // The engine thread is the ONLY thread that ever touches the
 // StreamingGraph/chip after start; everything the query front-end reads is
@@ -18,7 +20,10 @@
 // increments and published by shared_ptr swap. Queries therefore never
 // observe a torn mid-cycle view — they see exactly the fixed point after
 // batch k, for some k ≤ the number of executed batches — and the engine
-// never blocks on readers.
+// never blocks on readers. A latch re-reads from the fragments only the
+// arcs of the vertices the batch named as sources (the only ones an
+// increment changes; see StreamingGraph::stream_increment) and shares every
+// other vertex's immutable arc array with the previous view.
 //
 // Determinism: the engine loop calls stream_increment batch-by-batch in
 // submission order on one thread, exactly like a one-shot batch run of the
@@ -103,42 +108,71 @@ struct BatchReport {
 };
 
 /// An immutable graph view latched between increments: the logical
-/// adjacency plus the installed app's result words, as the
-/// graph::SnapshotDigest that StreamingGraph::digest() builds from the
-/// fragments at a quiescent point. seq() says how many batches the view
+/// adjacency plus the installed app's result words — the rows of the
+/// graph::SnapshotDigest that StreamingGraph::digest() would build at that
+/// quiescent point. Each vertex's arcs are one immutable array, shared by
+/// every later view whose batches never named the vertex as a source; a
+/// vertex with no arcs has no array. seq() says how many batches the view
 /// reflects. Thread-safe by construction — nothing mutates after the
-/// constructor.
+/// constructor. The base:: traversals read a view in place (it is a
+/// base::ArcGraph).
 class SnapshotView {
  public:
-  SnapshotView(graph::SnapshotDigest digest, std::uint64_t seq)
-      : digest_(std::move(digest)), seq_(seq) {}
+  using Arc = graph::SnapshotDigest::Arc;
+
+  /// The view of a whole digest, e.g. parse_snapshot_digest of a
+  /// save_snapshot text.
+  SnapshotView(graph::SnapshotDigest digest, std::uint64_t seq);
+
+  /// Latches quiescent graph `g` as the view after batch `seq`. With no
+  /// `prev`, reads every vertex. With `prev`, the view of `g` just before
+  /// `batch` ran, re-reads the arcs of the batch's sources only, shares
+  /// every other vertex's array with `prev`, and keeps num_edges() by
+  /// difference; app words are always re-read, for every vertex. Throws
+  /// std::logic_error unless the chip is quiescent (as digest() does), and
+  /// std::invalid_argument if `prev` has another vertex count.
+  SnapshotView(const graph::StreamingGraph& g, std::uint64_t seq,
+               const SnapshotView* prev = nullptr,
+               std::span<const StreamEdge> batch = {});
 
   [[nodiscard]] std::uint64_t seq() const noexcept { return seq_; }
   [[nodiscard]] std::uint64_t num_vertices() const noexcept {
-    return digest_.num_vertices;
+    return rows_.size();
   }
-  [[nodiscard]] std::uint64_t num_edges() const noexcept {
-    return digest_.num_edges;
-  }
-  [[nodiscard]] const std::vector<graph::SnapshotDigest::Arc>& out(
-      std::uint64_t vid) const {
-    return digest_.adjacency[vid];
+  [[nodiscard]] std::uint64_t num_edges() const noexcept { return num_edges_; }
+  /// A vertex's out-arcs in chain order (empty, with a null data(), for a
+  /// vertex with no arcs).
+  [[nodiscard]] std::span<const Arc> out(std::uint64_t vid) const {
+    const Row& r = rows_[vid];
+    return {r.arcs.get(), r.size};
   }
   /// The installed app's latched result word for a vertex (primary-root
   /// app state — e.g. StreamingBfs::kLevelWord holds the BFS level).
   [[nodiscard]] rt::Word app_word(std::uint64_t vid, std::size_t word) const {
-    return digest_.app_words[vid][word];
+    return app_words_[vid][word];
   }
-  /// Copies the view into the sequential-oracle graph type, for answering
-  /// algorithmic queries host-side.
+  /// True when the view holds exactly `d`'s graph: the vertex and edge
+  /// counts, every vertex's arcs in order, and every app word.
+  [[nodiscard]] bool matches(const graph::SnapshotDigest& d) const;
+  /// Copies the view into the sequential-oracle graph type.
   [[nodiscard]] base::RefGraph ref_graph() const;
 
  private:
-  graph::SnapshotDigest digest_;
+  struct Row {
+    std::shared_ptr<const Arc[]> arcs;  ///< Null when the vertex has no arcs.
+    std::size_t size = 0;
+  };
+  /// Replaces vertex `vid`'s row by a fresh array holding `arcs`.
+  void set_row(std::uint64_t vid, std::span<const Arc> arcs);
+
+  std::vector<Row> rows_;
+  std::vector<graph::AppState> app_words_;
+  std::uint64_t num_edges_ = 0;
   std::uint64_t seq_ = 0;
 };
 
-/// Read queries the front-end answers from the latched view.
+/// Read queries the front-end answers from the latched view. The four
+/// traversals run on the view in place.
 enum class QueryKind : std::uint8_t {
   kBfs,         ///< BFS levels from `source` (base::bfs_levels).
   kSssp,        ///< Dijkstra distances from `source` (base::sssp_distances).
@@ -229,7 +263,10 @@ class StreamService {
  private:
   struct State;  // queue + latch + cv plumbing, hidden from the header
   void engine_loop();
-  void latch_snapshot_locked(std::uint64_t seq);
+  /// Latches and publishes the view after batch `seq`, sharing with the
+  /// published one (if any) the arcs of every vertex `batch` did not name
+  /// as a source.
+  void latch_snapshot(std::uint64_t seq, std::span<const StreamEdge> batch);
 
   graph::StreamingGraph& graph_;
   Config cfg_;

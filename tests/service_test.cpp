@@ -9,11 +9,15 @@
 //   - backpressure policies: block waits for space, drop counts rejects,
 //     flush quiesces the queue before enqueueing
 //   - engine failures surface on the caller's thread
+//   - copy-on-write views: every latched view is the digest of its batch
+//     prefix, and shares with the view before it the arc array of every
+//     vertex the batch did not name as a source
 //   - a seeded concurrent soak vs the oracle, gated on CCASTREAM_STRESS=1
 // The whole suite runs under the TSan CI leg (the service is one of the
 // two sanctioned threading sites; see tools/lint/rules.toml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -488,6 +492,151 @@ TEST(StreamService, EngineFailureRethrowsOnCallerThread) {
   // The last good snapshot is still queryable.
   EXPECT_EQ(s.snapshot()->seq(), 1u);
   s.stop();
+}
+
+// --- Copy-on-write views -----------------------------------------------------
+
+/// The first difference between a latched view and a digest, or "" when
+/// the view holds exactly the digest's graph: arcs in chain order,
+/// num_edges and every app word.
+std::string view_vs_digest(const svc::SnapshotView& view,
+                           const graph::SnapshotDigest& d) {
+  if (view.num_vertices() != d.num_vertices) return "num_vertices";
+  if (view.num_edges() != d.num_edges) {
+    return "num_edges " + std::to_string(view.num_edges()) + " vs " +
+           std::to_string(d.num_edges);
+  }
+  for (std::uint64_t v = 0; v < d.num_vertices; ++v) {
+    if (!std::ranges::equal(view.out(v), d.adjacency[v])) {
+      return "arcs of vertex " + std::to_string(v);
+    }
+    for (std::size_t w = 0; w < graph::kAppWords; ++w) {
+      if (view.app_word(v, w) != d.app_words[v][w]) {
+        return "app word " + std::to_string(w) + " of vertex " + std::to_string(v);
+      }
+    }
+  }
+  return "";
+}
+
+/// Starts a service on `g` and submits and flush()es `incs` one batch at a
+/// time. After each flush the latched view must equal digest() of the idle
+/// graph, and every vertex no op of the batch names as its source must
+/// keep the previous view's arc array (the same data() pointer). Returns
+/// how many non-empty arrays were shared that way.
+std::uint64_t expect_views_are_digests(
+    graph::StreamingGraph& g, const std::vector<std::vector<StreamEdge>>& incs) {
+  StreamService s(g);
+  std::shared_ptr<const svc::SnapshotView> prev = s.snapshot();
+  graph::SnapshotDigest prev_digest = g.digest();
+  EXPECT_EQ(view_vs_digest(*prev, prev_digest), "") << "seq 0";
+  EXPECT_TRUE(prev->matches(prev_digest));
+  std::uint64_t shared = 0;
+  for (std::size_t k = 0; k < incs.size(); ++k) {
+    SCOPED_TRACE("batch " + std::to_string(k + 1));
+    EXPECT_TRUE(s.submit(incs[k]));
+    s.flush();
+    const auto view = s.snapshot();
+    const graph::SnapshotDigest d = g.digest();
+    EXPECT_EQ(view->seq(), k + 1);
+    EXPECT_EQ(view_vs_digest(*view, d), "");
+    EXPECT_TRUE(view->matches(d));
+    if (d != prev_digest) {
+      EXPECT_FALSE(prev->matches(d));
+    }
+
+    std::vector<bool> source(g.num_vertices(), false);
+    for (const StreamEdge& e : incs[k]) source[e.src] = true;
+    for (std::uint64_t v = 0; v < g.num_vertices(); ++v) {
+      if (source[v]) continue;
+      if (view->out(v).data() != prev->out(v).data()) {
+        ADD_FAILURE() << "vertex " << v << " is no source, but its arcs were copied";
+        break;
+      }
+      if (!view->out(v).empty()) ++shared;
+    }
+    prev = view;
+    prev_digest = d;
+  }
+  s.stop();
+  return shared;
+}
+
+/// The views' logs: 4 000 edges over 400 vertices in 8 increments, so a
+/// batch leaves vertices unnamed while the hubs' chains grow ghosts past
+/// the 16 edge slots of a fragment.
+constexpr std::uint64_t kViewVertices = 400;
+
+std::vector<std::vector<StreamEdge>> view_increments(std::uint32_t window) {
+  auto sched = wl::make_graphchallenge_like(kViewVertices, 4'000,
+                                            wl::SamplingKind::kEdge, 8, kSeed);
+  if (window != 0) sched = wl::apply_sliding_window(sched, window);
+  return sched.increments;
+}
+
+/// Batches naming a vertex as the source of a delete but of no insert,
+/// summed over the log: the rows a latch that re-read insert sources only
+/// would leave stale.
+std::uint64_t delete_only_sources(const std::vector<std::vector<StreamEdge>>& incs) {
+  std::uint64_t count = 0;
+  for (const auto& inc : incs) {
+    std::vector<std::uint8_t> kinds(kViewVertices, 0);  // bit 0 insert, bit 1 delete
+    for (const StreamEdge& e : inc) kinds[e.src] |= e.is_delete() ? 2 : 1;
+    count += static_cast<std::uint64_t>(std::ranges::count(kinds, 2));
+  }
+  return count;
+}
+
+/// Ghost fragments across every vertex's chain.
+std::uint64_t ghost_count(const graph::StreamingGraph& g) {
+  std::uint64_t ghosts = 0;
+  for (std::uint64_t v = 0; v < g.num_vertices(); ++v) {
+    ghosts += g.fragments_of(v).size() - g.rhizome_count();
+  }
+  return ghosts;
+}
+
+TEST(SnapshotViews, EachViewIsTheDigestOfItsPrefixWindowedBfs) {
+  const auto incs = view_increments(/*window=*/3);
+  ASSERT_GT(delete_only_sources(incs), 0u);
+  Rig rig(kViewVertices);
+  EXPECT_GT(expect_views_are_digests(*rig.g, incs), 0u);
+  EXPECT_GT(ghost_count(*rig.g), 0u);
+}
+
+TEST(SnapshotViews, EachViewIsTheDigestOfItsPrefixWindowedComponents) {
+  const auto incs = view_increments(/*window=*/4);
+  ASSERT_GT(delete_only_sources(incs), 0u);
+  sim::ChipConfig cfg = test::small_chip_config();
+  cfg.seed = kSeed;
+  sim::Chip chip(cfg);
+  graph::GraphProtocol proto(chip);
+  apps::StreamingComponents comps(proto);
+  comps.install();
+  graph::GraphConfig gc;
+  gc.num_vertices = kViewVertices;
+  gc.root_init = apps::StreamingComponents::initial_state();
+  graph::StreamingGraph g(proto, gc);
+  comps.seed_labels(g);
+  EXPECT_GT(expect_views_are_digests(g, incs), 0u);
+  EXPECT_GT(ghost_count(g), 0u);
+}
+
+TEST(SnapshotViews, EachViewIsTheDigestOfItsPrefixWithRhizomes) {
+  Rig rig(kViewVertices, /*rhizomes=*/2);
+  EXPECT_GT(expect_views_are_digests(*rig.g, view_increments(/*window=*/0)), 0u);
+  EXPECT_GT(ghost_count(*rig.g), 0u);
+}
+
+TEST(SnapshotViews, FirstLatchReadsAGraphStreamedBeforeTheService) {
+  // The seq-0 latch has no previous view: it reads every vertex of a graph
+  // that already holds arcs and app state.
+  auto incs = view_increments(/*window=*/3);
+  Rig rig(kViewVertices);
+  for (std::size_t k = 0; k < 4; ++k) rig.g->stream_increment(incs[k]);
+  ASSERT_GT(rig.g->digest().num_edges, 0u);
+  incs.erase(incs.begin(), incs.begin() + 4);
+  EXPECT_GT(expect_views_are_digests(*rig.g, incs), 0u);
 }
 
 // --- Seeded concurrent soak (CCASTREAM_STRESS=1) -----------------------------

@@ -133,6 +133,8 @@ void usage() {
       "                                or vertex 0)\n"
       "  --seed X                      workload/chip seed (default 42)\n"
       "  --verify                      check results against the CPU oracle\n"
+      "                                (serve: the final latched view against\n"
+      "                                the graph's digest)\n"
       "  --csv PATH                    per-increment CSV\n"
       "  --activation PATH             per-cycle activation CSV\n"
       "  --snapshot PATH               save the final graph snapshot\n");
@@ -517,6 +519,14 @@ int main(int argc, char** argv) {
                  service.stats().batches_executed, chip.stats().cycles,
                  service.stats().queries_answered);
     if (jf != stdout) std::fclose(jf);
+    if (o.verify) {
+      // The last view the latches built, batch by batch, against one read
+      // of the whole idle graph.
+      const bool same = service.snapshot()->matches(g.digest());
+      std::fprintf(stderr, "serve: latched view vs graph digest: %s\n",
+                   same ? "OK" : "FAILED");
+      if (!same) return 1;
+    }
     return 0;
   }
 
