@@ -72,7 +72,6 @@ struct Measurement {
   double wall_ms = 0.0;
   std::uint64_t cell_visits = 0;
   std::uint64_t threads = 1;
-  std::string partition;
   sim::ChipStats stats;
 };
 
@@ -94,7 +93,6 @@ Measurement run_once(const Scenario& sc, sim::EngineKind engine) {
   m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   m.cell_visits = e.chip->cell_visits();
   m.threads = e.chip->threads();
-  m.partition = e.chip->partition_spec().to_string();
   m.stats = e.chip->stats();
   return m;
 }
@@ -189,10 +187,10 @@ int main() {
     }
 
     reporter.record(sc.label, scan.cycles, scan.energy_uj, scan.threads,
-                    scan.wall_ms, scan.partition, "scan", scan.cell_visits);
+                    scan.wall_ms, "scan", scan.cell_visits);
     reporter.record(sc.label, active.cycles, active.energy_uj,
-                    active.threads, active.wall_ms, active.partition,
-                    "active", active.cell_visits);
+                    active.threads, active.wall_ms, "active",
+                    active.cell_visits);
   }
   return ok ? 0 : 1;
 }

@@ -83,7 +83,6 @@ struct Measurement {
   double wall_ms = 0.0;
   std::uint64_t cell_visits = 0;
   std::uint64_t threads = 1;
-  std::string partition;
   std::uint64_t rss_kb = 0;
 };
 
@@ -105,7 +104,6 @@ Measurement run_once(const Scenario& sc) {
   m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   m.cell_visits = e.chip->cell_visits();
   m.threads = e.chip->threads();
-  m.partition = e.chip->partition_spec().to_string();
   // Sampled while the chip is still alive, so the per-cell state it owns
   // is resident. Scenarios run in ascending size, keeping the lifetime
   // high-water mark equal to the current mesh's peak (see peak_rss_kb).
@@ -216,7 +214,6 @@ int main() {
     rec.energy_uj = m.energy_uj;
     rec.threads = m.threads;
     rec.wall_ms = m.wall_ms;
-    rec.partition = m.partition;
     rec.engine = "active";
     rec.cell_visits = m.cell_visits;
     rec.rss_kb = m.rss_kb;

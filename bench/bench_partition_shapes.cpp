@@ -1,11 +1,11 @@
-// Partition sweep: streams the same SBM + BFS workload through row stripes
-// with and without load-adaptive rebalancing on 4 workers, crossed with
-// the IO-side configurations — north/south IO spreads injection across
-// columns (hot border *rows*, what rebalancing splits), west/east IO
-// funnels it through two border columns, whose IO cells every stripe
-// shares. Checks the determinism contract (identical simulated cycles and
-// energy vs the serial engine) on every row, so the only number that may
-// vary per partition is host wall-clock.
+// Partition sweep: streams the same SBM + BFS workload through the
+// block-cyclic partition on 4 workers, for each IO-side configuration —
+// north/south IO spreads injection across columns (hot border *rows*,
+// which the blocks deal to every worker), west/east IO funnels it through
+// two border columns, whose IO cells every partition shares. Checks the
+// determinism contract (identical simulated cycles and energy vs the
+// serial engine) on every row, so the only number that may vary with the
+// worker count is host wall-clock.
 //
 // Speedup is bounded by the host cores actually available — on a 1-core
 // machine every row measures partition bookkeeping, not scaling.
@@ -30,18 +30,16 @@ struct Measurement {
   double energy_uj = 0.0;
   double wall_ms = 0.0;
   std::uint32_t parts = 1;
-  std::uint64_t rebalances = 0;
 };
 
 Measurement run_once(std::uint32_t dim, std::uint8_t io_sides,
-                     std::uint32_t threads, const char* partition,
-                     std::uint64_t vertices, std::uint64_t edges) {
+                     std::uint32_t threads, std::uint64_t vertices,
+                     std::uint64_t edges) {
   sim::ChipConfig cfg = bench::paper_chip_config();
   cfg.width = dim;
   cfg.height = dim;
   cfg.io_sides = io_sides;
   cfg.threads = threads;
-  cfg.partition = *sim::PartitionSpec::parse(partition);
 
   auto e = bench::make_experiment(cfg, vertices, bench::AppKind::kBfs,
                                   /*source=*/0);
@@ -57,7 +55,6 @@ Measurement run_once(std::uint32_t dim, std::uint8_t io_sides,
   m.energy_uj = bench::total_energy_uj(reports);
   m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   m.parts = e.chip->partitions();
-  m.rebalances = e.chip->partition_rebalances();
   return m;
 }
 
@@ -80,8 +77,6 @@ int main() {
       {"IoNSWE", static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth |
                                            sim::kIoWest | sim::kIoEast)},
   };
-  const char* partitions[] = {"rows", "rows+rebalance"};
-
   for (const IoCase& io : io_cases) {
     bench::print_header(
         (std::string("Partitions — ") + io.label + ", " +
@@ -90,37 +85,32 @@ int main() {
          " edges (SBM + streaming BFS, " + std::to_string(kThreads) +
          " workers vs serial)")
             .c_str());
-    std::printf("%-18s %6s %8s %14s %12s %10s %10s\n", "Partition", "Parts",
-                "Rebal", "SimCycles", "Energy µJ", "Wall ms", "Identical");
+    std::printf("%-10s %6s %14s %12s %10s %10s\n", "Run", "Parts",
+                "SimCycles", "Energy µJ", "Wall ms", "Identical");
 
     const Measurement serial =
-        run_once(dim, io.sides, /*threads=*/1, "rows", vertices, edges);
-    std::printf("%-18s %6u %8lu %14lu %12.1f %10.1f %10s\n", "serial", 1u,
-                0ul, static_cast<unsigned long>(serial.cycles),
-                serial.energy_uj, serial.wall_ms, "-");
+        run_once(dim, io.sides, /*threads=*/1, vertices, edges);
+    std::printf("%-10s %6u %14lu %12.1f %10.1f %10s\n", "serial", 1u,
+                static_cast<unsigned long>(serial.cycles), serial.energy_uj,
+                serial.wall_ms, "-");
 
-    for (const char* partition : partitions) {
-      const Measurement m =
-          run_once(dim, io.sides, kThreads, partition, vertices, edges);
-      const bool identical =
-          m.cycles == serial.cycles && m.energy_uj == serial.energy_uj;
-      std::printf("%-18s %6u %8lu %14lu %12.1f %10.1f %10s\n", partition,
-                  m.parts, static_cast<unsigned long>(m.rebalances),
-                  static_cast<unsigned long>(m.cycles), m.energy_uj, m.wall_ms,
-                  identical ? "yes" : "NO!");
-      if (!identical) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: partition %s diverged from "
-                     "serial under %s\n",
-                     partition, io.label);
-        return 1;
-      }
-      // wall_ms persists into BENCH_*.json so rebalancing's overhead or
-      // speedup per IO config is trackable across PRs (cycles/energy are
-      // partition-invariant by design).
-      reporter.record(std::string(io.label) + "/" + partition, m.cycles,
-                      m.energy_uj, kThreads, m.wall_ms, partition);
+    const Measurement m = run_once(dim, io.sides, kThreads, vertices, edges);
+    const bool identical =
+        m.cycles == serial.cycles && m.energy_uj == serial.energy_uj;
+    std::printf("%-10s %6u %14lu %12.1f %10.1f %10s\n", "blocks", m.parts,
+                static_cast<unsigned long>(m.cycles), m.energy_uj, m.wall_ms,
+                identical ? "yes" : "NO!");
+    if (!identical) {
+      std::fprintf(stderr,
+                   "DETERMINISM VIOLATION: %u workers diverged from serial "
+                   "under %s\n",
+                   kThreads, io.label);
+      return 1;
     }
+    // wall_ms persists into BENCH_*.json so the partition's overhead or
+    // speedup per IO config is trackable across changes (cycles/energy
+    // are partition-invariant by design).
+    reporter.record(io.label, m.cycles, m.energy_uj, kThreads, m.wall_ms);
   }
   return 0;
 }

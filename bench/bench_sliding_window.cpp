@@ -62,7 +62,6 @@ struct Measurement {
   double wall_ms = 0.0;
   std::uint64_t cell_visits = 0;
   std::uint64_t threads = 1;
-  std::string partition;
   sim::ChipStats stats;
   std::uint64_t edges_deleted = 0;
 };
@@ -83,7 +82,6 @@ Measurement run_once(const Scenario& sc, bench::AppKind app,
   m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   m.cell_visits = e.chip->cell_visits();
   m.threads = e.chip->threads();
-  m.partition = e.chip->partition_spec().to_string();
   m.stats = e.chip->stats();
   m.edges_deleted = e.proto->stats().edges_deleted;
   return m;
@@ -196,10 +194,10 @@ int main() {
       }
 
       reporter.record(label, scan.cycles, scan.energy_uj, scan.threads,
-                      scan.wall_ms, scan.partition, "scan", scan.cell_visits);
+                      scan.wall_ms, "scan", scan.cell_visits);
       reporter.record(label, active.cycles, active.energy_uj,
-                      active.threads, active.wall_ms, active.partition,
-                      "active", active.cell_visits);
+                      active.threads, active.wall_ms, "active",
+                      active.cell_visits);
     }
   }
   return ok ? 0 : 1;

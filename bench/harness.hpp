@@ -188,12 +188,11 @@ inline const char* to_string(Scale scale) {
 // tools/run_benches.sh).
 
 /// One measurement record: `{"bench":...,"dataset":...,"cycles":N,
-/// "energy_uj":X,"scale":...,"threads":T,"partition":P,"engine":E
+/// "energy_uj":X,"scale":...,"threads":T,"engine":E
 /// [,"wall_ms":W][,"cell_visits":V][,"rss_kb":R],"host_cores":H}`.
-/// `threads`, `partition`, and `engine` identify the simulator backend the
-/// record was measured on (1 = serial; partition spec as in
-/// CCASTREAM_PARTITION, "rows" or "rows+rebalance"; engine as in
-/// CCASTREAM_ENGINE, "scan" or "active"), making records comparable across
+/// `threads` and `engine` identify the simulator backend the record was
+/// measured on (1 = serial; engine as in CCASTREAM_ENGINE, "scan" or
+/// "active"), making records comparable across
 /// backends in aggregated BENCH_*.json files. `wall_ms` is host wall-clock
 /// and `cell_visits` the phase-sweep visit total (`Chip::cell_visits()`) —
 /// the only numbers that *should* differ across backends (simulated
@@ -215,7 +214,6 @@ struct BenchRecord {
   std::string scale;
   std::uint64_t threads = 1;
   double wall_ms = 0.0;
-  std::string partition = "rows";
   std::string engine = "scan";
   std::uint64_t cell_visits = 0;
   std::uint64_t rss_kb = 0;
@@ -271,7 +269,6 @@ inline std::string format_record(const BenchRecord& r) {
   std::snprintf(num, sizeof num, "%llu",
                 static_cast<unsigned long long>(r.threads));
   out += std::string(",\"threads\":") + num;
-  out += ",\"partition\":\"" + json_escape(r.partition) + "\"";
   out += ",\"engine\":\"" + json_escape(r.engine) + "\"";
   if (r.wall_ms != 0.0) {
     std::snprintf(num, sizeof num, "%.17g", r.wall_ms);
@@ -305,7 +302,6 @@ class JsonReporter {
         scale_(fixed_scale != nullptr ? fixed_scale
                                       : to_string(scale_from_env())),
         threads_(sim::resolve_threads(0)),
-        partition_(sim::resolve_partition({}).to_string()),
         engine_(sim::to_string(sim::resolve_engine({}))),
         // hardware_concurrency() may report 0 on hosts it cannot probe;
         // fall back to 1 rather than writing an impossible core count.
@@ -320,18 +316,16 @@ class JsonReporter {
   /// `chip.threads()` (the resolved worker count, which clamps the env
   /// request to the mesh height) rather than the raw env
   /// value; 0 falls back to the env-resolved default for chip-less
-  /// measurements. `partition` likewise should be the measured spec
-  /// (`chip.partition_spec().to_string()`) and `engine` the measured
-  /// engine (`to_string(chip.engine())`); empty falls back to the
-  /// env-resolved default. `wall_ms` and `cell_visits`, when nonzero,
+  /// measurements. `engine` likewise should be the measured engine
+  /// (`to_string(chip.engine())`); empty falls back to the env-resolved
+  /// default. `wall_ms` and `cell_visits`, when nonzero,
   /// persist host wall-clock and the phase-loop visit total so backend
   /// speedup is trackable from the aggregated BENCH_*.json files.
   /// Measurements carrying more fields (rss_kb) use the BenchRecord
   /// overload below and name them.
   void record(const std::string& dataset, std::uint64_t cycles,
               double energy_uj, std::uint64_t threads = 0,
-              double wall_ms = 0.0, const std::string& partition = {},
-              const std::string& engine = {},
+              double wall_ms = 0.0, const std::string& engine = {},
               std::uint64_t cell_visits = 0) const {
     BenchRecord r;
     r.dataset = dataset;
@@ -339,7 +333,6 @@ class JsonReporter {
     r.energy_uj = energy_uj;
     r.threads = threads;
     r.wall_ms = wall_ms;
-    r.partition = partition;
     r.engine = engine;
     r.cell_visits = cell_visits;
     record(r);
@@ -348,7 +341,7 @@ class JsonReporter {
   /// Struct form for measurements with many optional fields: callers
   /// name each field instead of threading a long positional tail of
   /// same-typed integers. `bench` and `scale` are
-  /// overwritten by the reporter; threads/partition/engine fall back to
+  /// overwritten by the reporter; threads/engine fall back to
   /// the env-resolved defaults when left 0/empty.
   void record(BenchRecord r) const {
     if (path_.empty()) return;
@@ -360,7 +353,6 @@ class JsonReporter {
     r.bench = bench_;
     r.scale = scale_;
     if (r.threads == 0) r.threads = threads_;
-    if (r.partition.empty()) r.partition = partition_;
     if (r.engine.empty()) r.engine = engine_;
     // Like `bench` and `scale`, the host's logical core count is always
     // the reporter's to stamp: wall_ms without the hardware it was
@@ -375,7 +367,6 @@ class JsonReporter {
   std::string scale_;
   std::string path_;
   std::uint64_t threads_ = 1;
-  std::string partition_ = "rows";
   std::string engine_ = "scan";
   std::uint64_t host_cores_ = 1;
 };

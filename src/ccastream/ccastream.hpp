@@ -18,7 +18,6 @@
 #include "runtime/geometry.hpp"
 #include "runtime/handler_registry.hpp"
 #include "runtime/rng.hpp"
-#include "runtime/terminator.hpp"
 #include "runtime/types.hpp"
 
 #include "sim/chip.hpp"

@@ -80,11 +80,10 @@ struct AppHooks {
 
 /// Counters specific to the graph protocol (chip-wide counters live in
 /// sim::ChipStats). The protocol accumulates one block per engine
-/// partition (row stripe) — handlers bump only their own partition's
-/// plain counters, the same contention-free pattern the chip uses for
-/// ChipStats — and GraphProtocol::stats() sums the blocks on demand. Every
-/// field is a pure sum, so the totals are deterministic for any thread
-/// count and rebalance schedule.
+/// partition — handlers bump only their own partition's plain counters,
+/// the same contention-free pattern the chip uses for ChipStats — and
+/// GraphProtocol::stats() sums the blocks on demand. Every field is a
+/// pure sum, so the totals are deterministic for any thread count.
 struct ProtocolStats {
   std::uint64_t edges_inserted = 0;    ///< Edge records physically appended.
   std::uint64_t inserts_forwarded = 0; ///< Inserts sent down a ready ghost link.

@@ -14,8 +14,9 @@
 //             tool can see: active-set membership exactly equals
 //             ComputeCell::has_work(), dense flag counts equal the flag
 //             popcount, every cell's cached counter equals its real
-//             occupancy, partition stripes exactly cover the mesh, and
-//             all cross-partition outboxes are drained (see
+//             occupancy, a partition's bitmap holds bits only for the
+//             cells it owns, and all cross-partition outboxes are
+//             drained (see
 //             Chip::verify_cycle_invariants). CI runs the determinism and
 //             engine-equivalence suites under CCASTREAM_CHECK=full.
 //

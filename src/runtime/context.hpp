@@ -84,13 +84,13 @@ class Context {
   /// the default no-op.
   virtual void count(SimCounter /*counter*/, std::uint64_t /*n*/) {}
 
-  /// Index of the engine partition (a row stripe — see
-  /// sim/partition.hpp) executing this handler — always 0 on
+  /// Index of the engine partition (its rows are a fixed set of blocks —
+  /// see sim/partition.hpp) executing this handler — always 0 on
   /// mocks and the serial engine. Handler libraries that keep their own
   /// counters key them by this index so concurrent handlers never write
-  /// shared memory (see graph::GraphProtocol::stats()). Ids are stable
-  /// 0..partitions-1 even when boundaries rebalance, and every keyed
-  /// counter must be a pure sum so totals stay partition-invariant.
+  /// shared memory (see graph::GraphProtocol::stats()). Ids run
+  /// 0..partitions-1, and every keyed counter must be a pure sum so
+  /// totals stay partition-invariant.
   [[nodiscard]] virtual std::uint32_t partition() const { return 0; }
 
   /// Typed local dereference helper. T must derive from ArenaObject.

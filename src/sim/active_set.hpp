@@ -1,6 +1,8 @@
-// The activity bitmap of one mesh partition: one bit per cell of its row
-// stripe, set while the cell has work, one summary bit per 64-cell word,
-// and the count of set bits.
+// The activity bitmap of one mesh partition: one bit per cell of its span
+// — from the partition's first owned cell to the end of its last block —
+// set while the cell has work, one summary bit per 64-cell word, and the
+// count of set bits. The rows of other partitions' blocks inside the span
+// are never set.
 //
 // Each partition owns its set outright (Chip::PartitionState::active).
 // Only its worker writes it during a cycle, and the host between cycles,
@@ -10,11 +12,12 @@
 // O(live words + span / 4096).
 //
 // The words keep the chip's global alignment: word w holds cells
-// 64w..64w+63. A stripe that starts or ends mid-word keeps its own copy of
-// that word, holding only its own cells. Chip::cell_visits() rests on that
-// alignment: a sweep visits a bit set while it runs only when the bit's
-// word comes later in the sweep, so words rebased at the stripe's first
-// cell would move the visit count of every stripe that splits a word.
+// 64w..64w+63. A word that holds rows of several partitions is kept by
+// each of them, each copy holding only its own cells. Chip::cell_visits()
+// rests on that alignment: a sweep visits a bit set while it runs only
+// when the bit's word comes later in the sweep, so words rebased at the
+// span's first cell would move the visit count of every partition whose
+// blocks split a word.
 #pragma once
 
 #include <bit>
@@ -38,7 +41,7 @@ class ActiveSet {
                                      : 0),
         summary_((words_.size() + 63) / 64) {}
 
-  /// Set bits: the stripe's live cells.
+  /// Set bits: the partition's live cells.
   [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
   [[nodiscard]] bool contains(std::uint32_t cc) const noexcept {
@@ -94,7 +97,8 @@ class ActiveSet {
 
   /// The set's invariants, which the checked build's end-of-cycle audit
   /// asserts: a summary bit is set iff its word is non-zero, no bit lies
-  /// outside the stripe, and size() is the popcount. O(span / 64).
+  /// outside the span, and size() is the popcount. O(span / 64). (That
+  /// every bit is an owned cell's the chip's audit checks itself.)
   [[nodiscard]] bool exact() const noexcept {
     std::uint64_t bits = 0;
     for (std::size_t w = 0; w < summary_.size() * 64; ++w) {
@@ -120,7 +124,7 @@ class ActiveSet {
   // The checked-build death tests corrupt the set directly to prove the
   // full-level audit still has teeth (tests/check_test.cpp). Each takes
   // any cell whose word the set holds, so a test can also plant a bit
-  // outside the stripe in an edge word.
+  // outside the span in an edge word.
 
   /// Forces cell cc's bit, leaving the summary and the count alone.
   void corrupt_active_flag(std::uint32_t cc, bool on) noexcept {
@@ -135,7 +139,7 @@ class ActiveSet {
   }
 
  private:
-  /// Index into words_ of cell cc's word; cc must lie in the stripe.
+  /// Index into words_ of cell cc's word; cc must lie in the span.
   [[nodiscard]] std::uint32_t word_index(std::uint32_t cc) const noexcept {
     assert(cc >= span_.begin && cc < span_.end);
     return (cc >> 6) - first_word_;

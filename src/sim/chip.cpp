@@ -34,13 +34,6 @@ rt::Action make_allocate_action(std::uint32_t target_cc, rt::ObjectKind kind,
 /// are identical either way.
 constexpr std::uint64_t kSparseSerialThreshold = 32;
 
-/// Rebalance hysteresis: a load-adaptive re-split is adopted only when it
-/// improves the hottest band's (decayed) load by at least this many
-/// percent, so oscillating workloads stop ping-ponging boundaries (see
-/// PartitionLayout::rebalanced). The rebalance schedule never changes
-/// results.
-constexpr std::uint32_t kRebalanceMinGainPct = 5;
-
 /// Rejects a mesh the chip cannot index, in every build type: cells are
 /// numbered by a 32-bit index (rt::MeshGeometry::cell_count() would wrap
 /// at 2^32 cells), and an empty mesh has no cell to route to.
@@ -83,7 +76,7 @@ EngineKind resolve_engine(const std::optional<EngineKind>& requested) {
   if (requested) return *requested;
   if (const char* env = std::getenv("CCASTREAM_ENGINE")) {
     if (const auto engine = parse_engine(env)) return *engine;
-    // Warn (once) instead of failing, mirroring CCASTREAM_PARTITION: a typo
+    // Warn (once) instead of failing, mirroring CCASTREAM_THREADS: a typo
     // would otherwise silently fall back to the default engine — e.g. a CI
     // matrix job or a bench sweep measuring the wrong engine.
     static std::atomic<bool> warned{false};
@@ -196,6 +189,7 @@ class CellContext final : public rt::Context {
 Chip::Chip(ChipConfig cfg)
     : cfg_(checked_mesh(cfg)),
       mesh_(cfg.width, cfg.height),
+      layout_(cfg.width, cfg.height, resolve_threads(cfg.threads)),
       alloc_policy_(rt::make_alloc_policy(cfg.alloc_policy, cfg.vicinity_radius)),
       io_(mesh_, cfg.io_sides) {
   check_level_ = rt::resolve_check_level(cfg_.check_level);
@@ -211,8 +205,6 @@ Chip::Chip(ChipConfig cfg)
   });
   trace_.set_enabled(cfg.record_activation);
   cell_load_.assign(mesh_.cell_count(), 0);
-  load_at_rebalance_.assign(mesh_.cell_count(), 0);
-  load_window_.assign(mesh_.cell_count(), 0);
   alloc_policy_->prepare(mesh_);
   registry_.register_system_handler(
       rt::kHandlerAllocate, "sys.allocate",
@@ -221,58 +213,20 @@ Chip::Chip(ChipConfig cfg)
   engine_ = resolve_engine(cfg_.engine);
   engine_active_ = engine_ == EngineKind::kActive;
 
-  // Mesh partition: one worker per row stripe. The layout starts uniform;
-  // rebalancing (when enabled) moves the boundaries between increments.
-  partition_spec_ = resolve_partition(cfg_.partition);
-  layout_ = PartitionLayout::build(cfg_.width, cfg_.height,
-                                   resolve_threads(cfg_.threads));
-  num_parts_ = layout_.parts();
-  parts_ = std::vector<PartitionState>(num_parts_);
-  for (std::uint32_t p = 0; p < num_parts_; ++p) parts_[p].index = p;
-  apply_layout();
-  if (num_parts_ > 1) pool_ = std::make_unique<PartitionPool>(num_parts_);
-}
-
-void Chip::apply_layout() {
-  // Checked build: a fresh decomposition (construction or rebalance) must
-  // still cover the mesh exactly — catches splitter bugs before the first
-  // cycle runs on the new stripes.
-  CCA_CHECK(full, layout_.exact_cover());
-  // Carry each set bit to its cell's new owner rather than recompute the
-  // bits from has_work(), so a drifted bit still reaches the audit.
-  std::vector<std::uint32_t> live;
-  for (const PartitionState& st : parts_) {
-    st.active.for_each([&live](std::uint32_t idx) { live.push_back(idx); });
+  // Mesh partition: one worker per partition of block-cyclic rows, fixed
+  // for the chip's life (see sim/partition.hpp).
+  const std::uint32_t parts = layout_.parts();
+  parts_ = std::vector<PartitionState>(parts);
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    PartitionState& st = parts_[p];
+    st.index = p;
+    const std::vector<CellSpan>& blocks = layout_.blocks(p);
+    st.active = ActiveSet({blocks.front().begin, blocks.back().end});
   }
-  for (PartitionState& st : parts_) {
-    st.span = layout_.span(st.index);
-    st.active = ActiveSet(st.span);
-    st.io_cells.clear();
-  }
-  for (const std::uint32_t idx : live) active_set(idx).insert(idx);
   for (std::size_t i = 0; i < io_.cell_count(); ++i) {
     parts_[layout_.owner(io_.cell(i).attached_cc)].io_cells.push_back(i);
   }
-}
-
-void Chip::rebalance_partitions() {
-  if (num_parts_ <= 1) return;
-  // Decay half of the anti-ping-pong pair: the splitter sees an
-  // exponentially decayed window of cell_load_, so increments from the
-  // distant past stop dominating the quantiles (cell_load_ itself stays
-  // the pure cumulative histogram the public API documents).
-  for (std::size_t i = 0; i < cell_load_.size(); ++i) {
-    const std::uint64_t delta = cell_load_[i] - load_at_rebalance_[i];
-    load_window_[i] = load_window_[i] / 2 + delta;
-    load_at_rebalance_[i] = cell_load_[i];
-  }
-  // Hysteresis half: rebalanced() keeps the current boundaries unless the
-  // re-split improves the hottest band by kRebalanceMinGainPct.
-  PartitionLayout next = layout_.rebalanced(load_window_, kRebalanceMinGainPct);
-  if (next == layout_) return;
-  layout_ = std::move(next);
-  apply_layout();
-  ++rebalances_;
+  if (parts > 1) pool_ = std::make_unique<PartitionPool>(parts);
 }
 
 void Chip::register_object_kind(rt::ObjectKind kind, ObjectFactory factory) {
@@ -380,12 +334,6 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
   if (max_cycles == 0) return 0;
   if (until_quiescent && quiescent()) return 0;
 
-  // Load-adaptive rebalancing fires only here — between public run/step
-  // calls (i.e. between increments), never inside the cycle loop, where
-  // the outboxes are guaranteed drained. Results are partition-invariant,
-  // so the schedule cannot change them.
-  if (partition_spec_.rebalance) rebalance_partitions();
-
   // The cycle's stages, stated once. Each runs for every partition over
   // its own cells; a stage reads what other partitions wrote only in
   // earlier stages, so one barrier after each keeps the pooled mode exact.
@@ -412,8 +360,8 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
   // simulated state, so it is deterministic, and either mode produces
   // bit-identical results.
   const auto serial_preferred = [this] {
-    return num_parts_ == 1 ||
-           active_cells() <= kSparseSerialThreshold * num_parts_;
+    return parts_.size() == 1 ||
+           active_cells() <= kSparseSerialThreshold * parts_.size();
   };
 
   while (!done) {
@@ -455,11 +403,12 @@ std::uint64_t Chip::run_cycles(std::uint64_t max_cycles, bool until_quiescent) {
 template <typename F>
 void Chip::sweep(PartitionState& st, F&& f) {
   if (!engine_active_) {
-    // Scan: every cell, without reading the bitmap — an oracle for which
-    // cells run that does not trust the flags.
-    const auto [begin, end] = st.span;
-    st.cell_visits += end - begin;
-    for (std::uint32_t idx = begin; idx < end; ++idx) f(idx);
+    // Scan: every owned cell, block by block, without reading the bitmap —
+    // an oracle for which cells run that does not trust the flags.
+    for (const auto [begin, end] : layout_.blocks(st.index)) {
+      st.cell_visits += end - begin;
+      for (std::uint32_t idx = begin; idx < end; ++idx) f(idx);
+    }
     return;
   }
   st.active.for_each([&](std::uint32_t idx) {
@@ -568,13 +517,14 @@ void Chip::route_cell(PartitionState& st, std::uint32_t idx, bool adaptive) {
       continue;
     }
 
-    if (next_idx >= st.span.begin && next_idx < st.span.end) {
+    if (layout_.row_owner(next.y) == st.index) {
       cells_[next_idx].push_router(port, m);
       st.active.insert(next_idx);
     } else {
-      // Off the stripe, one hop lands in the stripe directly above or
-      // below, which applies the push behind the route barrier.
-      (next_idx < st.span.begin ? st.north : st.south)
+      // Another partition's row: a north or south hop across a block
+      // boundary, which the block's owner applies behind the route
+      // barrier (east and west hops stay in their row).
+      (dir == Direction::kNorth ? st.north : st.south)
           .pushes.push_back({next_idx, static_cast<std::uint8_t>(port), m});
     }
     cell.pop_input(src);
@@ -591,10 +541,14 @@ void Chip::cycle_settle(PartitionState& st) {
 }
 
 void Chip::cycle_apply(PartitionState& st) {
-  // Inbound cross-partition pushes: the stripe above's south box, then the
-  // stripe below's north box. Every port FIFO receives at most one message
-  // per cycle (single writer + used_out), so application order cannot
-  // matter; this one is fixed all the same.
+  // Inbound cross-partition pushes: the south box of the partition that
+  // owns the blocks just above this one's (index−1 mod P), then the north
+  // box of the one that owns the blocks just below (index+1 mod P); at
+  // P = 2 both are the other partition's boxes. Every port FIFO receives
+  // at most one message per cycle (single writer + used_out), so
+  // application order cannot matter; this one is fixed all the same.
+  const auto parts = static_cast<std::uint32_t>(parts_.size());
+  if (parts == 1) return;
   const auto drain = [&](PartitionState::Outbox& box) {
     for (const PendingPush& p : box.pushes) {
       cells_[p.target_cc].push_router(p.port, p.msg);
@@ -602,8 +556,8 @@ void Chip::cycle_apply(PartitionState& st) {
     }
     box.pushes.clear();
   };
-  if (st.index > 0) drain(parts_[st.index - 1].south);
-  if (st.index + 1 < num_parts_) drain(parts_[st.index + 1].north);
+  drain(parts_[(st.index + parts - 1) % parts].south);
+  drain(parts_[(st.index + 1) % parts].north);
 }
 
 void Chip::cycle_io(PartitionState& st) {
@@ -711,28 +665,33 @@ void Chip::verify_cycle_invariants() const {
     //    invariant every active sweep trusts when it skips a cell, and
     //    quiescent() reads), and the latches equal the router-lane sizes
     //    the next ROUTE starts from.
-    for (std::uint32_t i = st.span.begin; i < st.span.end; ++i) {
-      const ComputeCell& c = cells_[i];
-      CCA_CHECK(full, c.fifo_msgs() == c.router_occupancy());
-      CCA_CHECK(full, soa_.work_items(i) ==
-                          c.fifo_msgs() + c.staged_count() + c.task_count() +
-                              c.action_count());
-      CCA_CHECK(full, st.active.contains(i) == c.has_work());
-      for (std::size_t d = 0; d < kMeshDirections; ++d) {
-        CCA_CHECK(full, soa_.snapshot(i)[d] == c.router_in(d).size());
+    std::uint64_t owned_bits = 0;
+    for (const auto [begin, end] : layout_.blocks(st.index)) {
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const ComputeCell& c = cells_[i];
+        CCA_CHECK(full, c.fifo_msgs() == c.router_occupancy());
+        CCA_CHECK(full, soa_.work_items(i) ==
+                            c.fifo_msgs() + c.staged_count() + c.task_count() +
+                                c.action_count());
+        CCA_CHECK(full, st.active.contains(i) == c.has_work());
+        for (std::size_t d = 0; d < kMeshDirections; ++d) {
+          CCA_CHECK(full, soa_.snapshot(i)[d] == c.router_in(d).size());
+        }
+        owned_bits += st.active.contains(i) ? 1 : 0;
       }
     }
     // 2. The bitmap is exact: a clear summary bit lets a sweep skip its
     //    word's 64 cells unread, no summary bit outlives its word's last
-    //    cell, no bit lies outside the stripe, and the size is the
-    //    popcount.
+    //    cell, no bit lies outside its span, and the size is the
+    //    popcount. And every set bit is an owned cell's: a bit on a row
+    //    of another partition's block, between this one's, would run that
+    //    cell on two workers.
     CCA_CHECK(full, st.active.exact());
-    // 3. Cross-partition plumbing drained: the neighbours' APPLY emptied
+    CCA_CHECK(full, owned_bits == st.active.size());
+    // 3. Cross-partition plumbing drained: the consumers' APPLY emptied
     //    both outboxes.
     CCA_CHECK(full, st.north.pushes.empty() && st.south.pushes.empty());
   }
-  // 4. The decomposition itself: non-empty stripes covering every row.
-  CCA_CHECK(full, layout_.exact_cover());
 }
 
 void Chip::execute_action(PartitionState& st, ComputeCell& cell,

@@ -55,13 +55,13 @@ namespace ccastream::sim {
 /// ComputeCell::has_work).
 ///
 ///   * kScan   — the paper-literal engine: every sweep walks every cell of
-///               its partition's span without reading the bitmap,
+///               its partition's blocks without reading the bitmap,
 ///               costing O(width × height) per cycle regardless of how
 ///               much of the mesh is doing anything. Kept as the in-tree
 ///               oracle the active engine is pinned against
 ///               (CCASTREAM_ENGINE=scan).
 ///   * kActive — the event-driven engine, and the default: every sweep
-///               visits the set bits of its partition's span in
+///               visits the set bits of its partition's bitmap in
 ///               ascending cell-index order, skipping idle 64-cell words
 ///               through the bitmap's one-bit-per-word summary level, so a
 ///               cycle costs O(live words + span / 4096) instead of
@@ -104,16 +104,13 @@ struct ChipConfig {
   EnergyModel energy{};
   std::uint64_t seed = 0xC0FFEEull;
   bool record_activation = false;      ///< Record Figure 6/7 activation trace.
-  /// Worker threads for the partitioned parallel engine. 0 resolves from
-  /// the CCASTREAM_THREADS environment variable (defaulting to 1 = serial);
-  /// always clamped to the mesh height (each worker owns at least one
-  /// row). Results are cycle-for-cycle identical for every thread count.
+  /// Worker threads for the partitioned parallel engine, one per
+  /// partition of block-cyclic rows (see sim/partition.hpp). 0 resolves
+  /// from the CCASTREAM_THREADS environment variable (defaulting to 1 =
+  /// serial); always clamped to the mesh height (each worker owns at least
+  /// one row). Results are cycle-for-cycle identical for every thread count.
   std::uint32_t threads = 0;
-  /// Mesh partition driving the parallel engine: row stripes, optionally
-  /// with load-adaptive boundary rebalancing (see sim/partition.hpp).
-  /// nullopt resolves from the CCASTREAM_PARTITION environment variable,
-  /// defaulting to plain row stripes. Partitioning is a performance knob
-  /// only: results are identical for every rebalance schedule.
+  /// Read by nothing; kept only because benchmark/ccbench.cpp assigns it.
   std::optional<PartitionSpec> partition;
   /// Cycle engine (see EngineKind). nullopt resolves from the
   /// CCASTREAM_ENGINE environment variable, defaulting to the event-driven
@@ -126,8 +123,9 @@ struct ChipConfig {
   /// branches, cheap cross-checks the cached fifo_msgs counter at every
   /// sanctioned FIFO mutation, full additionally sweeps every
   /// engine-structure invariant (membership == has_work, counters, outbox
-  /// drain, partition cover) at the end of every cycle. nullopt resolves
-  /// from the CCASTREAM_CHECK environment variable (CLI `--check`).
+  /// drain, bits only on owned rows) at the end of every cycle. nullopt
+  /// resolves from the CCASTREAM_CHECK environment variable (CLI
+  /// `--check`).
   /// Verification never changes results — only host cost.
   std::optional<rt::CheckLevel> check_level;
 };
@@ -257,9 +255,8 @@ class Chip {
 
   /// Cumulative operations performed by each cell (compute-phase ops:
   /// instruction cycles, stagings, dispatches). The spatial load histogram
-  /// behind congestion heatmaps — and the input to load-adaptive partition
-  /// rebalancing. Identical for every partitioning (it counts simulated
-  /// work), which is what makes the rebalance schedule deterministic.
+  /// behind congestion heatmaps; identical for every thread count (it
+  /// counts simulated work).
   [[nodiscard]] const std::vector<std::uint64_t>& cell_load() const noexcept {
     return cell_load_;
   }
@@ -296,10 +293,10 @@ class Chip {
 
   /// Message slots held by all the row pools, free or in use: each pool
   /// holds its row's peak live lane and queue messages so far, rounded up
-  /// to a block. When a stripe boundary sits between two rows, a hop
-  /// across it takes its slot a stage later than one inside a stripe, so
-  /// like cell_visits() this count is outside ChipStats: it moves with the
-  /// partitioning, while simulated results do not.
+  /// to a block. A hop across a block boundary between two partitions
+  /// takes its slot a stage later than one inside a partition, so like
+  /// cell_visits() this count is outside ChipStats: it moves with the
+  /// thread count, while simulated results do not.
   [[nodiscard]] std::uint64_t message_slots() const noexcept;
 
   /// Barrier arrivals performed by the worker pool so far (0 on
@@ -312,32 +309,18 @@ class Chip {
 
   /// Resolved worker count of this chip instance (one worker per
   /// partition).
-  [[nodiscard]] std::uint32_t threads() const noexcept { return num_parts_; }
+  [[nodiscard]] std::uint32_t threads() const noexcept {
+    return layout_.parts();
+  }
 
   /// Resolved partition count (== threads(): one worker per partition).
-  [[nodiscard]] std::uint32_t partitions() const noexcept { return num_parts_; }
-
-  /// The resolved partition request (config, else env, else row stripes).
-  [[nodiscard]] const PartitionSpec& partition_spec() const noexcept {
-    return partition_spec_;
+  [[nodiscard]] std::uint32_t partitions() const noexcept {
+    return layout_.parts();
   }
 
-  /// The current concrete decomposition (moves when rebalancing fires).
+  /// The block-cyclic decomposition, fixed at construction.
   [[nodiscard]] const PartitionLayout& partition_layout() const noexcept {
     return layout_;
-  }
-
-  /// Re-splits the partition boundaries from the cumulative cell_load()
-  /// histogram (see PartitionLayout::rebalanced). Called automatically at
-  /// the start of every step()/run_until_quiescent() when the spec enables
-  /// rebalancing — i.e. between increments, never mid-cycle — and callable
-  /// explicitly. A no-op on single-partition chips or when the balanced
-  /// boundaries equal the current ones. Never changes results.
-  void rebalance_partitions();
-
-  /// How many times rebalance_partitions() actually moved a boundary.
-  [[nodiscard]] std::uint64_t partition_rebalances() const noexcept {
-    return rebalances_;
   }
 
  private:
@@ -399,33 +382,38 @@ class Chip {
     std::uint32_t count_ = 0;
   };
 
-  /// One mesh partition (a row stripe: one contiguous cell span) plus
-  /// every counter its worker thread writes. The counters are pure sums,
-  /// summed in partition order when read, so the totals are independent of
-  /// the partition count and boundaries; only the trace pair is per cycle.
+  /// One mesh partition (its blocks are layout_.blocks(index)) plus every
+  /// counter its worker thread writes. The counters are pure sums, summed
+  /// in partition order when read, so the totals are independent of the
+  /// partition count; only the trace pair is per cycle.
   struct alignas(64) PartitionState {
     std::uint32_t index = 0;
-    CellSpan span;                      ///< Cells this worker owns.
-    std::vector<std::size_t> io_cells;  ///< IO cells attached to these cells.
+    std::vector<std::size_t> io_cells;  ///< IO cells attached to owned cells.
     ChipStats stats;  ///< `cycles` stays 0; block 0 counts host injections.
     std::vector<HandlerProfile> profile;  ///< Indexed by HandlerId.
     std::uint32_t trace_active = 0, trace_live = 0;  ///< This cycle's sample.
-    /// Router pushes leaving the stripe. A message moves one link per
-    /// cycle, so such a push lands in the stripe directly above (`north`)
-    /// or below (`south`); that neighbour is the box's one consumer and
+    /// Router pushes leaving the partition. Only a north or south hop
+    /// across a block boundary leaves it: into the block above, owned by
+    /// partition index−1 mod P (`north`), or the block below, owned by
+    /// index+1 mod P (`south`). That owner is the box's one consumer and
     /// applies it behind the route barrier. Each box is cache-line padded:
-    /// in APPLY the two neighbours clear them concurrently.
+    /// in APPLY the two consumers clear them concurrently. A box grows on
+    /// demand; reserving each to its bound (width × blocks) when the chip
+    /// is built put ccbench's mesh_sparse peak RSS at 39.9 MiB on 17 of 18
+    /// runs, against 35.1-35.2 MiB on all 18 without.
     struct alignas(64) Outbox {
       std::vector<PendingPush> pushes;
     };
     Outbox north, south;
 
-    /// The span's activity bitmap. Invariant between cycles: exactly the
-    /// owned cells for which ComputeCell::has_work() holds. A bit is set
-    /// at every point work is created — a same-partition router push, an
-    /// inbound apply, an IO injection, a host injection — and cleared
-    /// when COMPUTE leaves the cell idle. Only this partition's worker
-    /// writes it, or the host between cycles. Its size is read by
+    /// The activity bitmap over the span from the partition's first owned
+    /// cell to the end of its last block. Invariant between cycles:
+    /// exactly the owned cells for which ComputeCell::has_work() holds;
+    /// the rows of other partitions' blocks in between stay clear. A bit
+    /// is set at every point work is created — a same-partition router
+    /// push, an inbound apply, an IO injection, a host injection — and
+    /// cleared when COMPUTE leaves the cell idle. Only this partition's
+    /// worker writes it, or the host between cycles. Its size is read by
     /// quiescent(), active_cells() and the sparse serial fast path, so
     /// none of them sweeps the mesh.
     ActiveSet active;
@@ -441,12 +429,6 @@ class Chip {
   /// after the end-of-cycle step.
   std::uint64_t run_cycles(std::uint64_t max_cycles, bool until_quiescent);
 
-  /// Points every PartitionState at its layout_ span, carries each set
-  /// activity bit to its cell's new owner, and reassigns IO cells to the
-  /// partition owning their attached cell. Only called between cycles
-  /// (construction and rebalancing), when every outbox is drained.
-  void apply_layout();
-
   // The cycle's stages (worker-thread side), each over one partition's
   // cells. The per-cell sweeps run the same per-cell bodies
   // (route_cell/compute_one) under both engines, which is what makes the
@@ -461,7 +443,7 @@ class Chip {
   void cycle_io(PartitionState& st);
   void cycle_compute(PartitionState& st);
   /// The one place the engines differ: calls `f(idx)` in ascending cell
-  /// index for every cell of `st`'s span (scan, never reading the
+  /// index for every cell of `st`'s blocks (scan, never reading the
   /// bitmap) or for every set bit of `st.active` (active). Bills each
   /// visit to cell_visits.
   template <typename F>
@@ -474,9 +456,9 @@ class Chip {
   /// verifies the invariants the lint cannot see statically — every cell's
   /// cached fifo_msgs equals its real FIFO occupancy, its owner's bitmap
   /// holds it exactly when has_work(), its latches equal its router-lane
-  /// sizes, every partition's bitmap is exact (ActiveSet::exact), all
-  /// cross-partition outboxes are drained, and the partition stripes
-  /// exactly cover the mesh. O(mesh) per cycle by design, under both
+  /// sizes, every partition's bitmap is exact (ActiveSet::exact) and holds
+  /// bits only for cells the partition owns, and all cross-partition
+  /// outboxes are drained. O(mesh) per cycle by design, under both
   /// engines; a failure aborts via CCA_CHECK.
   void verify_cycle_invariants() const;
 
@@ -495,14 +477,15 @@ class Chip {
 
   ChipConfig cfg_;
   rt::MeshGeometry mesh_;
+  PartitionLayout layout_;
   /// The struct-of-arrays hot cell state; initialized (and its slab
   /// reserved) before the cells are built, since every cell holds a
   /// pointer to it.
   CellSoA soa_;
   /// One slot pool per mesh row, holding every message the row's lanes and
-  /// queues buffer (see sim/fifo.hpp). A row never straddles two stripes
-  /// and changes owner only between cycles, so each pool has one writer at
-  /// a time: the row's owner, or the host between cycles.
+  /// queues buffer (see sim/fifo.hpp). A row belongs to one partition for
+  /// the chip's life, so each pool has one writer at a time: the row's
+  /// owner, or the host between cycles.
   std::vector<SlotPool> pools_;
   CellArray cells_;
   rt::HandlerRegistry registry_;
@@ -518,18 +501,8 @@ class Chip {
   /// Resolved runtime-verification level (see resolve_check_level); read
   /// by the CCA_CHECK macro via cca_check_level() below.
   rt::CheckLevel check_level_ = rt::CheckLevel::off;
-  /// Rebalance hysteresis state: cell_load_ snapshot at the last rebalance
-  /// call, and the exponentially decayed per-cell load window fed to the
-  /// quantile splitter (old increments lose half their weight per call, so
-  /// the split tracks *recent* load instead of all of history).
-  std::vector<std::uint64_t> load_at_rebalance_;
-  std::vector<std::uint64_t> load_window_;
-  PartitionSpec partition_spec_;
-  PartitionLayout layout_;
-  std::uint32_t num_parts_ = 1;
-  std::uint64_t rebalances_ = 0;
   std::vector<PartitionState> parts_;
-  std::unique_ptr<PartitionPool> pool_;  ///< Created only when num_parts_ > 1.
+  std::unique_ptr<PartitionPool> pool_;  ///< Created only with 2+ partitions.
 };
 
 }  // namespace ccastream::sim

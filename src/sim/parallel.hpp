@@ -1,7 +1,7 @@
 // Persistent worker pool for the partitioned chip engine.
 //
-// One pool drives `workers` logical mesh partitions (row stripes — see
-// sim/partition.hpp): the calling thread executes partition 0 and
+// One pool drives `workers` logical mesh partitions (block-cyclic rows —
+// see sim/partition.hpp): the calling thread executes partition 0 and
 // `workers - 1` resident threads execute the rest.
 // A job is dispatched once per run() and typically loops over many cycles
 // internally, using sync() as the phase barrier shared by all partition

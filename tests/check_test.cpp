@@ -11,9 +11,9 @@
 //     cached counter and the router-input latches in the chip's SoA block,
 //     reached via Chip::cell_state(); the activity-bitmap membership flag
 //     and its summary bit in either direction in the owning partition's
-//     bitmap, reached via Chip::active_set()) turns the next cycle into a
-//     diagnosed abort instead of silent divergence, under both engines
-//     (both keep the bitmap).
+//     bitmap, reached via Chip::active_set(), and a bit for a cell another
+//     partition owns) turns the next cycle into a diagnosed abort instead
+//     of silent divergence, under both engines (both keep the bitmap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -137,8 +137,9 @@ TEST(CheckedRun, FullLevelIsTransparent) {
 
 // ---------------------------------------------------------------------------
 // Teeth: seed a corruption the sweeps are specified to catch and pin the
-// diagnosed abort. Chips are serial single-partition so the death-test
-// child re-executes deterministically without worker threads.
+// diagnosed abort. Chips are serial single-partition, except where a case
+// needs two partitions, so the death-test child re-executes
+// deterministically without worker threads.
 
 sim::ChipConfig checked_serial_config(CheckLevel level) {
   auto cfg = test::small_chip_config(4);
@@ -221,6 +222,34 @@ TEST(CheckDeathTest, StaleSummaryBitDiesAtBarrier) {
     ASSERT_FALSE(chip.active_set(7).summary_bit(7));
     chip.active_set(7).corrupt_summary_flag(7, true);
     EXPECT_DEATH(chip.step(), "CCA_CHECK failed: st.active.exact");
+  }
+}
+
+// Ownership corruption: a bit in one partition's bitmap for a cell on a
+// row of another partition's block. Partition 0's bitmap spans that row
+// (it runs from its first owned cell to the end of its last block), so
+// the set takes the bit and stays exact; only the audit's count of owned
+// bits catches it. The cell keeps work, so the active engine's compute
+// sweep, which now visits it on two workers, never clears the stray bit.
+// 4x4 at 2 threads: k = 1, so partition 0 owns rows 0 and 2, partition 1
+// rows 1 and 3, and cell 5 lies on row 1. The pool's worker thread makes
+// the forking death-test style unsafe, so this case re-executes.
+TEST(CheckDeathTest, BitOnAnotherPartitionsRowDiesAtBarrier) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const auto engine : {sim::EngineKind::kActive, sim::EngineKind::kScan}) {
+    SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
+    auto cfg = checked_serial_config(CheckLevel::full);
+    cfg.threads = 2;
+    cfg.engine = engine;
+    sim::Chip chip(cfg);
+    ASSERT_EQ(chip.partition_layout().owner(5), 1u);
+    const auto spin = install_spin(chip);
+    seed_spinner(chip, spin, 5, 50);
+    chip.step();
+    sim::ActiveSet& part0 = chip.active_set(0);
+    ASSERT_FALSE(part0.contains(5));
+    part0.insert(5);
+    EXPECT_DEATH(chip.step(), "CCA_CHECK failed: owned_bits");
   }
 }
 

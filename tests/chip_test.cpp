@@ -358,9 +358,11 @@ TEST(Chip, ActivationTraceRecordsWhenEnabled) {
 // per row between the fifth and the tenth — a pool that lent slots to
 // another row would carve fresh blocks every burst — and the pools stay
 // under a tenth of the lane storage a per-cell reservation of the
-// (deep) fifo_depth would take.
+// (deep) fifo_depth would take. At 2 threads the 32-row mesh has two-row
+// blocks, so north/south hops also stay inside a partition; at 4 every
+// block is one row and every such hop goes through APPLY.
 TEST(Chip, MessageSlotsTrackLiveTrafficNotHistory) {
-  for (const std::uint32_t threads : {1u, 4u}) {
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(threads);
     ChipConfig cfg = small_chip_config(32);
     cfg.threads = threads;

@@ -1,6 +1,6 @@
 // The parallel engine's headline guarantee: a run is cycle-for-cycle
-// identical for every thread count AND every mesh partition (row stripes,
-// with or without load-adaptive rebalancing).
+// identical for every thread count, that is for every block-cyclic mesh
+// partition.
 // BFS and SSSP stream an SBM graph in increments on 1-, 2-, and 4-thread
 // chips; final cycle count, the full ChipStats counter block, total energy,
 // and every per-vertex result must match the serial engine exactly.
@@ -112,11 +112,10 @@ INSTANTIATE_TEST_SUITE_P(BfsAndSssp, Determinism,
                            return info.param == App::kBfs ? "Bfs" : "Sssp";
                          });
 
-// The partition × thread-count matrix: row stripes with and without
-// load-adaptive rebalancing, at 2 and 4 workers, against the serial run. A
-// west/east-IO configuration rides along because it puts every IO cell
-// into the stripes holding its border columns, so its injection legs run
-// along the rows and cross every stripe boundary. Shallow FIFOs + single
+// The partition matrix: 2 and 4 workers against the serial run. A
+// west/east-IO configuration rides along because it puts every IO cell on
+// the rows of its border columns, so its injection legs run along the rows
+// and its north/south legs cross block boundaries. Shallow FIFOs + single
 // ejection keep the mesh congested, where order-dependence would hide.
 struct MatrixResult {
   sim::ChipStats stats;
@@ -126,8 +125,7 @@ struct MatrixResult {
 };
 
 TEST(Determinism, PartitionMatrixIsCycleIdenticalToSerial) {
-  auto run = [](std::uint8_t io_sides, const char* partition,
-                std::uint32_t threads) {
+  auto run = [](std::uint8_t io_sides, std::uint32_t threads) {
     sim::ChipConfig cfg;
     cfg.width = 12;
     cfg.height = 12;
@@ -135,7 +133,6 @@ TEST(Determinism, PartitionMatrixIsCycleIdenticalToSerial) {
     cfg.ejections_per_cycle = 1;
     cfg.io_sides = io_sides;
     cfg.threads = threads;
-    cfg.partition = *sim::PartitionSpec::parse(partition);
     cfg.seed = 99;
     sim::Chip chip(cfg);
     graph::GraphProtocol proto(chip);
@@ -162,14 +159,11 @@ TEST(Determinism, PartitionMatrixIsCycleIdenticalToSerial) {
        {static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth),
         static_cast<std::uint8_t>(sim::kIoWest | sim::kIoEast)}) {
     SCOPED_TRACE("io_sides = " + std::to_string(io_sides));
-    const MatrixResult serial = run(io_sides, "rows", 1);
+    const MatrixResult serial = run(io_sides, 1);
     ASSERT_GT(serial.stats.stage_stalls, 0u) << "config failed to congest";
-    for (const char* partition : {"rows", "rows+rebalance"}) {
-      for (const std::uint32_t threads : {2u, 4u}) {
-        SCOPED_TRACE(std::string("partition = ") + partition +
-                     ", threads = " + std::to_string(threads));
-        EXPECT_EQ(run(io_sides, partition, threads), serial);
-      }
+    for (const std::uint32_t threads : {2u, 4u}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      EXPECT_EQ(run(io_sides, threads), serial);
     }
   }
 }
@@ -179,7 +173,7 @@ TEST(Determinism, PartitionMatrixIsCycleIdenticalToSerial) {
 // diffusion), so cycle-identity is re-proven here on a sliding-window
 // schedule whose drained tail is pure deletions — for every app the
 // monotone-raise repair framework instantiates (BFS, SSSP, components):
-// every engine, thread count, and partition must land on the
+// every engine and thread count must land on the
 // identical counter block, energy, and per-vertex results as the serial
 // scan run. The 12x12 mesh keeps more cells live than the sparse serial
 // threshold (32 per partition) for part of the run, so every multi-thread
@@ -187,14 +181,13 @@ TEST(Determinism, PartitionMatrixIsCycleIdenticalToSerial) {
 enum class WindowedApp { kBfs, kSssp, kComponents };
 
 TEST(Determinism, SlidingWindowDeletionsAreCycleIdenticalToSerial) {
-  auto run = [](WindowedApp app, sim::EngineKind engine, std::uint32_t threads,
-                const char* partition) {
+  auto run = [](WindowedApp app, sim::EngineKind engine,
+                std::uint32_t threads) {
     sim::ChipConfig cfg;
     cfg.width = 12;
     cfg.height = 12;
     cfg.threads = threads;
     cfg.engine = engine;
-    cfg.partition = *sim::PartitionSpec::parse(partition);
     cfg.seed = 404;
     sim::Chip chip(cfg);
     graph::GraphProtocol proto(chip);
@@ -257,7 +250,7 @@ TEST(Determinism, SlidingWindowDeletionsAreCycleIdenticalToSerial) {
        {std::pair{WindowedApp::kBfs, "bfs"}, {WindowedApp::kSssp, "sssp"},
         {WindowedApp::kComponents, "components"}}) {
     SCOPED_TRACE(std::string("app = ") + name);
-    const MatrixResult serial = run(app, sim::EngineKind::kScan, 1, "rows");
+    const MatrixResult serial = run(app, sim::EngineKind::kScan, 1);
     // The drained schedule ends with every edge deleted, so the comparison
     // covers full invalidation cascades: only the source survives for
     // BFS/SSSP, and every component label collapses back to its own id.
@@ -274,14 +267,11 @@ TEST(Determinism, SlidingWindowDeletionsAreCycleIdenticalToSerial) {
     }
     for (const sim::EngineKind engine :
          {sim::EngineKind::kScan, sim::EngineKind::kActive}) {
-      for (const char* partition : {"rows", "rows+rebalance"}) {
-        for (const std::uint32_t threads : {2u, 4u}) {
-          SCOPED_TRACE(std::string("engine = ") +
-                       std::string(sim::to_string(engine)) +
-                       ", partition = " + partition +
-                       ", threads = " + std::to_string(threads));
-          EXPECT_EQ(run(app, engine, threads, partition), serial);
-        }
+      for (const std::uint32_t threads : {2u, 4u}) {
+        SCOPED_TRACE(std::string("engine = ") +
+                     std::string(sim::to_string(engine)) +
+                     ", threads = " + std::to_string(threads));
+        EXPECT_EQ(run(app, engine, threads), serial);
       }
     }
   }
@@ -458,7 +448,7 @@ TEST(Determinism, MonotoneAppCostIsPinned) {
 
 // Cost pin for the cycle's stage schedule. One fixed BFS stream on a 16x16
 // chip at 4 threads pins the simulated cycles, the barrier arrivals and the
-// cell visits, under plain and under rebalancing row stripes. A pooled
+// cell visits. A pooled
 // cycle costs 3 arrivals per partition and a sparse serial cycle none, so
 // barrier_syncs() pins both the schedule's barrier count and how often the
 // sparse serial path runs. The results tests above cannot see either. The
@@ -479,15 +469,13 @@ void PrintTo(const SchedulePin& p, std::ostream* os) {
 }
 
 TEST(Determinism, StageScheduleBarrierCostIsPinned) {
-  const auto run = [](const char* partition,
-                      sim::EngineKind engine = sim::EngineKind::kActive) {
+  const auto run = [](sim::EngineKind engine) {
     constexpr std::uint64_t n = 600;
     sim::ChipConfig cfg;
     cfg.width = 16;
     cfg.height = 16;
     cfg.threads = 4;
     cfg.engine = engine;
-    cfg.partition = *sim::PartitionSpec::parse(partition);
     sim::Chip chip(cfg);
     graph::GraphProtocol proto(chip);
     apps::StreamingBfs bfs(proto);
@@ -507,16 +495,13 @@ TEST(Determinism, StageScheduleBarrierCostIsPinned) {
                        chip.cell_visits()};
   };
   {
-    SCOPED_TRACE("partition = rows");
-    EXPECT_EQ(run("rows"), (SchedulePin{2094, 10980, 561677}));
+    SCOPED_TRACE("engine = active");
+    EXPECT_EQ(run(sim::EngineKind::kActive),
+              (SchedulePin{2094, 10980, 561677}));
   }
   {
-    SCOPED_TRACE("partition = rows+rebalance");
-    EXPECT_EQ(run("rows+rebalance"), (SchedulePin{2094, 10980, 564089}));
-  }
-  {
-    SCOPED_TRACE("partition = rows, engine = scan");
-    EXPECT_EQ(run("rows", sim::EngineKind::kScan),
+    SCOPED_TRACE("engine = scan");
+    EXPECT_EQ(run(sim::EngineKind::kScan),
               (SchedulePin{2094, 10980, 2 * 256 * 2094}));
   }
 }
@@ -529,9 +514,9 @@ TEST(Determinism, StageScheduleBarrierCostIsPinned) {
 // the hop counters here first). The 16x16 mesh keeps more cells live than
 // the sparse serial threshold (32 per partition, so 224 of 256 at 7
 // threads) for part of the run, so every multi-thread leg runs pooled
-// cycles too. A 64x4 mesh at 4 threads adds one-row stripes: there every
-// north/south hop crosses a stripe boundary, and both inner stripes trade
-// with two neighbours.
+// cycles too. A 64x4 mesh at 4 threads adds one-row blocks, one per
+// partition: there every north/south hop crosses a block boundary, and
+// both inner partitions trade with two neighbours.
 TEST(Determinism, HeavyCongestionIsCycleIdenticalAcrossThreadCounts) {
   auto run = [](std::uint32_t width, std::uint32_t height,
                 std::uint32_t threads,

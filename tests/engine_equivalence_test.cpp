@@ -1,14 +1,15 @@
 // The event-driven engine's headline guarantee: the active-set engine is
 // cycle-for-cycle identical to the full-scan oracle — same cycle count,
 // same complete ChipStats counter block, same energy, same activation
-// trace, same per-vertex results — across the engine × partition ×
-// thread count × io_sides matrix, while visiting strictly fewer cells per
+// trace, same per-vertex results — across the engine × thread count ×
+// io_sides matrix, while visiting strictly fewer cells per
 // cycle whenever the mesh is not saturated. Shallow FIFOs and a single
 // ejection per cycle keep the mesh congested, where a set-maintenance bug
 // (a cell activated late, a stale snapshot latch, a summary bit cleared
 // under a live word) would surface as a divergent counter. Also here: a
-// workload that swings between a saturated and a nearly idle mesh, a
-// rebalancing run, and the engine's resolution order.
+// workload that swings between a saturated and a nearly idle mesh, the
+// bitmaps of partitions whose blocks share a word, and the engine's
+// resolution order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,8 +55,8 @@ void expect_equivalent(const EngineResult& active, const EngineResult& scan) {
   }
 }
 
-EngineResult run_bfs(EngineKind engine, const char* partition,
-                     std::uint32_t threads, std::uint8_t io_sides) {
+EngineResult run_bfs(EngineKind engine, std::uint32_t threads,
+                     std::uint8_t io_sides) {
   sim::ChipConfig cfg;
   cfg.width = 12;
   cfg.height = 12;
@@ -63,7 +64,6 @@ EngineResult run_bfs(EngineKind engine, const char* partition,
   cfg.ejections_per_cycle = 1;
   cfg.io_sides = io_sides;
   cfg.threads = threads;
-  cfg.partition = *sim::PartitionSpec::parse(partition);
   cfg.engine = engine;
   cfg.record_activation = true;
   cfg.seed = 99;
@@ -94,35 +94,31 @@ EngineResult run_bfs(EngineKind engine, const char* partition,
   return r;
 }
 
-// The acceptance matrix: engine × {rows, rows+rebalance} × {1, 2, 4}
-// threads × {north/south, west/east} IO, every cell compared against the
-// scan-serial oracle of its io_sides group.
+// The acceptance matrix: engine × {1, 2, 4} threads × {north/south,
+// west/east} IO, every cell compared against the scan-serial oracle of its
+// io_sides group.
 TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
   for (const std::uint8_t io_sides :
        {static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth),
         static_cast<std::uint8_t>(sim::kIoWest | sim::kIoEast)}) {
     SCOPED_TRACE("io_sides = " + std::to_string(io_sides));
-    const EngineResult oracle =
-        run_bfs(EngineKind::kScan, "rows", 1, io_sides);
+    const EngineResult oracle = run_bfs(EngineKind::kScan, 1, io_sides);
     ASSERT_GT(oracle.cycles, 0u);
     ASSERT_GT(oracle.stats.stage_stalls, 0u) << "config failed to congest";
 
-    for (const char* partition : {"rows", "rows+rebalance"}) {
-      for (const std::uint32_t threads : {1u, 2u, 4u}) {
-        for (const EngineKind engine :
-             {EngineKind::kScan, EngineKind::kActive}) {
-          SCOPED_TRACE(std::string("partition = ") + partition +
-                       ", threads = " + std::to_string(threads) +
-                       ", engine = " + std::string(sim::to_string(engine)));
-          const EngineResult r = run_bfs(engine, partition, threads, io_sides);
-          expect_equivalent(r, oracle);
-          if (engine == EngineKind::kActive) {
-            // The refactor's point: the same simulation, fewer visits.
-            EXPECT_LT(r.cell_visits, oracle.cell_visits);
-          } else {
-            EXPECT_EQ(r.cell_visits, oracle.cell_visits)
-                << "scan visits every cell every cycle, whatever the split";
-          }
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      for (const EngineKind engine :
+           {EngineKind::kScan, EngineKind::kActive}) {
+        SCOPED_TRACE("threads = " + std::to_string(threads) +
+                     ", engine = " + std::string(sim::to_string(engine)));
+        const EngineResult r = run_bfs(engine, threads, io_sides);
+        expect_equivalent(r, oracle);
+        if (engine == EngineKind::kActive) {
+          // The refactor's point: the same simulation, fewer visits.
+          EXPECT_LT(r.cell_visits, oracle.cell_visits);
+        } else {
+          EXPECT_EQ(r.cell_visits, oracle.cell_visits)
+              << "scan visits every cell every cycle, whatever the split";
         }
       }
     }
@@ -132,44 +128,38 @@ TEST(EngineEquivalence, MatrixIsCycleIdenticalToScanOracle) {
 // cell_visits is the host-cost currency, so it must not depend on thread
 // timing: which cells a sweep visits follows only the sweeping
 // partition's own program order (see ActiveSet::for_each). Repeated
-// threaded runs whose bitmap words straddle partition boundaries must bill
-// the same visits: four stripes of the 12x12 chip start at cells 36, 72
-// and 108, all mid-word, so two stripes share word 0 and three share
-// word 1, and rebalancing moves them. The absolute counts are pinned too:
-// they rest on each stripe keeping the chip's global word alignment,
-// which decides whether a bit set mid-sweep lies in a later word.
+// threaded runs whose bitmap words hold rows of several partitions must
+// bill the same visits: on the 12x12 chip at 4 threads each block is one
+// row, dealt round-robin, so every bitmap word holds rows of two to four
+// partitions. The absolute count is pinned too: it rests on each
+// partition's bitmap keeping the chip's global word alignment, which
+// decides whether a bit set mid-sweep lies in a later word.
 TEST(EngineEquivalence, ActiveVisitCountIsDeterministic) {
   const auto io_sides =
       static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth);
-  for (const auto& [partition, pinned] :
-       {std::pair{"rows", std::uint64_t{185'142}},
-        std::pair{"rows+rebalance", std::uint64_t{185'103}}}) {
-    SCOPED_TRACE(std::string("partition = ") + partition);
-    const auto visits = [&] {
-      return run_bfs(EngineKind::kActive, partition, 4, io_sides).cell_visits;
-    };
-    const std::uint64_t first = visits();
-    EXPECT_EQ(first, pinned);
-    for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(visits(), first);
-  }
+  const auto visits = [&] {
+    return run_bfs(EngineKind::kActive, 4, io_sides).cell_visits;
+  };
+  const std::uint64_t first = visits();
+  EXPECT_EQ(first, 184'800u);
+  for (int rep = 0; rep < 3; ++rep) EXPECT_EQ(visits(), first);
 }
 
 // The large-mesh leg: the active engine's phases are 64-cell bitmap word
 // sweeps over spans gated by a 4096-cell summary level, so meshes whose
-// partition stripes start and end mid-word — and span several summary
+// partition blocks start and end mid-word — and span several summary
 // words — are where a masking or alignment bug would live, unreachable on
 // the 12x12 matrix above. 120x120 (225 bitmap words, 4 summary words; a
-// width that is not a multiple of 64, so threaded stripes start and end
-// mid-word, where a 128-wide stripe always starts on a word) runs in the
+// width that is not a multiple of 64, so threaded blocks start and end
+// mid-word, where a 128-wide block always starts on a word) runs in the
 // default suite; CCASTREAM_STRESS=1 upgrades the leg to the full 512x512
 // acceptance mesh.
 EngineResult run_large_bfs(EngineKind engine, std::uint32_t dim,
-                           const char* partition, std::uint32_t threads) {
+                           std::uint32_t threads) {
   sim::ChipConfig cfg;
   cfg.width = dim;
   cfg.height = dim;
   cfg.threads = threads;
-  cfg.partition = *sim::PartitionSpec::parse(partition);
   cfg.engine = engine;
   cfg.record_activation = true;
   cfg.seed = 7 + dim;
@@ -205,17 +195,14 @@ TEST(EngineEquivalence, LargeMeshMatchesScanOracle) {
   const std::uint32_t dim =
       (stress != nullptr && *stress != '\0' && *stress != '0') ? 512u : 120u;
   SCOPED_TRACE("mesh = " + std::to_string(dim) + "x" + std::to_string(dim));
-  const EngineResult oracle = run_large_bfs(EngineKind::kScan, dim, "rows", 1);
+  const EngineResult oracle = run_large_bfs(EngineKind::kScan, dim, 1);
   ASSERT_GT(oracle.cycles, 0u);
 
-  // One serial span, and four rebalancing stripes whose spans start and
-  // end mid-word.
-  for (const auto& [partition, threads] :
-       {std::pair{"rows", 1u}, std::pair{"rows+rebalance", 4u}}) {
-    SCOPED_TRACE(std::string("partition = ") + partition +
-                 ", threads = " + std::to_string(threads));
-    const EngineResult r =
-        run_large_bfs(EngineKind::kActive, dim, partition, threads);
+  // One serial span, and four partitions whose blocks start and end
+  // mid-word.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    const EngineResult r = run_large_bfs(EngineKind::kActive, dim, threads);
     expect_equivalent(r, oracle);
     EXPECT_LT(r.cell_visits, oracle.cell_visits);
   }
@@ -269,22 +256,24 @@ TEST(EngineEquivalence, OscillationIsCycleIdenticalToScanOracle) {
 }
 
 // Every partition's bitmap is exact after every cycle (ActiveSet::exact:
-// summary bits match their words, no bit outside the stripe, the size is
-// the popcount), over the words two stripes split too. On 12x12 at 4
-// threads the stripes start at cells 36, 72 and 108, all mid-word: word 0
-// straddles one boundary, word 1 two, and each stripe keeps its own copy
-// of them. Spinners on every cell keep the first cycles pooled; the ones
-// that enter at cell 0 cross stripes.
-TEST(EngineEquivalence, SummaryIsExactWhereStripesSplitWords) {
+// summary bits match their words, no bit outside its span, the size is
+// the popcount), over the words several partitions' blocks split too. On
+// 12x12 at 4 threads k = 1, so partition p owns rows p, p + 4 and p + 8:
+// word 0 (cells 0-63) holds rows of all four partitions, and each keeps
+// its own copy of it. Spinners on every cell keep the first cycles
+// pooled; the ones that enter at cell 0 cross blocks.
+TEST(EngineEquivalence, SummaryIsExactWhereBlocksSplitWords) {
   for (const auto engine : {EngineKind::kActive, EngineKind::kScan}) {
     SCOPED_TRACE(std::string("engine = ") + std::string(sim::to_string(engine)));
     sim::ChipConfig cfg = test::small_chip_config(12);
     cfg.threads = 4;
-    cfg.partition = *sim::PartitionSpec::parse("rows");
     cfg.engine = engine;
     sim::Chip chip(cfg);
-    for (std::uint32_t p = 1; p < 4; ++p) {
-      ASSERT_EQ(chip.partition_layout().span(p).begin, 36u * p);
+    for (std::uint32_t p = 0; p < 4; ++p) {
+      ASSERT_EQ(chip.partition_layout().blocks(p),
+                (std::vector<sim::CellSpan>{{12 * p, 12 * p + 12},
+                                            {12 * (p + 4), 12 * (p + 5)},
+                                            {12 * (p + 8), 12 * (p + 9)}}));
     }
     const rt::HandlerId spin = test::install_spin(chip);
     for (std::uint32_t cc = 0; cc < 144; ++cc) {
@@ -296,46 +285,14 @@ TEST(EngineEquivalence, SummaryIsExactWhereStripesSplitWords) {
     while (!chip.quiescent()) {
       chip.step();
       for (std::uint32_t p = 0; p < 4; ++p) {
-        const std::uint32_t first = chip.partition_layout().span(p).begin;
+        const std::uint32_t first =
+            chip.partition_layout().blocks(p).front().begin;
         ASSERT_TRUE(chip.active_set(first).exact())
             << "cycle " << chip.now() << ", partition " << p;
       }
     }
     EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
   }
-}
-
-// Rebalancing moves cells between partitions between runs; every set
-// activity bit is carried to its cell's new owner at each relayout, and
-// results — and the rebalance schedule — stay identical.
-TEST(EngineEquivalence, SurvivesRebalancingLayoutsUnchanged) {
-  auto run = [](EngineKind engine) {
-    sim::ChipConfig cfg;
-    cfg.width = 12;
-    cfg.height = 12;
-    cfg.threads = 4;
-    cfg.partition = *sim::PartitionSpec::parse("rows+rebalance");
-    cfg.engine = engine;
-    cfg.seed = 11;
-    sim::Chip chip(cfg);
-    const rt::HandlerId spin = test::install_spin(chip);
-    for (int round = 0; round < 4; ++round) {
-      // Skewed bursts (top-left corner) so rebalancing actually moves
-      // boundaries between the run calls.
-      for (std::uint32_t y = 0; y < 6; ++y) {
-        for (std::uint32_t x = 0; x < 6; ++x) {
-          test::seed_spinner(chip, spin, y * 12 + x, 10);
-        }
-      }
-      chip.run_until_quiescent();
-    }
-    return std::pair{chip.stats(), chip.partition_rebalances()};
-  };
-  const auto [scan_stats, scan_moves] = run(EngineKind::kScan);
-  const auto [active_stats, active_moves] = run(EngineKind::kActive);
-  EXPECT_GT(scan_moves, 0u) << "workload failed to move a boundary";
-  EXPECT_EQ(active_stats, scan_stats);
-  EXPECT_EQ(active_moves, scan_moves);
 }
 
 // Host-side injection paths (inject_local seeding, inject_via network

@@ -89,12 +89,11 @@ TEST(ScaleNames, RoundTripThroughEnv) {
 
 // The tail every record with default backend fields ends in.
 constexpr const char* kDefaultTail =
-    R"("threads":1,"partition":"rows","engine":"scan","host_cores":1})";
+    R"("threads":1,"engine":"scan","host_cores":1})";
 
 TEST(JsonRecord, FormatsEveryFieldInSchemaOrder) {
   bench::BenchRecord r{"bench_table2", "500K(1/5)", 123456789, 4669.125,
                        "paper", /*threads=*/4, /*wall_ms=*/123.456};
-  r.partition = "rows+rebalance";
   r.engine = "active";
   r.cell_visits = 123'456;
   r.rss_kb = 214'780;
@@ -102,7 +101,7 @@ TEST(JsonRecord, FormatsEveryFieldInSchemaOrder) {
   EXPECT_EQ(bench::format_record(r),
             R"json({"bench":"bench_table2","dataset":"500K(1/5)",)json"
             R"("cycles":123456789,"energy_uj":4669.125,"scale":"paper",)"
-            R"("threads":4,"partition":"rows+rebalance","engine":"active",)"
+            R"("threads":4,"engine":"active",)"
             R"("wall_ms":123.456,"cell_visits":123456,"rss_kb":214780,)"
             R"("host_cores":96})");
 }
@@ -153,15 +152,14 @@ TEST(PathSafeLabel, StripsDirectorySeparators) {
 }
 
 /// What a reporter writes for one measurement: the backend fields resolve
-/// from whatever CCASTREAM_THREADS / CCASTREAM_PARTITION / CCASTREAM_ENGINE
-/// the suite itself runs under (e.g. CI's thread and partition matrices),
+/// from whatever CCASTREAM_THREADS / CCASTREAM_ENGINE the suite itself
+/// runs under (e.g. CI's thread and engine matrices),
 /// and the reporter stamps the measuring host's core count.
 std::string reported_line(const char* bench_name, const char* dataset,
                           std::uint64_t cycles, double energy_uj,
                           const char* scale) {
   bench::BenchRecord r{bench_name, dataset, cycles, energy_uj, scale};
   r.threads = ccastream::sim::resolve_threads(0);
-  r.partition = ccastream::sim::resolve_partition({}).to_string();
   r.engine = ccastream::sim::to_string(ccastream::sim::resolve_engine({}));
   r.host_cores = std::max(1u, std::thread::hardware_concurrency());
   return bench::format_record(r);

@@ -269,7 +269,7 @@ TEST(ActiveSetBitmap, ExactnessCatchesStrayBitsAndMiscounts) {
 // sweeps and relayouts over a 12 345-cell mesh (193 words, so four summary
 // words and a ragged tail), split into random stripes whose boundaries
 // fall mid-word. Each relayout carries every set bit to its cell's new
-// owner, as Chip::apply_layout does. Every sweep must return exactly the
+// owner. Every sweep must return exactly the
 // reference's cells in the stripe, ascending, and every set must be exact
 // after every operation.
 TEST(ActiveSetBitmap, MatchesReferenceSetAcrossRelayouts) {

@@ -1,6 +1,5 @@
 // Stress/scale sweep: mesh sizes {8x8, 32x32, 64x64} crossed with IO-side
-// configurations and partitions (row stripes, plain and rebalancing),
-// each streaming an SBM workload through BFS and
+// configurations, each streaming an SBM workload through BFS and
 // verifying against the sequential oracle. Heavyweight by design: the
 // suite is registered with ctest label `slow` and every test GTEST_SKIPs
 // unless CCASTREAM_STRESS=1, so the default `ctest` run stays fast while
@@ -23,8 +22,7 @@ bool stress_enabled() {
   return v != nullptr && *v != '\0' && *v != '0';
 }
 
-using Case = std::tuple<std::uint32_t /*mesh*/, std::uint8_t /*io_sides*/,
-                        const char* /*partition*/>;
+using Case = std::tuple<std::uint32_t /*mesh*/, std::uint8_t /*io_sides*/>;
 
 class StressScale : public ::testing::TestWithParam<Case> {};
 
@@ -32,18 +30,17 @@ TEST_P(StressScale, StreamingBfsSettlesAndMatchesOracle) {
   if (!stress_enabled()) {
     GTEST_SKIP() << "set CCASTREAM_STRESS=1 to run the stress/scale sweep";
   }
-  const auto [dim, io_sides, partition] = GetParam();
+  const auto [dim, io_sides] = GetParam();
 
   sim::ChipConfig cfg;
   cfg.width = dim;
   cfg.height = dim;
   cfg.io_sides = io_sides;
-  cfg.partition = *sim::PartitionSpec::parse(partition);
   cfg.seed = 0x57AE55ull + dim;
   // threads left at 0: honours CCASTREAM_THREADS, so the CI thread matrix
-  // stresses both engines — and both partitions — with the same sweep (at
-  // 1 thread they collapse to a single partition, which is exactly the
-  // serial baseline the determinism suite pins against).
+  // stresses both engines with the same sweep (at 1 thread they collapse
+  // to a single partition, which is exactly the serial baseline the
+  // determinism suite pins against).
   sim::Chip chip(cfg);
   graph::GraphProtocol proto(chip);
   apps::StreamingBfs bfs(proto);
@@ -171,26 +168,17 @@ TEST(StressMillionCell, SparseBfsOnMillionCellMeshStaysLean) {
 }
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
-  const auto [dim, io_sides, partition] = info.param;
+  const auto [dim, io_sides] = info.param;
   std::string name = "Mesh" + std::to_string(dim) + "x" + std::to_string(dim);
   name += "_Io";
   if (io_sides & sim::kIoNorth) name += "N";
   if (io_sides & sim::kIoSouth) name += "S";
   if (io_sides & sim::kIoWest) name += "W";
   if (io_sides & sim::kIoEast) name += "E";
-  name += "_";
-  for (const char* c = partition; *c != '\0'; ++c) {
-    if (*c == '+') {
-      name += "Rebal";
-      break;  // the suffix is always "+rebalance"
-    }
-    name += *c;
-  }
   return name;
 }
 
-// The partition dimension covers plain row stripes (the default) and the
-// load-adaptive path — 18 cases.
+// 9 cases.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, StressScale,
     ::testing::Combine(
@@ -199,8 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
             static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth),
             static_cast<std::uint8_t>(sim::kIoWest | sim::kIoEast),
             static_cast<std::uint8_t>(sim::kIoNorth | sim::kIoSouth |
-                                      sim::kIoWest | sim::kIoEast)),
-        ::testing::Values("rows", "rows+rebalance")),
+                                      sim::kIoWest | sim::kIoEast))),
     case_name);
 
 }  // namespace

@@ -44,8 +44,7 @@ struct Options {
   std::uint32_t increments = 10;
   std::uint32_t width = 16, height = 16;
   std::uint32_t threads = 0;  // 0 = CCASTREAM_THREADS env, else serial
-  std::optional<sim::PartitionSpec> partition;  // unset = env, else rows
-  std::optional<sim::EngineKind> engine;        // unset = env, else active
+  std::optional<sim::EngineKind> engine;  // unset = env, else active
   std::optional<rt::CheckLevel> check;  // unset = CCASTREAM_CHECK env, else off
   sim::RoutingPolicyKind routing = sim::RoutingPolicyKind::kYX;
   rt::AllocPolicyKind alloc = rt::AllocPolicyKind::kVicinity;
@@ -100,12 +99,6 @@ void usage() {
       "                                at most one per mesh row (default:\n"
       "                                CCASTREAM_THREADS or 1; results are\n"
       "                                identical for every N)\n"
-      "  --partition SPEC              mesh partition for the parallel engine:\n"
-      "                                rows (one row stripe per worker) or\n"
-      "                                rows+rebalance (load-adaptive stripe\n"
-      "                                boundaries; default: CCASTREAM_PARTITION\n"
-      "                                or rows; results are identical either\n"
-      "                                way)\n"
       "  --engine scan|active          cycle engine: the event-driven\n"
       "                                active-set bitmap engine (default:\n"
       "                                CCASTREAM_ENGINE or active) or the\n"
@@ -209,10 +202,6 @@ bool parse(int argc, char** argv, Options& o) {
     } else if (a == "--threads") {
       // The cap CCASTREAM_THREADS gets (sim::resolve_threads).
       if (!number(i, a, o.threads, 1, 4096)) return false;
-    } else if (a == "--partition") {
-      const char* v = need(i);
-      o.partition = sim::PartitionSpec::parse(v);
-      if (!o.partition) return invalid(a, v, "rows|rows+rebalance");
     } else if (a == "--engine") {
       const char* v = need(i);
       o.engine = sim::parse_engine(v);
@@ -436,7 +425,6 @@ int main(int argc, char** argv) {
   cfg.vicinity_radius = o.vicinity_radius;
   cfg.seed = o.seed;
   cfg.threads = o.threads;
-  cfg.partition = o.partition;
   cfg.engine = o.engine;
   cfg.check_level = o.check;
   cfg.record_activation = !o.activation_path.empty();
@@ -545,11 +533,10 @@ int main(int argc, char** argv) {
   // --- Stream ------------------------------------------------------------------
   std::printf(
       "chip %ux%u  routing %s  alloc %s  rhizomes %u  app %s  threads %u  "
-      "partition %s  engine %s\n",
+      "engine %s\n",
       o.width, o.height, std::string(sim::to_string(o.routing)).c_str(),
       std::string(rt::to_string(o.alloc)).c_str(), o.rhizomes, o.app.c_str(),
-      chip.threads(), chip.partition_spec().to_string().c_str(),
-      std::string(sim::to_string(chip.engine())).c_str());
+      chip.threads(), std::string(sim::to_string(chip.engine())).c_str());
   std::printf("%lu vertices, %lu ops, %s sampling, %zu increments, source %lu",
               o.vertices, sched.total_edges(),
               std::string(wl::to_string(sched.kind)).c_str(),

@@ -4,7 +4,7 @@
     tools/run_benches.sh build BENCH_ci.json
     python3 tools/check_bench_records.py BENCH_active.json BENCH_ci.json
 
-Records are matched by (bench, dataset, engine, partition, threads), and
+Records are matched by (bench, dataset, engine, threads), and
 both files must hold exactly the same set of them. Each matched record
 must keep its simulated fields: `cycles` and `cell_visits` exactly, and
 `energy_uj` to a relative 1e-12 (a float written by two builds may differ
@@ -18,7 +18,7 @@ move is visible in the diff. Python stdlib only.
 import json
 import sys
 
-KEY = ("bench", "dataset", "engine", "partition", "threads")
+KEY = ("bench", "dataset", "engine", "threads")
 EXACT = ("cycles", "cell_visits")
 ENERGY_RTOL = 1e-12
 

@@ -9,17 +9,15 @@
 #                the committed trajectory CI diffs every sweep against
 #
 # CCASTREAM_THREADS selects the simulator backend for the whole sweep
-# (default 1 = serial engine), CCASTREAM_PARTITION its mesh partition
-# (rows|rows+rebalance, default rows), and CCASTREAM_ENGINE
-# its cycle engine (scan|active, default active — the simulator's default
-# bitmap engine); every emitted record carries
-# matching "threads", "partition", and "engine" fields, so sweeps from
-# different backends can be aggregated and compared side by side, e.g.:
+# (default 1 = serial engine) and CCASTREAM_ENGINE its cycle engine
+# (scan|active, default active — the simulator's default bitmap engine);
+# every emitted record carries matching "threads" and "engine" fields, so
+# sweeps from different backends can be aggregated and compared side by
+# side, e.g.:
 #   tools/run_benches.sh build BENCH_active.json   # regenerate the trajectory
 #   tools/run_benches.sh build /tmp/BENCH_ci.json && \
 #     python3 tools/check_bench_records.py BENCH_active.json /tmp/BENCH_ci.json
-#   CCASTREAM_THREADS=4 CCASTREAM_PARTITION=rows+rebalance \
-#     tools/run_benches.sh build /tmp/BENCH_rebal.json
+#   CCASTREAM_THREADS=4 tools/run_benches.sh build /tmp/BENCH_4t.json
 #   CCASTREAM_ENGINE=scan tools/run_benches.sh build /tmp/BENCH_scan.json
 # (bench_active_set runs both engines explicitly whatever the env, emitting
 # per-engine records with "cell_visits" — the scan-vs-active comparison is
@@ -29,7 +27,6 @@ set -euo pipefail
 BUILD_DIR=${1:-build}
 OUTPUT=${2:-BENCH_active.json}
 export CCASTREAM_THREADS=${CCASTREAM_THREADS:-1}
-export CCASTREAM_PARTITION=${CCASTREAM_PARTITION:-rows}
 export CCASTREAM_ENGINE=${CCASTREAM_ENGINE:-active}
 
 if [[ ! -d "$BUILD_DIR/bench" ]]; then
@@ -67,7 +64,7 @@ for bench in "${BENCHES[@]}"; do
   # Keep the google-benchmark binary quick: the headline record comes from
   # its one-shot ingest, not from long calibration runs.
   [[ "$name" == bench_micro ]] && args=(--benchmark_min_time=0.01)
-  echo "=== running $name (CCASTREAM_SCALE=tiny, CCASTREAM_THREADS=$CCASTREAM_THREADS, CCASTREAM_PARTITION=$CCASTREAM_PARTITION, CCASTREAM_ENGINE=$CCASTREAM_ENGINE) ==="
+  echo "=== running $name (CCASTREAM_SCALE=tiny, CCASTREAM_THREADS=$CCASTREAM_THREADS, CCASTREAM_ENGINE=$CCASTREAM_ENGINE) ==="
   bench_abs=$(cd "$(dirname "$bench")" && pwd)/$name
   (cd "$SCRATCH_ABS" && "$bench_abs" "${args[@]}")
 done
