@@ -54,7 +54,7 @@ Measurement run_once(std::uint32_t dim, std::uint8_t io_sides,
   m.cycles = bench::total_cycles(reports);
   m.energy_uj = bench::total_energy_uj(reports);
   m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  m.parts = e.chip->partitions();
+  m.parts = e.chip->threads();
   return m;
 }
 

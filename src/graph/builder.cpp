@@ -139,13 +139,13 @@ IncrementReport StreamingGraph::stream_increment(std::span<const StreamEdge> edg
     // half-streamed batch) mid-increment.
     if (rhizomes_ > 1) throw DeletionRhizomeError(rhizomes_);
     const AppHooks& h = proto_.hooks();
-    if (h.on_edge_inserted && !h.host_repair.invalidate && !h.on_edge_deleted) {
+    if (h.on_edge_inserted && !h.host_repair.invalidate) {
       // An app is chaining computation off inserts but has no deletion
       // story at all: structure-only deletion would silently leave its
       // state stale. Fail loudly (see the header comment).
       rt::fatal_misuse(
           "stream_increment: deleting increment under an app without "
-          "deletion repair (no host_repair/on_edge_deleted hook)",
+          "deletion repair (no host_repair hook)",
           __FILE__, __LINE__);
     }
   }

@@ -152,11 +152,10 @@ class StreamingGraph {
   ///        monotone diffusion converges on the repaired fixed point.
   /// Deleting increments are validated up front: rhizomes > 1 throws
   /// DeletionRhizomeError before any op is enqueued, and an app that
-  /// chains on inserts (on_edge_inserted set) but has neither host_repair
-  /// nor on_edge_deleted is a fatal misuse — silently deleting structure
-  /// under it would leave its state stale with no repair story. Hook-free
-  /// structural streaming (no app installed) still gets plain
-  /// structure-only deletion.
+  /// chains on inserts (on_edge_inserted set) but has no host_repair is a
+  /// fatal misuse — silently deleting structure under it would leave its
+  /// state stale with no repair story. Hook-free structural streaming (no
+  /// app installed) still gets plain structure-only deletion.
   /// The report's cycle/energy deltas span all phases.
   ///
   /// An increment changes the stored adjacency of its ops' sources only:

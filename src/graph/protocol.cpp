@@ -7,7 +7,7 @@ namespace ccastream::graph {
 
 GraphProtocol::GraphProtocol(sim::Chip& chip, RpvoConfig cfg)
     : chip_(chip), cfg_(cfg) {
-  blocks_.resize(std::max<std::uint32_t>(1, chip.partitions()));
+  blocks_.resize(std::max<std::uint32_t>(1, chip.threads()));
   // A fragment must hold at least one edge (capacity 0 would grow an
   // infinite ghost chain) and have at least one ghost slot.
   if (cfg_.edge_capacity == 0) cfg_.edge_capacity = 1;
@@ -124,7 +124,6 @@ void GraphProtocol::handle_ghost_reply(rt::Context& ctx, const rt::Action& a) {
     ++ps.ghost_alloc_failures;
   } else {
     ++ps.ghost_links_made;
-    ctx.count(rt::SimCounter::kFuturesFulfilled, 1);
     // Teach the new ghost its identity (vertex id + root address) so
     // chain-walking applications can orient themselves.
     ctx.propagate(rt::make_action(h_init_ghost_, ghost_addr,
@@ -132,11 +131,7 @@ void GraphProtocol::handle_ghost_reply(rt::Context& ctx, const rt::Action& a) {
                                   frag->root.pack()));
   }
 
-  const int drained = frag->ghosts[slot].fulfil(ghost_addr, ctx);
-  if (drained > 0) {
-    ctx.count(rt::SimCounter::kFutureWaitersDrained,
-              static_cast<std::uint64_t>(drained));
-  }
+  frag->ghosts[slot].fulfil(ghost_addr, ctx);
   if (!ghost_addr.is_null() && hooks_.on_ghost_linked && !hooks_suppressed_) {
     hooks_.on_ghost_linked(ctx, *frag, ghost_addr);
   }
@@ -159,11 +154,6 @@ void GraphProtocol::handle_delete(rt::Context& ctx, const rt::Action& a) {
   // Scan-and-erase is charged like the scan the real cell would do.
   ctx.charge(static_cast<std::uint32_t>(1 + frag->edges.size()));
 
-  if (hooks_.on_edge_deleted && !hooks_suppressed_) {
-    for (const EdgeRecord& e : frag->edges) {
-      if (e.dst == dst) hooks_.on_edge_deleted(ctx, *frag, e);
-    }
-  }
   const std::size_t removed =
       frag->edges.erase_if([&](const EdgeRecord& e) { return e.dst == dst; });
   ps.edges_deleted += removed;

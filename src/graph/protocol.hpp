@@ -48,12 +48,6 @@ struct AppHooks {
   std::function<void(rt::Context&, VertexFragment& frag, rt::GlobalAddress ghost)>
       on_ghost_linked;
 
-  /// After a delete-edge removes `edge` from `frag`'s edge list (called once
-  /// per removed record). Apps that can repair locally react here; BFS uses
-  /// the host-orchestrated repair below instead and leaves this unset.
-  std::function<void(rt::Context&, VertexFragment& frag, const EdgeRecord&)>
-      on_edge_deleted;
-
   /// Host-side deletion repair, run by StreamingGraph::stream_increment for
   /// increments containing delete ops (see its header comment for the full
   /// phase protocol). Both callbacks run host-side between quiescent chip
@@ -118,10 +112,10 @@ class GraphProtocol {
   [[nodiscard]] const AppHooks& hooks() const noexcept { return hooks_; }
 
   /// Temporarily silences the on-cell hooks (on_edge_inserted /
-  /// on_ghost_linked / on_edge_deleted) without discarding them. The
-  /// deletion-repair phases use this to stream structural ops over frozen
-  /// application state. Host-side only, between runs — never toggle while
-  /// the chip is executing.
+  /// on_ghost_linked) without discarding them. The deletion-repair phases
+  /// use this to stream structural ops over frozen application state.
+  /// Host-side only, between runs — never toggle while the chip is
+  /// executing.
   void set_hooks_suppressed(bool s) noexcept { hooks_suppressed_ = s; }
   [[nodiscard]] bool hooks_suppressed() const noexcept { return hooks_suppressed_; }
 

@@ -14,73 +14,48 @@ std::string_view to_string(AllocPolicyKind kind) noexcept {
   return "unknown";
 }
 
-std::uint32_t VicinityAllocator::choose(std::uint32_t origin_cc,
-                                        const MeshGeometry& mesh, Xoshiro256& rng) {
-  // Enumerate cells at Manhattan distance 1..radius_ around the origin.
-  // The candidate set is tiny (2r(r+1) cells for radius r), so direct
-  // enumeration per call is cheap and avoids any per-cell cached state.
-  const Coord o = mesh.coord_of(origin_cc);
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(2 * radius_ * (radius_ + 1));
-  const auto r = static_cast<std::int64_t>(radius_);
-  for (std::int64_t dy = -r; dy <= r; ++dy) {
-    const std::int64_t rem = r - (dy < 0 ? -dy : dy);
-    for (std::int64_t dx = -rem; dx <= rem; ++dx) {
-      if (dx == 0 && dy == 0) continue;
-      const std::int64_t x = static_cast<std::int64_t>(o.x) + dx;
-      const std::int64_t y = static_cast<std::int64_t>(o.y) + dy;
-      if (x < 0 || y < 0) continue;
-      const Coord c{static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)};
-      if (!mesh.contains(c)) continue;
-      candidates.push_back(mesh.index_of(c));
-    }
-  }
-  if (candidates.empty()) return origin_cc;  // 1x1 mesh: nowhere else to go.
-  return candidates[rng.below(candidates.size())];
-}
-
-std::uint32_t RandomAllocator::choose(std::uint32_t /*origin_cc*/,
-                                      const MeshGeometry& mesh, Xoshiro256& rng) {
-  return static_cast<std::uint32_t>(rng.below(mesh.cell_count()));
-}
-
-void RoundRobinAllocator::prepare(const MeshGeometry& mesh) {
-  cursors_.assign(mesh.cell_count(), 0);
-}
-
-std::uint32_t RoundRobinAllocator::choose(std::uint32_t origin_cc,
-                                          const MeshGeometry& mesh,
-                                          Xoshiro256& /*rng*/) {
-  // Unprepared standalone use (unit tests, host-side experiments) grows the
-  // cursor table lazily; the chip always calls prepare() first, so choose()
-  // never reallocates while handlers run concurrently.
-  if (cursors_.size() < mesh.cell_count()) cursors_.resize(mesh.cell_count(), 0);
-  std::uint32_t& cursor = cursors_[origin_cc % cursors_.size()];
-  // Anchoring each origin's walk at its own cell keeps concurrent early
-  // allocations spread across the whole chip (cursor-from-zero would point
-  // every origin's first ghost at cell 0, piling load onto low indices).
-  const std::uint32_t cc =
-      static_cast<std::uint32_t>((origin_cc + cursor) % mesh.cell_count());
-  ++cursor;
-  return cc;
-}
-
-std::uint32_t LocalAllocator::choose(std::uint32_t origin_cc,
-                                     const MeshGeometry& /*mesh*/,
-                                     Xoshiro256& /*rng*/) {
-  return origin_cc;
-}
-
-std::unique_ptr<AllocationPolicy> make_alloc_policy(AllocPolicyKind kind,
-                                                    std::uint32_t vicinity_radius) {
+std::uint32_t choose_ghost_cell(AllocPolicyKind kind, std::uint32_t radius,
+                                std::uint32_t origin_cc, const MeshGeometry& mesh,
+                                Xoshiro256& rng, std::uint32_t& cursor) {
   switch (kind) {
-    case AllocPolicyKind::kVicinity:
-      return std::make_unique<VicinityAllocator>(vicinity_radius);
-    case AllocPolicyKind::kRandom: return std::make_unique<RandomAllocator>();
-    case AllocPolicyKind::kRoundRobin: return std::make_unique<RoundRobinAllocator>();
-    case AllocPolicyKind::kLocal: return std::make_unique<LocalAllocator>();
+    case AllocPolicyKind::kVicinity: {
+      // Enumerate cells at Manhattan distance 1..radius around the origin.
+      // The candidate set is tiny (2r(r+1) cells for radius r), so direct
+      // enumeration per call is cheap and avoids any per-cell cached state.
+      const Coord o = mesh.coord_of(origin_cc);
+      std::vector<std::uint32_t> candidates;
+      candidates.reserve(2 * radius * (radius + 1));
+      const auto r = static_cast<std::int64_t>(radius);
+      for (std::int64_t dy = -r; dy <= r; ++dy) {
+        const std::int64_t rem = r - (dy < 0 ? -dy : dy);
+        for (std::int64_t dx = -rem; dx <= rem; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          const std::int64_t x = static_cast<std::int64_t>(o.x) + dx;
+          const std::int64_t y = static_cast<std::int64_t>(o.y) + dy;
+          if (x < 0 || y < 0) continue;
+          const Coord c{static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)};
+          if (!mesh.contains(c)) continue;
+          candidates.push_back(mesh.index_of(c));
+        }
+      }
+      if (candidates.empty()) return origin_cc;  // 1x1 mesh: nowhere else to go.
+      return candidates[rng.below(candidates.size())];
+    }
+    case AllocPolicyKind::kRandom:
+      return static_cast<std::uint32_t>(rng.below(mesh.cell_count()));
+    case AllocPolicyKind::kRoundRobin: {
+      // Anchoring each origin's walk at its own cell keeps concurrent early
+      // allocations spread across the whole chip (cursor-from-zero would
+      // point every origin's first ghost at cell 0, piling load onto low
+      // indices).
+      const auto cc =
+          static_cast<std::uint32_t>((origin_cc + cursor) % mesh.cell_count());
+      ++cursor;
+      return cc;
+    }
+    case AllocPolicyKind::kLocal: return origin_cc;
   }
-  return std::make_unique<VicinityAllocator>(vicinity_radius);
+  return origin_cc;
 }
 
 }  // namespace ccastream::rt

@@ -12,10 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "runtime/geometry.hpp"
 #include "runtime/rng.hpp"
@@ -32,77 +29,18 @@ enum class AllocPolicyKind : std::uint8_t {
 /// Returns a short stable name ("vicinity", "random", ...) for reports.
 [[nodiscard]] std::string_view to_string(AllocPolicyKind kind) noexcept;
 
-/// Strategy interface: chooses the compute cell that should host a new
-/// ghost fragment for a vertex rooted at `origin_cc`.
-class AllocationPolicy {
- public:
-  virtual ~AllocationPolicy() = default;
-  [[nodiscard]] virtual std::uint32_t choose(std::uint32_t origin_cc,
-                                             const MeshGeometry& mesh,
-                                             Xoshiro256& rng) = 0;
-  [[nodiscard]] virtual AllocPolicyKind kind() const noexcept = 0;
-
-  /// Called once by the chip before simulation starts. Policies that keep
-  /// per-origin state size it here so concurrent choose() calls from
-  /// different cells never reallocate shared storage.
-  virtual void prepare(const MeshGeometry& /*mesh*/) {}
-};
-
-/// Vicinity allocator: cells with 1..radius hop distance from the origin.
-class VicinityAllocator final : public AllocationPolicy {
- public:
-  explicit VicinityAllocator(std::uint32_t radius = 2) : radius_(radius) {}
-  [[nodiscard]] std::uint32_t choose(std::uint32_t origin_cc, const MeshGeometry& mesh,
-                                     Xoshiro256& rng) override;
-  [[nodiscard]] AllocPolicyKind kind() const noexcept override {
-    return AllocPolicyKind::kVicinity;
-  }
-  [[nodiscard]] std::uint32_t radius() const noexcept { return radius_; }
-
- private:
-  std::uint32_t radius_;
-};
-
-/// Random allocator: uniform over all cells (Figure 5b).
-class RandomAllocator final : public AllocationPolicy {
- public:
-  [[nodiscard]] std::uint32_t choose(std::uint32_t origin_cc, const MeshGeometry& mesh,
-                                     Xoshiro256& rng) override;
-  [[nodiscard]] AllocPolicyKind kind() const noexcept override {
-    return AllocPolicyKind::kRandom;
-  }
-};
-
-/// Chip-wide rotation, keyed per originating cell: each origin walks the
-/// whole chip in index order with its own cursor. Keying by cell (instead
-/// of one global call-order cursor) keeps the sequence deterministic under
-/// the parallel engine, where the interleaving of choose() calls from
-/// different cells depends on thread scheduling.
-class RoundRobinAllocator final : public AllocationPolicy {
- public:
-  [[nodiscard]] std::uint32_t choose(std::uint32_t origin_cc, const MeshGeometry& mesh,
-                                     Xoshiro256& rng) override;
-  [[nodiscard]] AllocPolicyKind kind() const noexcept override {
-    return AllocPolicyKind::kRoundRobin;
-  }
-  void prepare(const MeshGeometry& mesh) override;
-
- private:
-  std::vector<std::uint32_t> cursors_;  // per-origin rotation state
-};
-
-/// Always the originating cell.
-class LocalAllocator final : public AllocationPolicy {
- public:
-  [[nodiscard]] std::uint32_t choose(std::uint32_t origin_cc, const MeshGeometry& mesh,
-                                     Xoshiro256& rng) override;
-  [[nodiscard]] AllocPolicyKind kind() const noexcept override {
-    return AllocPolicyKind::kLocal;
-  }
-};
-
-/// Factory. `vicinity_radius` only applies to the vicinity policy.
-[[nodiscard]] std::unique_ptr<AllocationPolicy> make_alloc_policy(
-    AllocPolicyKind kind, std::uint32_t vicinity_radius = 2);
+/// Chooses the compute cell that hosts a new ghost fragment for a vertex
+/// whose overflowing fragment sits on `origin_cc`. `radius` applies to the
+/// vicinity policy only; `rng` is the origin cell's generator (vicinity and
+/// random draw from it). `cursor` is the origin cell's round-robin state:
+/// each origin walks the whole chip in index order from its own cell, one
+/// step per choice. Keying the walk by origin cell, rather than one global
+/// call-order cursor, keeps it deterministic under the parallel engine.
+[[nodiscard]] std::uint32_t choose_ghost_cell(AllocPolicyKind kind,
+                                              std::uint32_t radius,
+                                              std::uint32_t origin_cc,
+                                              const MeshGeometry& mesh,
+                                              Xoshiro256& rng,
+                                              std::uint32_t& cursor);
 
 }  // namespace ccastream::rt

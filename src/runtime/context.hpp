@@ -8,14 +8,11 @@
 // return-trigger continuation (paper §3.1, Figure 3).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <optional>
+#include <type_traits>
 
 #include "runtime/action.hpp"
 #include "runtime/arena.hpp"
-#include "runtime/geometry.hpp"
-#include "runtime/rng.hpp"
 #include "runtime/types.hpp"
 
 namespace ccastream::rt {
@@ -24,29 +21,11 @@ namespace ccastream::rt {
 /// Object factories are registered per kind with the chip.
 using ObjectKind = std::uint16_t;
 
-/// Simulator statistic channels a handler (or the protocol library) may
-/// bump from inside an action. The simulator routes them to the executing
-/// partition's private counter block, summed when Chip::stats() is read,
-/// so handlers never write shared chip state — the invariant that makes the
-/// parallel engine race-free and deterministic.
-enum class SimCounter : std::uint8_t {
-  kFuturesFulfilled,
-  kFutureWaitersDrained,
-  kAllocForwards,
-  kAllocFailures,
-};
-
 /// Abstract handler execution context. The simulator provides the concrete
 /// implementation; tests may provide mocks.
 class Context {
  public:
   virtual ~Context() = default;
-
-  /// Index of the compute cell this handler is executing on.
-  [[nodiscard]] virtual std::uint32_t cc() const = 0;
-
-  /// Chip mesh geometry (for locality-aware decisions).
-  [[nodiscard]] virtual const MeshGeometry& geometry() const = 0;
 
   /// Stages an outbound action. Staging costs one cell-cycle per message
   /// (paper §4: a cell either executes an instruction or stages a message).
@@ -64,10 +43,6 @@ class Context {
   /// ever touch memory local to the cell they run on.
   [[nodiscard]] virtual ArenaObject* deref(GlobalAddress addr) = 0;
 
-  /// Synchronously allocates an object of `kind` in this cell's own arena.
-  /// Returns the new address, or nullopt when the scratchpad is full.
-  virtual std::optional<GlobalAddress> allocate_local(ObjectKind kind) = 0;
-
   /// Fires the asynchronous `allocate` system action (paper Listing 6 line
   /// 18, Figure 3): an allocation request is propagated to a compute cell
   /// chosen by the chip's ghost-allocation policy; when the remote cell has
@@ -76,13 +51,6 @@ class Context {
   /// state (typically by fulfilling a future LCO).
   virtual void call_cc_allocate(ObjectKind kind, GlobalAddress reply_to,
                                 HandlerId reply_handler, Word tag) = 0;
-
-  /// Per-cell deterministic RNG.
-  [[nodiscard]] virtual Xoshiro256& rng() = 0;
-
-  /// Bumps a simulator statistic from handler code. Mock contexts may keep
-  /// the default no-op.
-  virtual void count(SimCounter /*counter*/, std::uint64_t /*n*/) {}
 
   /// Index of the engine partition (its rows are a fixed set of blocks —
   /// see sim/partition.hpp) executing this handler — always 0 on

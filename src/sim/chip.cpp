@@ -127,12 +127,6 @@ class CellContext final : public rt::Context {
   CellContext(Chip& chip, Chip::PartitionState& st, ComputeCell& cell)
       : chip_(chip), st_(st), cell_(cell) {}
 
-  [[nodiscard]] std::uint32_t cc() const override { return cell_.index(); }
-
-  [[nodiscard]] const rt::MeshGeometry& geometry() const override {
-    return chip_.mesh_;
-  }
-
   void propagate(const rt::Action& action) override {
     cell_.push_staged(Message{action, chip_.cycle_});
     ++st_.stats.actions_created;
@@ -150,32 +144,16 @@ class CellContext final : public rt::Context {
     return cell_.arena.get(addr.slot);
   }
 
-  std::optional<rt::GlobalAddress> allocate_local(rt::ObjectKind kind) override {
-    return chip_.allocate_on(st_.stats, cell_.index(), kind);
-  }
-
   void call_cc_allocate(rt::ObjectKind kind, rt::GlobalAddress reply_to,
                         rt::HandlerId reply_handler, rt::Word tag) override {
-    const std::uint32_t target_cc =
-        chip_.alloc_policy_->choose(cell_.index(), chip_.mesh_, cell_.rng);
+    const std::uint32_t target_cc = rt::choose_ghost_cell(
+        chip_.cfg_.alloc_policy, chip_.cfg_.vicinity_radius, cell_.index(),
+        chip_.mesh_, cell_.rng, cell_.alloc_cursor());
     propagate(make_allocate_action(target_cc, kind, chip_.cfg_.alloc_forward_budget,
                                    reply_handler, reply_to, tag));
   }
 
-  [[nodiscard]] rt::Xoshiro256& rng() override { return cell_.rng; }
-
   [[nodiscard]] std::uint32_t partition() const override { return st_.index; }
-
-  void count(rt::SimCounter counter, std::uint64_t n) override {
-    switch (counter) {
-      case rt::SimCounter::kFuturesFulfilled: st_.stats.futures_fulfilled += n; break;
-      case rt::SimCounter::kFutureWaitersDrained:
-        st_.stats.future_waiters_drained += n;
-        break;
-      case rt::SimCounter::kAllocForwards: st_.stats.alloc_forwards += n; break;
-      case rt::SimCounter::kAllocFailures: st_.stats.alloc_failures += n; break;
-    }
-  }
 
   [[nodiscard]] std::uint32_t charged() const noexcept { return charged_; }
 
@@ -190,7 +168,6 @@ Chip::Chip(ChipConfig cfg)
     : cfg_(checked_mesh(cfg)),
       mesh_(cfg.width, cfg.height),
       layout_(cfg.width, cfg.height, resolve_threads(cfg.threads)),
-      alloc_policy_(rt::make_alloc_policy(cfg.alloc_policy, cfg.vicinity_radius)),
       io_(mesh_, cfg.io_sides) {
   check_level_ = rt::resolve_check_level(cfg_.check_level);
   // The SoA slab and the row pools first (the cells hold pointers into
@@ -205,7 +182,6 @@ Chip::Chip(ChipConfig cfg)
   });
   trace_.set_enabled(cfg.record_activation);
   cell_load_.assign(mesh_.cell_count(), 0);
-  alloc_policy_->prepare(mesh_);
   registry_.register_system_handler(
       rt::kHandlerAllocate, "sys.allocate",
       [this](rt::Context& ctx, const rt::Action& a) { handle_allocate(ctx, a); });
@@ -244,13 +220,6 @@ std::optional<rt::GlobalAddress> Chip::host_allocate(
 rt::ArenaObject* Chip::deref(rt::GlobalAddress addr) {
   if (addr.is_null() || addr.cc >= cells_.size()) return nullptr;
   return cells_[addr.cc].arena.get(addr.slot);
-}
-
-void Chip::set_alloc_policy(std::unique_ptr<rt::AllocationPolicy> policy) {
-  if (policy) {
-    alloc_policy_ = std::move(policy);
-    alloc_policy_->prepare(mesh_);
-  }
 }
 
 // The host injections run between cycles and count into partition 0's
@@ -758,8 +727,11 @@ void Chip::handle_allocate(rt::Context& ctx, const rt::Action& action) {
   const rt::GlobalAddress reply_to = rt::GlobalAddress::unpack(action.args[1]);
   const rt::Word tag = action.args[2];
 
+  // The action runs at its target cell, on the partition that owns it.
+  const std::uint32_t cc = action.target.cc;
+  ChipStats& stats = parts_[layout_.owner(cc)].stats;
   ctx.charge(2);
-  if (const auto addr = ctx.allocate_local(kind)) {
+  if (const auto addr = allocate_on(stats, cc, kind)) {
     // Success: fire the return trigger carrying the new address (paper
     // Figure 3, steps 1-2).
     ctx.propagate(rt::make_action(reply_handler, reply_to, addr->pack(), tag));
@@ -768,15 +740,15 @@ void Chip::handle_allocate(rt::Context& ctx, const rt::Action& action) {
   if (budget > 0) {
     // Scratchpad full here — bounce the request to the next cell on the
     // chip (linear probe) with a decremented hop budget.
-    ctx.count(rt::SimCounter::kAllocForwards, 1);
-    const std::uint32_t next_cc = (ctx.cc() + 1) % mesh_.cell_count();
+    ++stats.alloc_forwards;
+    const std::uint32_t next_cc = (cc + 1) % mesh_.cell_count();
     ctx.propagate(make_allocate_action(next_cc, kind, budget - 1, reply_handler,
                                        reply_to, tag));
     return;
   }
   // Budget exhausted: report failure with a null address so the requester's
   // future is fulfilled with null and the application can surface the error.
-  ctx.count(rt::SimCounter::kAllocFailures, 1);
+  ++stats.alloc_failures;
   ctx.propagate(rt::make_action(reply_handler, reply_to, rt::kNullAddress.pack(), tag));
 }
 

@@ -182,10 +182,6 @@ class Chip {
     return static_cast<T*>(deref(addr));
   }
 
-  /// Replaces the ghost-allocation policy (defaults from ChipConfig).
-  void set_alloc_policy(std::unique_ptr<rt::AllocationPolicy> policy);
-  [[nodiscard]] rt::AllocationPolicy& alloc_policy() noexcept { return *alloc_policy_; }
-
   // --- Work injection ------------------------------------------------------
 
   /// Queues an action on the IO channels (round-robin over IO cells); it
@@ -310,11 +306,6 @@ class Chip {
   /// Resolved worker count of this chip instance (one worker per
   /// partition).
   [[nodiscard]] std::uint32_t threads() const noexcept {
-    return layout_.parts();
-  }
-
-  /// Resolved partition count (== threads(): one worker per partition).
-  [[nodiscard]] std::uint32_t partitions() const noexcept {
     return layout_.parts();
   }
 
@@ -470,7 +461,8 @@ class Chip {
 
   void execute_action(PartitionState& st, ComputeCell& cell, const rt::Action& action);
   void deliver(PartitionState& st, ComputeCell& cell, const Message& msg);
-  /// Handler body of the allocate system action.
+  /// Handler body of the allocate system action. It runs at
+  /// `action.target.cc` and counts into the stats of that cell's partition.
   void handle_allocate(rt::Context& ctx, const rt::Action& action);
   std::optional<rt::GlobalAddress> allocate_on(ChipStats& stats, std::uint32_t cc,
                                                rt::ObjectKind kind);
@@ -490,7 +482,6 @@ class Chip {
   CellArray cells_;
   rt::HandlerRegistry registry_;
   std::unordered_map<rt::ObjectKind, ObjectFactory> factories_;
-  std::unique_ptr<rt::AllocationPolicy> alloc_policy_;
   IoSystem io_;
   ActivationTrace trace_;
   std::uint64_t cycle_ = 0;

@@ -10,12 +10,13 @@
 // arbitration pointer, the activity flag, and the six message FIFOs
 // themselves — lives in the chip's struct-of-arrays block (sim/cell_soa.hpp),
 // keyed by this cell's index. What remains here is what only the compute
-// phase of THIS cell ever touches: the scratchpad arena, the RNG, and the
-// unbounded action/task/staging queues. Lanes and queues are SlotLists
-// whose messages sit in slots of the cell's mesh-row SlotPool
-// (sim/fifo.hpp). Every mutation of the hot state still goes through this
-// class's sanctioned helpers, which keep the SoA words (the packed hot
-// word and the exact fifo_msgs counter) in lockstep with the containers.
+// phase of THIS cell ever touches: the scratchpad arena, the RNG, the
+// round-robin ghost cursor, and the unbounded action/task/staging queues.
+// Lanes and queues are SlotLists whose messages sit in slots of the cell's
+// mesh-row SlotPool (sim/fifo.hpp). Every mutation of the hot state still
+// goes through this class's sanctioned helpers, which keep the SoA words
+// (the packed hot word and the exact fifo_msgs counter) in lockstep with
+// the containers.
 #pragma once
 
 #include <cstdint>
@@ -198,6 +199,10 @@ class ComputeCell {
 
   // --- Misc ---------------------------------------------------------------
   rt::Xoshiro256 rng;
+  /// Round-robin ghost placement state of this cell as an origin (see
+  /// rt::choose_ghost_cell). Stored beside the queue counts, in their
+  /// padding.
+  [[nodiscard]] std::uint32_t& alloc_cursor() noexcept { return alloc_cursor_; }
 
  private:
   /// Current check level for the CCA_CHECK macro (see runtime/check.hpp);
@@ -216,6 +221,7 @@ class ComputeCell {
   std::uint32_t action_count_ = 0;
   std::uint32_t task_count_ = 0;
   std::uint32_t staged_count_ = 0;
+  std::uint32_t alloc_cursor_ = 0;
 
   CellSoA* soa_;
   SlotPool* pool_;

@@ -20,8 +20,6 @@ ChipStats ChipStats::delta_since(const ChipStats& earlier) const noexcept {
   d.allocations = allocations - earlier.allocations;
   d.alloc_forwards = alloc_forwards - earlier.alloc_forwards;
   d.alloc_failures = alloc_failures - earlier.alloc_failures;
-  d.futures_fulfilled = futures_fulfilled - earlier.futures_fulfilled;
-  d.future_waiters_drained = future_waiters_drained - earlier.future_waiters_drained;
   d.faults = faults - earlier.faults;
   return d;
 }
@@ -41,8 +39,6 @@ void ChipStats::add(const ChipStats& other) noexcept {
   allocations += other.allocations;
   alloc_forwards += other.alloc_forwards;
   alloc_failures += other.alloc_failures;
-  futures_fulfilled += other.futures_fulfilled;
-  future_waiters_drained += other.future_waiters_drained;
   faults += other.faults;
 }
 
@@ -53,8 +49,7 @@ std::ostream& operator<<(std::ostream& os, const ChipStats& s) {
      << ", hops=" << s.hops << ", delivered=" << s.deliveries
      << ", mean_lat=" << s.mean_delivery_latency() << ") io=" << s.io_injections
      << " alloc(ok=" << s.allocations << ", fwd=" << s.alloc_forwards
-     << ", fail=" << s.alloc_failures << ") futures(fulfilled=" << s.futures_fulfilled
-     << ", drained=" << s.future_waiters_drained << ") faults=" << s.faults;
+     << ", fail=" << s.alloc_failures << ") faults=" << s.faults;
   return os;
 }
 

@@ -34,8 +34,6 @@ struct ChipStats {
   std::uint64_t allocations = 0;
   std::uint64_t alloc_forwards = 0;   ///< allocate bounced off a full arena.
   std::uint64_t alloc_failures = 0;   ///< allocate exhausted its hop budget.
-  std::uint64_t futures_fulfilled = 0;
-  std::uint64_t future_waiters_drained = 0;
   std::uint64_t faults = 0;           ///< unknown handler / bad address.
 
   /// Event view consumed by the energy model.

@@ -16,14 +16,6 @@ TEST(AllocPolicy, Names) {
   EXPECT_EQ(to_string(AllocPolicyKind::kLocal), "local");
 }
 
-TEST(AllocPolicy, FactoryProducesRequestedKind) {
-  for (const auto kind :
-       {AllocPolicyKind::kVicinity, AllocPolicyKind::kRandom,
-        AllocPolicyKind::kRoundRobin, AllocPolicyKind::kLocal}) {
-    EXPECT_EQ(make_alloc_policy(kind)->kind(), kind);
-  }
-}
-
 // Property sweep: every vicinity choice is within the radius, never the
 // origin, and the whole ring is eventually covered.
 struct VicinityCase {
@@ -37,12 +29,13 @@ class VicinityProperty : public ::testing::TestWithParam<VicinityCase> {};
 TEST_P(VicinityProperty, ChoicesWithinRadiusAndCoverRing) {
   const auto [dim, radius, origin] = GetParam();
   const MeshGeometry mesh(dim, dim);
-  VicinityAllocator policy(radius);
   Xoshiro256 rng(origin * 7919 + radius);
+  std::uint32_t cursor = 0;
 
   std::set<std::uint32_t> seen;
   for (int i = 0; i < 4000; ++i) {
-    const std::uint32_t cc = policy.choose(origin, mesh, rng);
+    const std::uint32_t cc = choose_ghost_cell(AllocPolicyKind::kVicinity,
+                                               radius, origin, mesh, rng, cursor);
     ASSERT_LT(cc, mesh.cell_count());
     ASSERT_NE(cc, origin);
     ASSERT_LE(mesh.hops(origin, cc), radius)
@@ -69,60 +62,70 @@ INSTANTIATE_TEST_SUITE_P(
                       VicinityCase{3, 2, 4},        // radius covers most of mesh
                       VicinityCase{32, 2, 32 * 16 + 16}));
 
-TEST(VicinityAllocator, DegenerateOneByOneMeshFallsBackToOrigin) {
+TEST(Vicinity, DegenerateOneByOneMeshFallsBackToOrigin) {
   const MeshGeometry mesh(1, 1);
-  VicinityAllocator policy(2);
   Xoshiro256 rng(1);
-  EXPECT_EQ(policy.choose(0, mesh, rng), 0u);
+  std::uint32_t cursor = 0;
+  EXPECT_EQ(choose_ghost_cell(AllocPolicyKind::kVicinity, 2, 0, mesh, rng, cursor),
+            0u);
 }
 
-TEST(RandomAllocator, UniformOverChip) {
+TEST(Random, UniformOverChip) {
   const MeshGeometry mesh(8, 8);
-  RandomAllocator policy;
   Xoshiro256 rng(3);
+  std::uint32_t cursor = 0;
   std::set<std::uint32_t> seen;
   for (int i = 0; i < 20000; ++i) {
-    const auto cc = policy.choose(0, mesh, rng);
+    const auto cc =
+        choose_ghost_cell(AllocPolicyKind::kRandom, 2, 0, mesh, rng, cursor);
     ASSERT_LT(cc, 64u);
     seen.insert(cc);
   }
   EXPECT_EQ(seen.size(), 64u);  // every cell eventually chosen
 }
 
-TEST(RoundRobinAllocator, CyclesThroughAllCellsFromOrigin) {
+TEST(RoundRobin, CyclesThroughAllCellsFromOrigin) {
   // Per-origin rotation, anchored at the origin cell: origin 5 walks
   // 5, 6, ..., 15, 0, ..., 4 and wraps. (Keyed per cell — not one global
   // call-order cursor — so the parallel engine's scheduling cannot perturb
   // the sequence; anchoring spreads concurrent origins over the chip.)
   const MeshGeometry mesh(4, 4);
-  RoundRobinAllocator policy;
   Xoshiro256 rng(3);
+  std::uint32_t cursor = 0;
   for (std::uint32_t round = 0; round < 3; ++round) {
     for (std::uint32_t i = 0; i < 16; ++i) {
-      EXPECT_EQ(policy.choose(5, mesh, rng), (5 + i) % 16);
+      EXPECT_EQ(choose_ghost_cell(AllocPolicyKind::kRoundRobin, 2, 5, mesh, rng,
+                                  cursor),
+                (5 + i) % 16);
     }
   }
 }
 
-TEST(RoundRobinAllocator, OriginsRotateIndependently) {
+TEST(RoundRobin, OriginsRotateIndependently) {
   const MeshGeometry mesh(4, 4);
-  RoundRobinAllocator policy;
-  policy.prepare(mesh);
   Xoshiro256 rng(3);
+  std::uint32_t cursor3 = 0;
+  std::uint32_t cursor9 = 0;
+  const auto choose = [&](std::uint32_t origin, std::uint32_t& cursor) {
+    return choose_ghost_cell(AllocPolicyKind::kRoundRobin, 2, origin, mesh, rng,
+                             cursor);
+  };
   // Interleaved calls from two origins never disturb each other's walk,
   // and distinct origins start at distinct cells.
-  EXPECT_EQ(policy.choose(3, mesh, rng), 3u);
-  EXPECT_EQ(policy.choose(9, mesh, rng), 9u);
-  EXPECT_EQ(policy.choose(3, mesh, rng), 4u);
-  EXPECT_EQ(policy.choose(9, mesh, rng), 10u);
+  EXPECT_EQ(choose(3, cursor3), 3u);
+  EXPECT_EQ(choose(9, cursor9), 9u);
+  EXPECT_EQ(choose(3, cursor3), 4u);
+  EXPECT_EQ(choose(9, cursor9), 10u);
 }
 
-TEST(LocalAllocator, AlwaysOrigin) {
+TEST(Local, AlwaysOrigin) {
   const MeshGeometry mesh(4, 4);
-  LocalAllocator policy;
   Xoshiro256 rng(3);
+  std::uint32_t cursor = 0;
   for (std::uint32_t origin = 0; origin < 16; ++origin) {
-    EXPECT_EQ(policy.choose(origin, mesh, rng), origin);
+    EXPECT_EQ(
+        choose_ghost_cell(AllocPolicyKind::kLocal, 2, origin, mesh, rng, cursor),
+        origin);
   }
 }
 

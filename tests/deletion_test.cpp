@@ -103,19 +103,6 @@ TEST(Deletion, UnmatchedDeleteIsCountedNotFatal) {
   EXPECT_EQ(f.proto->stats().bad_targets, 0u);
 }
 
-TEST(Deletion, OnEdgeDeletedHookSeesEveryRemovedRecord) {
-  Fixture f;
-  std::uint64_t hook_calls = 0;
-  AppHooks hooks;
-  hooks.on_edge_deleted = [&](rt::Context&, VertexFragment&,
-                              const EdgeRecord&) { ++hook_calls; };
-  f.proto->set_hooks(hooks);
-  f.g->stream_increment(
-      std::vector<StreamEdge>{{3, 4, 1}, {3, 4, 2}, {3, 5, 1}});
-  f.g->stream_increment(std::vector<StreamEdge>{make_delete_edge(3, 4)});
-  EXPECT_EQ(hook_calls, 2u);
-}
-
 TEST(Deletion, StreamIncrementRejectsOutOfRangeEndpoints) {
   Fixture f(4, /*nverts=*/8);
   EXPECT_THROW(f.g->stream_increment(std::vector<StreamEdge>{{8, 0, 1}}),
@@ -740,9 +727,9 @@ TEST(DeletionDeathTest, TriangleCounterRefusesToStartAfterDeletions) {
 }
 
 TEST(DeletionDeathTest, InsertChainingAppWithoutRepairDiesOnDeletes) {
-  // An app that chains computation off on_edge_inserted but provides
-  // neither host_repair nor on_edge_deleted (reachability is the in-tree
-  // example) must hit the stream_increment misuse check up front.
+  // An app that chains computation off on_edge_inserted but provides no
+  // host_repair (reachability is the in-tree example) must hit the
+  // stream_increment misuse check up front.
   auto chip = std::make_unique<sim::Chip>(small_chip_config());
   graph::GraphProtocol proto(*chip, {});
   MultiSourceReach reach(proto);

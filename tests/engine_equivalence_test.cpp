@@ -81,8 +81,7 @@ EngineResult run_bfs(EngineKind engine, std::uint32_t threads,
   const auto sched = wl::make_graphchallenge_like(240, 4'000,
                                                   wl::SamplingKind::kEdge,
                                                   /*increments=*/3, 99);
-  for (const auto& inc : sched.increments) g.stream_increment(inc);
-  EXPECT_TRUE(chip.quiescent());
+  for (const auto& inc : sched.increments) test::run_capped(g, inc);
 
   EngineResult r;
   r.cycles = chip.stats().cycles;
@@ -177,8 +176,7 @@ EngineResult run_large_bfs(EngineKind engine, std::uint32_t dim,
   const auto sched = wl::make_graphchallenge_like(n, 6 * n,
                                                   wl::SamplingKind::kEdge,
                                                   /*increments=*/1, cfg.seed);
-  g.stream_increment(sched.increments[0], /*max_cycles=*/200'000'000);
-  EXPECT_TRUE(chip.quiescent());
+  test::run_capped(g, sched.increments[0]);
 
   EngineResult r;
   r.cycles = chip.stats().cycles;
@@ -234,11 +232,11 @@ OscResult run_oscillation(EngineKind engine, std::uint32_t threads) {
     for (std::uint32_t cc = 0; cc < 144; ++cc) {
       test::seed_spinner(chip, spin, cc, 12);
     }
-    chip.run_until_quiescent();
+    test::run_capped(chip);
     for (std::uint32_t cc : {5u, 77u, 140u}) {
       test::seed_spinner_via(chip, spin, /*entry_cc=*/0, cc, 30);
     }
-    chip.run_until_quiescent();
+    test::run_capped(chip);
   }
   return {chip.stats(), chip.energy_pj()};
 }
@@ -282,7 +280,7 @@ TEST(EngineEquivalence, SummaryIsExactWhereBlocksSplitWords) {
     for (std::uint32_t cc : {50u, 100u, 140u}) {
       test::seed_spinner_via(chip, spin, /*entry_cc=*/0, cc, 9);
     }
-    while (!chip.quiescent()) {
+    while (!chip.quiescent() && chip.now() < test::kRunCycleCap) {
       chip.step();
       for (std::uint32_t p = 0; p < 4; ++p) {
         const std::uint32_t first =
@@ -291,6 +289,7 @@ TEST(EngineEquivalence, SummaryIsExactWhereBlocksSplitWords) {
             << "cycle " << chip.now() << ", partition " << p;
       }
     }
+    EXPECT_TRUE(chip.quiescent());
     EXPECT_GT(chip.barrier_syncs(), 0u) << "no pooled cycle ran";
   }
 }

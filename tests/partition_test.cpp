@@ -122,7 +122,7 @@ TEST(ChipPartition, WorkerClampIsResultInvariant) {
   sim::ChipConfig cfg = test::small_chip_config();  // 8x8 mesh
   cfg.threads = 3;
   sim::Chip three(cfg);
-  EXPECT_EQ(three.partitions(), 3u);
+  EXPECT_EQ(three.threads(), 3u);
 
   cfg.threads = 20;
   sim::Chip clamped(cfg);
@@ -132,17 +132,16 @@ TEST(ChipPartition, WorkerClampIsResultInvariant) {
     sim::ChipConfig c = test::small_chip_config();
     c.threads = threads;
     sim::Chip chip(c);
+    const rt::MeshGeometry& mesh = chip.geometry();
     const rt::HandlerId fan = chip.handlers().register_handler(
-        "fan", [](rt::Context& ctx, const rt::Action& a) {
+        "fan", [&mesh](rt::Context& ctx, const rt::Action& a) {
           ctx.charge(3);
           if (a.args[0] == 0) return;
           // Skew the diffusion into the top-left quadrant.
-          const std::uint32_t cc = ctx.cc();
-          const auto c0 = ctx.geometry().coord_of(cc);
+          const auto c0 = mesh.coord_of(a.target.cc);
           const rt::Coord next{c0.x / 2, c0.y / 2};
           ctx.propagate(rt::make_action(
-              a.handler,
-              rt::GlobalAddress{ctx.geometry().index_of(next), 0},
+              a.handler, rt::GlobalAddress{mesh.index_of(next), 0},
               a.args[0] - 1));
         });
     for (std::uint32_t burst = 0; burst < 4; ++burst) {

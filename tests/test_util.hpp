@@ -5,9 +5,12 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "ccastream/ccastream.hpp"
 
@@ -45,11 +48,7 @@ class ScopedEnv {
 /// (futures, handlers) without a chip. Records everything it is asked to do.
 class MockContext final : public rt::Context {
  public:
-  explicit MockContext(std::uint32_t cc = 0, std::uint32_t mesh_dim = 4)
-      : mesh_(mesh_dim, mesh_dim), rng_(1234), cc_(cc) {}
-
-  [[nodiscard]] std::uint32_t cc() const override { return cc_; }
-  [[nodiscard]] const rt::MeshGeometry& geometry() const override { return mesh_; }
+  explicit MockContext(std::uint32_t cc = 0) : cc_(cc) {}
 
   void propagate(const rt::Action& a) override { propagated.push_back(a); }
   void schedule_local(const rt::Action& a) override { scheduled.push_back(a); }
@@ -60,16 +59,10 @@ class MockContext final : public rt::Context {
     return objects[addr.slot];
   }
 
-  std::optional<rt::GlobalAddress> allocate_local(rt::ObjectKind) override {
-    return std::nullopt;  // tests that need allocation use a real chip
-  }
-
   void call_cc_allocate(rt::ObjectKind kind, rt::GlobalAddress reply_to,
                         rt::HandlerId reply_handler, rt::Word tag) override {
     alloc_requests.push_back({kind, reply_to, reply_handler, tag});
   }
-
-  [[nodiscard]] rt::Xoshiro256& rng() override { return rng_; }
 
   struct AllocRequest {
     rt::ObjectKind kind;
@@ -85,8 +78,6 @@ class MockContext final : public rt::Context {
   std::uint32_t charged = 0;
 
  private:
-  rt::MeshGeometry mesh_;
-  rt::Xoshiro256 rng_;
   std::uint32_t cc_;
 };
 
@@ -130,6 +121,32 @@ inline void seed_spinner_via(sim::Chip& chip, rt::HandlerId spin,
                              rt::Word rounds) {
   const auto tgt = *chip.host_allocate(cc, std::make_unique<SpinBlob>());
   chip.inject_via(entry_cc, rt::make_action(spin, tgt, rounds, tgt.pack()));
+}
+
+/// Cycle cap of every chip run in the suites that compare whole runs
+/// (determinism_test, engine_equivalence_test): more than ten times the
+/// longest increment either streams, the 6 049 cycles of
+/// engine_equivalence_test's 512x512 CCASTREAM_STRESS=1 leg. A chip bug
+/// that strands work then fails its test within the cap instead of
+/// spinning until ctest's timeout.
+inline constexpr std::uint64_t kRunCycleCap = 100'000;
+
+/// Runs `chip` under kRunCycleCap and fails the calling test unless it is
+/// quiescent afterwards. Returns the cycles executed.
+inline std::uint64_t run_capped(sim::Chip& chip) {
+  const std::uint64_t cycles = chip.run_until_quiescent(kRunCycleCap);
+  EXPECT_TRUE(chip.quiescent()) << "work left after " << cycles << " cycles";
+  return cycles;
+}
+
+/// Streams `increment` into `g` with every chip run under kRunCycleCap and
+/// fails the calling test unless the chip is quiescent afterwards.
+inline graph::IncrementReport run_capped(graph::StreamingGraph& g,
+                                         std::span<const StreamEdge> increment) {
+  const graph::IncrementReport r = g.stream_increment(increment, kRunCycleCap);
+  EXPECT_TRUE(g.chip().quiescent())
+      << "work left after an increment of " << r.cycles << " cycles";
+  return r;
 }
 
 /// A small chip configuration that keeps unit tests fast.
